@@ -69,10 +69,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        if "config" in obj:  # manifests embed their resolved config; accept directly
-            obj = obj["config"]
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
+        """Config from a dict or a manifest; a misspelt key (say "epsilon") is an error."""
+        if "config" in obj:  # a manifest: its config plus the resolved_* values it records
+            obj = {k: v for k, v in obj["config"].items() if not k.startswith("resolved_")}
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**obj)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -22,7 +22,7 @@ import numpy as np
 from .graphs import AttributedGraph, Kernel, _distinct_uniform_ids, graph_to_dict, kernel_matrix
 from .measures import PrivateMeasureResult, run_private_measure
 from .noise import NoiseSpec
-from .space import AttributeDataset, Partition, cell_indices
+from .space import AttributeDataset, Partition
 
 _RESIDUAL_TOL = 1e-12
 
@@ -145,6 +145,10 @@ def generate_coupled_graphs(
     the same rng. The draw order is fixed (sizes, indicators, residual cells,
     extra cells, attributes, identifiers, edge uniforms), so output is
     bit-reproducible for a given generator state.
+
+    A true vertex takes a uniform dataset point of its cell, found through
+    the dataset's cached binning (:meth:`AttributeDataset.bins`), so no work
+    here grows with the dataset size.
     """
     if a <= 0 or b <= 0:
         raise ValueError("expected sizes a, b must be positive")
@@ -152,7 +156,6 @@ def generate_coupled_graphs(
         private = run_private_measure(dataset, partition, noise, rng)
 
     n = dataset.n
-    m = partition.m
     base_true = private.counts / n
     base_syn = private.private_measure.weights
     common = np.minimum(base_true, base_syn)
@@ -189,11 +192,7 @@ def generate_coupled_graphs(
     n_syn = shared + extra_syn
 
     # true attributes: uniform over the dataset points inside each vertex's cell
-    data_cells = cell_indices(partition, dataset.points)
-    order = np.argsort(data_cells, kind="stable")
-    sizes = np.bincount(data_cells, minlength=m)
-    offsets = np.zeros(m, dtype=np.int64)
-    offsets[1:] = np.cumsum(sizes)[:-1]
+    sizes, order, offsets = dataset.bins(partition)
     if n_true and np.any(sizes[true_cells] == 0):
         raise AssertionError("true vertex assigned to an empty cell")
     pick = np.floor(rng.random(n_true) * sizes[true_cells]).astype(np.int64)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .noise import NoiseSpec, sample as noise_sample
-from .space import AttributeDataset, Partition, cell_indices, sample_uniform_in_cells
+from .space import AttributeDataset, Partition, sample_uniform_in_cells
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class ProbabilityMeasure(SignedMeasure):
 
 def true_counts(dataset: AttributeDataset, partition: Partition) -> np.ndarray:
     """counts[i] = number of dataset points in cell i; sums to n."""
-    idx = cell_indices(partition, dataset.points)
-    return np.bincount(idx, minlength=partition.m).astype(np.int64)
+    return dataset.bins(partition)[0].astype(np.int64)
 
 
 def tv_distance(mu1: SignedMeasure, mu2: SignedMeasure) -> float:

@@ -26,8 +26,8 @@ class SpaceConfig:
     metric: str = SUP
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {self.d!r}")
         if self.metric not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
 
@@ -162,17 +162,38 @@ def sample_uniform_in_cells(partition: Partition, ks: np.ndarray, rng: np.random
 
 @dataclass(frozen=True)
 class AttributeDataset:
-    """Finite set of attribute points in [0,1]^d."""
+    """Finite set of attribute points in [0,1]^d, held as a read-only copy so
+    that the binnings cached by :meth:`bins` stay valid."""
 
     points: np.ndarray
+    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.array(self.points, dtype=float, ndmin=2)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("dataset must contain at least one point")
+        if not np.isfinite(pts).all():
+            raise ValueError("dataset points must be finite")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("dataset points must lie in [0,1]^d")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    def bins(self, partition: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(counts, order, offsets)``: cell k holds the points
+        ``order[offsets[k]:offsets[k] + counts[k]]`` in dataset order. Computed
+        once per grid; concurrent first calls may each compute it, and
+        ``setdefault`` hands every caller the one result it keeps."""
+        key = (partition.k_per_axis, partition.d)
+        cached = self._bins.get(key)
+        if cached is not None:
+            return cached
+        idx = cell_indices(partition, self.points)
+        counts = np.bincount(idx, minlength=partition.m)
+        binned = (counts, np.argsort(idx, kind="stable"), np.cumsum(counts) - counts)
+        for arr in binned:
+            arr.flags.writeable = False
+        return self._bins.setdefault(key, binned)
 
     @property
     def n(self) -> int:
@@ -206,4 +227,4 @@ def load_points_csv(path: str, d: int, header: bool = False) -> AttributeDataset
             rows.append(vals)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    return AttributeDataset(points=np.asarray(rows, dtype=float))
+    return AttributeDataset(points=rows)

@@ -221,6 +221,18 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    with pytest.raises(ValueError, match="epsilon"):
+        ExperimentConfig.from_dict({"seed": 1, "epsilon": 0.1})
+    with pytest.raises(ValueError, match="resolved_m"):
+        ExperimentConfig.from_dict({"seed": 1, "resolved_m": 4})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "recipe": "uniform", "epsilon": 0.1}))
+    rc = main(["mc", "--config", str(cfg_path), "--reps", "2"])
+    assert rc == 1
+    assert "unknown config keys: epsilon" in capsys.readouterr().err
+
+
 def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
     cfg = dict(
         recipe="uniform", n=60, d=1, eps=1.0, m=4, a=8.0, b=8.0, replicates=12, seed=4

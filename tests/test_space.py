@@ -118,8 +118,18 @@ def test_space_diameter_and_metric():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         AttributeDataset(points=np.array([[1.2]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            AttributeDataset(points=np.array([[0.5, 0.5], [bad, 0.2]]))
     ds = AttributeDataset(points=np.array([[0.5], [0.1]]))
     assert ds.n == 2 and ds.d == 1
+
+
+def test_space_config_rejects_non_integer_dimension():
+    for bad in (1.5, 2.0, True, "2", None, 0, -1):
+        with pytest.raises(ValueError, match="dimension"):
+            SpaceConfig(d=bad)
+    assert SpaceConfig(d=np.int64(3)).d == 3
 
 
 def test_csv_loader(tmp_path):
