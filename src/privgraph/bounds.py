@@ -73,9 +73,10 @@ class BoundInputs:
     expected_abs_noise: float | None = None
 
     def __post_init__(self):
-        if min(self.a, self.b, self.eps) <= 0 or self.n < 1 or self.m < 1 or self.d < 1:
-            raise ValueError("sizes, eps, n, m, d must be positive")
-        if not 0.0 <= self.alpha <= 1.0 or self.C <= 0 or self.L_kappa < 0:
+        positive = all(x > 0 for x in (self.a, self.b, self.eps))  # False for NaN
+        if not (positive and all(x >= 1 for x in (self.n, self.m, self.d))):
+            raise ValueError("sizes, eps, n, m, d must be positive (and not NaN)")
+        if not (0.0 <= self.alpha <= 1.0 and self.C > 0 and self.L_kappa >= 0):
             raise ValueError("invalid FGW/kernel parameters")
         if self.max_cell_diam is None:
             object.__setattr__(self, "max_cell_diam", self.m ** (-1.0 / self.d))

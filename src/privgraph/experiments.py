@@ -1,4 +1,4 @@
-"""Experiment configuration, manifests, and the replicate runner behind the CLI.
+"""Experiment configuration, manifests, and the evaluate/generate commands behind the CLI.
 
 A config fully determines an experiment: dataset (file or synthetic recipe),
 space, partition request (or "auto" via the optimal parameter rule), noise,
@@ -11,9 +11,7 @@ no matter how the replicate pool is scheduled.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -22,13 +20,10 @@ import numpy as np
 from . import bounds as bnd
 from .fgw import (
     FgwParams,
-    fgw_upper_bound,
+    evaluate_pair,
     ipm_lower_bound,
-    matched_plan_cost,
-    plan_coupling,
-    plan_cost_exact,
     reference_graphs,
-    spawn_streams,
+    run_replicates,
     worst_pair_cost,
 )
 from .generator import generate_coupled_graphs
@@ -75,6 +70,8 @@ class ExperimentConfig:
         unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        if obj.get("seed") is None:
+            raise ValueError('seed is mandatory in experiment mode: the config has no "seed"')
         return cls(**obj)
 
     def to_dict(self) -> dict:
@@ -175,25 +172,6 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     )
 
 
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("PRIVGRAPH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def run_replicates(fn, n: int, seed: int) -> list:
-    """Run fn(r, rng_r) for r in range(n); ordered by index regardless of the
-    pool schedule. PRIVGRAPH_THREADS caps the pool (default serial)."""
-    streams = spawn_streams(seed, n)
-    workers = _pool_size()
-    if workers == 1:
-        return [fn(r, streams[r]) for r in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, r, streams[r]) for r in range(n)]
-        return [f.result() for f in futures]
-
-
 def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outputs: list[str], t0: float) -> None:
     manifest = {
         "tool": "privgraph",
@@ -258,13 +236,7 @@ def _evaluate_one(resolved: ResolvedExperiment, r: int, rng: np.random.Generator
     pair = generate_coupled_graphs(
         resolved.dataset, resolved.partition, resolved.noise, resolved.a, resolved.b, resolved.kernel, rng
     )
-    charge = matched_plan_cost(pair, resolved.params)
-    nt, ns = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
-    if cfg.refine_iters > 0 and 0 < nt * ns <= cfg.refine_size_cap:
-        ma, mb, pi = plan_coupling(pair, resolved.params)
-        refined, _ = fgw_upper_bound(ma, mb, resolved.params, init=pi, iterations=cfg.refine_iters)
-    else:
-        refined = plan_cost_exact(pair, resolved.params)
+    charge, refined = evaluate_pair(pair, resolved.params, cfg.refine_iters, cfg.refine_size_cap)
     graphs = (pair.true_graph, pair.synthetic_graph) if keep_graphs else None
     return charge, refined, graphs
 

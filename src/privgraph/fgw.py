@@ -17,25 +17,30 @@ The module provides: an exact small-instance oracle (multi-start conditional
 gradient over the coupling polytope), a monotone local solver usable from any
 feasible start, the matched-pair transport-plan upper bound used for the
 theoretical-bound checks, Monte-Carlo estimation of the expected distance
-over generator runs, and reference-graph test functions giving a lower bound
-on the induced distance between graph distributions.
+over generator runs (through the replicate runner that ``evaluate`` also
+uses), and reference-graph test functions giving a lower bound on the
+induced distance between graph distributions.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from .generator import CoupledGraphs, generate_coupled_graphs
 from .graphs import AttributedGraph, Kernel
 from .measures import PrivateMeasureResult
 from .noise import NoiseSpec
-from .space import AttributeDataset, Partition, pairwise_distances
+from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
 
 _MARGINAL_TOL = 1e-9
 _GENERIC_CAP = 1600  # max n*m for the dense quartic tensor path
+_DIST_ROWS = 128  # rows of an N x M feature-distance matrix held at once
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class FgwParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0,1]")
-        if self.C <= 0:
+        if not self.C > 0:
             raise ValueError("C must be positive")
 
 
@@ -70,7 +75,7 @@ class GraphMeasure:
             raise ValueError("inconsistent measure arrays")
         if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
             raise ValueError("weights must be a probability vector (1e-12)")
-        if n and (not np.allclose(s, s.T) or np.any(np.abs(np.diag(s)) > 0)):
+        if n and (not np.array_equal(s, s.T) or np.any(np.diag(s) != 0)):
             raise ValueError("structure must be symmetric with zero diagonal")
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "weights", w)
@@ -127,13 +132,17 @@ def validate_coupling(pi: np.ndarray, a: GraphMeasure, b: GraphMeasure, tol: flo
 
 def _binary_cap(a: GraphMeasure, b: GraphMeasure) -> float | None:
     """Common positive value c if both structures take values in {0, c}."""
-    vals = np.unique(np.concatenate([a.structure.ravel(), b.structure.ravel()]))
-    nz = vals[vals > 0]
-    if nz.size == 0:
-        return 0.0
-    if nz.size == 1 and np.all((vals == 0) | (vals == nz[0])):
-        return float(nz[0])
-    return None
+    caps = set()
+    for s in (a.structure, b.structure):
+        nnz = np.count_nonzero(s)
+        if nnz:
+            c = float(s.max())
+            if c <= 0 or np.count_nonzero(s == c) != nnz:
+                return None
+            caps.add(c)
+    if len(caps) > 1:
+        return None
+    return caps.pop() if caps else 0.0
 
 
 def feature_costs(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> np.ndarray:
@@ -209,11 +218,11 @@ class _Engine:
             return self.a.weights[:, None].copy()
         if n == 1:
             return self.b.weights[None, :].copy()
-        a_eq = np.zeros((n + m, n * m))
-        for i in range(n):
-            a_eq[i, i * m : (i + 1) * m] = 1.0
-        for j in range(m):
-            a_eq[n + j, j::m] = 1.0
+        # column i*m + j holds the ones of row sum i and column sum n + j
+        rows = np.stack([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)], axis=1)
+        a_eq = csc_array(
+            (np.ones(2 * n * m), rows.ravel(), np.arange(0, 2 * n * m + 1, 2)), shape=(n + m, n * m)
+        )
         b_eq = np.concatenate([self.a.weights, self.b.weights])
         res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
         if not res.success:
@@ -352,18 +361,25 @@ def matched_plan_cost(pair: CoupledGraphs, params: FgwParams) -> float:
     z = pair.match_count
     if z == 0:
         return worst
-    t_idx = pair.matches[:, 1]
-    s_idx = pair.matches[:, 2]
-    d_match = pairwise_distances(
-        tg.attributes[t_idx], sg.attributes[s_idx], metric=params.metric
-    ).diagonal()
-    adj_t = tg.adjacency[np.ix_(t_idx, t_idx)]
-    adj_s = sg.adjacency[np.ix_(s_idx, s_idx)]
-    xor_sum = float(np.sum(adj_t != adj_s))
+    d_match = _matched_distances(pair, params.metric)
+    blk_t, blk_s = _matched_blocks(pair)
+    xor_sum = float(np.count_nonzero(blk_t != blk_s))
     matched = (
         (1.0 - params.alpha) * z * float(d_match.sum()) + params.alpha * params.C * xor_sum
     ) / (n0 * n0)
     return matched + worst * (n0 * n0 - z * z) / (n0 * n0)
+
+
+def _matched_distances(pair: CoupledGraphs, metric: str) -> np.ndarray:
+    """Feature distance of each matched vertex pair, in match order."""
+    xs, ys = pair.true_graph.attributes, pair.synthetic_graph.attributes
+    return SpaceConfig(xs.shape[1], metric).distance(xs[pair.matches[:, 1]], ys[pair.matches[:, 2]])
+
+
+def _matched_blocks(pair: CoupledGraphs) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean adjacency among the matched vertices, in match order, per side."""
+    t_idx, s_idx = pair.matches[:, 1], pair.matches[:, 2]
+    return pair.true_graph.adjacency[t_idx][:, t_idx], pair.synthetic_graph.adjacency[s_idx][:, s_idx]
 
 
 def plan_coupling(pair: CoupledGraphs, params: FgwParams) -> tuple[GraphMeasure, GraphMeasure, np.ndarray]:
@@ -384,13 +400,26 @@ def plan_coupling(pair: CoupledGraphs, params: FgwParams) -> tuple[GraphMeasure,
     return a, b, pi
 
 
+def _completion(adj: np.ndarray, blk: np.ndarray, idx: np.ndarray, n0: int):
+    """One side's completion marginal u = 1/n - 1_idx/n0 with (A u)[idx] and
+    u^T A u, both from integer counts on the boolean adjacency A."""
+    n = adj.shape[0]
+    u = np.full(n, 1.0 / n)
+    u[idx] -= 1.0 / n0
+    deg, row = np.count_nonzero(adj, axis=1), np.count_nonzero(blk, axis=1)
+    au = (n0 * deg[idx] - n * row) / (n * n0)
+    uau = n0 * n0 * int(deg.sum()) - 2 * n0 * n * int(deg[idx].sum()) + n * n * int(row.sum())
+    return u, au, uau / (n * n0) ** 2
+
+
 def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
     """Cost of the explicit matched-plan coupling without materializing it.
 
-    The plan is matched mass w = 1/max(N, M) plus a rank-one product
-    completion, so the quadratic term reduces to Z x Z submatrix sums and a
-    few matrix-vector products; this stays fast for thousand-vertex graphs
-    where the dense coupling evaluation would not.
+    The plan is matched mass w = 1/max(N, M) plus the product completion
+    u v^T / (1 - Z w) with u = 1/N - w 1_T (v likewise on the synthetic side).
+    Every structural term is an exact integer count on the boolean adjacency:
+    degrees, edges inside the matched blocks, and edges the blocks share; only
+    the feature term u^T D v needs float N x M work, done in row blocks.
     """
     tg, sg = pair.true_graph, pair.synthetic_graph
     n, m = tg.n_vertices, sg.n_vertices
@@ -400,39 +429,28 @@ def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
         return 0.0
     if n == 0 or m == 0:
         return worst_pair_cost(params, diam, lip)
-    al, cap = params.alpha, params.C
     n0 = max(n, m)
     w = 1.0 / n0
-    t_idx = pair.matches[:, 1]
-    s_idx = pair.matches[:, 2]
+    t_idx, s_idx = pair.matches[:, 1], pair.matches[:, 2]
     z = t_idx.size
-    d_feat = pairwise_distances(tg.attributes, sg.attributes, metric=params.metric)
-    u = np.full(n, 1.0 / n)
-    v = np.full(m, 1.0 / m)
-    if z:
-        u[t_idx] -= w
-        v[s_idx] -= w
-    s_mass = float(u.sum())
-    feature = 0.0
-    if z:
-        feature += w * float(d_feat[t_idx, s_idx].sum())
-    if s_mass > 1e-15:
-        feature += float(u @ d_feat @ v) / s_mass
-    adj_t = tg.adjacency.astype(float)
-    adj_s = sg.adjacency.astype(float)
-    const = cap * float(adj_t.sum()) / (n * n) + cap * float(adj_s.sum()) / (m * m)
-    bilinear = 0.0  # <pi, S_A pi S_B> assembled from the sparse + rank-one parts
-    if z:
-        sub = adj_t[np.ix_(t_idx, t_idx)] * adj_s[np.ix_(s_idx, s_idx)]
-        bilinear += w * w * cap * cap * float(sub.sum())
-    if s_mass > 1e-15:
-        at_u = adj_t @ u
-        bs_v = adj_s @ v
-        if z:
-            bilinear += 2.0 * w * cap * cap * float((at_u[t_idx] * bs_v[s_idx]).sum()) / s_mass
-        bilinear += cap * cap * float(u @ at_u) * float(v @ bs_v) / (s_mass * s_mass)
-    quad = const - (2.0 / cap) * bilinear if cap > 0 else 0.0
-    return (1.0 - al) * feature + al * quad
+    rest = (n0 - z) / n0
+    blk_t, blk_s = _matched_blocks(pair)
+    feature = w * float(_matched_distances(pair, params.metric).sum())
+    # <pi, S_A pi S_B> / C^2 from the matched part and the product completion
+    bilinear = w * w * np.count_nonzero(blk_t & blk_s)
+    if z < n0:
+        u, au_t, uau = _completion(tg.adjacency, blk_t, t_idx, n0)
+        v, bv_s, vbv = _completion(sg.adjacency, blk_s, s_idx, n0)
+        # u^T D v over the feature distances D, built _DIST_ROWS rows at a time
+        xs, ys = tg.attributes, sg.attributes
+        feature += sum(
+            float(u[i : i + _DIST_ROWS] @ pairwise_distances(xs[i : i + _DIST_ROWS], ys, params.metric) @ v)
+            for i in range(0, n, _DIST_ROWS)
+        ) / rest
+        bilinear += 2.0 * w * float(au_t @ bv_s) / rest + uau * vbv / (rest * rest)
+    const = np.count_nonzero(tg.adjacency) / (n * n) + np.count_nonzero(sg.adjacency) / (m * m)
+    quad = params.C * (const - 2.0 * bilinear)
+    return (1.0 - params.alpha) * feature + params.alpha * quad
 
 
 @dataclass(frozen=True)
@@ -461,6 +479,45 @@ def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _pool_size() -> int:
+    raw = os.environ.get("PRIVGRAPH_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"PRIVGRAPH_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
+def run_replicates(fn, n: int, seed: int) -> list:
+    """Run fn(r, rng_r) for r in range(n); ordered by index regardless of the
+    pool schedule. PRIVGRAPH_THREADS caps the pool (default serial)."""
+    streams = spawn_streams(seed, n)
+    workers = _pool_size()
+    if workers == 1:
+        return [fn(r, streams[r]) for r in range(n)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, r, streams[r]) for r in range(n)]
+        return [f.result() for f in futures]
+
+
+def evaluate_pair(
+    pair: CoupledGraphs, params: FgwParams, refine_iters: int, refine_size_cap: int
+) -> tuple[float, float]:
+    """(matched-plan charge, plan value) of one replicate. The plan value is
+    the matched-plan coupling refined by ``refine_iters`` conditional-gradient
+    steps when n*m <= refine_size_cap, else the coupling's exact cost."""
+    charge = matched_plan_cost(pair, params)
+    nt, ns = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
+    if refine_iters > 0 and 0 < nt * ns <= refine_size_cap:
+        ma, mb, pi = plan_coupling(pair, params)
+        value, _ = fgw_upper_bound(ma, mb, params, init=pi, iterations=refine_iters)
+    else:
+        value = plan_cost_exact(pair, params)
+    return charge, value
+
+
 def mc_expected_fgw(
     dataset: AttributeDataset,
     partition: Partition,
@@ -477,27 +534,18 @@ def mc_expected_fgw(
 ) -> McFgwResult:
     """Monte-Carlo estimate of the expected FGW distance between the pair.
 
-    Each replicate evaluates the explicit matched-plan coupling and, when the
-    instance is small enough (n*m <= refine_size_cap), refines it with the
-    conditional-gradient solver; the refined value never exceeds the plan
-    cost. The analytic plan charge is recorded alongside as the statistic the
-    theoretical bounds dominate in expectation.
+    Each replicate is scored by :func:`evaluate_pair`; its analytic plan
+    charge is recorded alongside as the statistic the theoretical bounds
+    dominate in expectation. Replicates run through :func:`run_replicates`.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    values = np.zeros(replicates)
-    charges = np.zeros(replicates)
-    for r, rng in enumerate(spawn_streams(seed, replicates)):
-        pair = generate_coupled_graphs(
-            dataset, partition, noise, a, b, kernel, rng, private=private
-        )
-        charges[r] = matched_plan_cost(pair, params)
-        nt, ns = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
-        if refine_iters > 0 and 0 < nt * ns <= refine_size_cap:
-            ma, mb, pi = plan_coupling(pair, params)
-            values[r], _ = fgw_upper_bound(ma, mb, params, init=pi, iterations=refine_iters)
-        else:
-            values[r] = plan_cost_exact(pair, params)
+
+    def one(r, rng):
+        pair = generate_coupled_graphs(dataset, partition, noise, a, b, kernel, rng, private=private)
+        return evaluate_pair(pair, params, refine_iters, refine_size_cap)
+
+    charges, values = np.array(run_replicates(one, replicates, seed), dtype=float).T.copy()
     return McFgwResult(
         mean=float(values.mean()),
         stderr=float(values.std(ddof=1) / np.sqrt(replicates)),
@@ -566,13 +614,14 @@ def fgw_to_reference(
         if empty_value is None:
             raise ValueError("empty graph encountered; supply empty_value")
         return empty_value
+    if ref.n_vertices == 1:
+        n = sample.n_vertices
+        dists = pairwise_distances(sample.attributes, ref.attributes, metric=params.metric)
+        feature = (1.0 - params.alpha) * float(dists.mean())
+        quad = params.alpha * params.C * np.count_nonzero(sample.adjacency) / (n * n)
+        return feature + quad
     b = graph_to_measure(sample, params)
     a = graph_to_measure(ref, params)
-    if ref.n_vertices == 1:
-        dists = pairwise_distances(b.attributes, a.attributes, metric=params.metric).ravel()
-        feature = (1.0 - params.alpha) * float(np.sum(b.weights * dists))
-        quad = params.alpha * float(b.weights @ b.structure @ b.weights)
-        return feature + quad
     val, _ = fgw_upper_bound(a, b, params, iterations=refine_iters)
     return val
 

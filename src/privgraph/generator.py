@@ -214,8 +214,8 @@ def generate_coupled_graphs(
     if shared:
         u_shared = rng.random((shared, shared))
         pair_mask = np.outer(is_match, is_match)
-        u_true[:shared, :shared][pair_mask] = u_shared[pair_mask]
-        u_syn[:shared, :shared][pair_mask] = u_shared[pair_mask]
+        np.copyto(u_true[:shared, :shared], u_shared, where=pair_mask)
+        np.copyto(u_syn[:shared, :shared], u_shared, where=pair_mask)
 
     def _adj(u_mat: np.ndarray, attrs: np.ndarray) -> np.ndarray:
         if attrs.shape[0] == 0:

@@ -37,10 +37,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind == DISCRETE_LAPLACE:
-            if self.eps is None or self.eps <= 0:
+            if self.eps is None or not self.eps > 0:
                 raise ValueError("discrete_laplace requires eps > 0")
         elif self.kind == BOUNDED_POWER:
-            if self.eps is None or self.eps <= 0:
+            if self.eps is None or not self.eps > 0:
                 raise ValueError("bounded_power requires eps > 0")
             if self.A is None or self.A < 1:
                 raise ValueError("bounded_power requires integer A >= 1")
@@ -48,8 +48,8 @@ class NoiseSpec:
             if not self.table:
                 raise ValueError("custom requires a non-empty pmf table")
             total = sum(self.table.values())
-            if any(p < 0 for p in self.table.values()):
-                raise ValueError("custom pmf has negative mass")
+            if not all(p >= 0 for p in self.table.values()):
+                raise ValueError("custom pmf has negative or NaN mass")
             if abs(total - 1.0) > _SUM_TOL:
                 raise ValueError(f"custom pmf sums to {total}, expected 1 within {_SUM_TOL}")
         else:

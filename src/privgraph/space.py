@@ -45,15 +45,22 @@ class SpaceConfig:
 
 
 def pairwise_distances(xs: np.ndarray, ys: np.ndarray, metric: str = SUP) -> np.ndarray:
-    """(n, d) x (m, d) -> (n, m) distance matrix under the chosen metric."""
+    """(n, d) x (m, d) -> (n, m) distance matrix under the chosen metric,
+    accumulated one axis at a time (no (n, m, d) intermediate)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    diff = np.abs(xs[:, None, :] - ys[None, :, :])
-    if metric == SUP:
-        return diff.max(axis=-1)
-    if metric == EUCLIDEAN:
-        return np.sqrt((diff**2).sum(axis=-1))
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in _METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    out = np.zeros((xs.shape[0], ys.shape[0]))
+    diff = np.empty_like(out) if xs.shape[1] > 1 else None
+    for j in range(xs.shape[1]):
+        buf = diff if j else out  # the first axis is written in place
+        np.abs(np.subtract.outer(xs[:, j], ys[:, j], out=buf), out=buf)
+        if metric == EUCLIDEAN:
+            np.square(buf, out=buf)
+        if j:
+            (np.maximum if metric == SUP else np.add)(out, diff, out=out)
+    return out if metric == SUP else np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)

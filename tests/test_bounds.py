@@ -253,3 +253,11 @@ def test_log_plus_and_noise_factor():
     assert laplace_noise_factor(1.0) == pytest.approx(
         math.exp(-1) / (1 - math.exp(-2)), abs=1e-15
     )
+
+
+@pytest.mark.parametrize("field", ["a", "b", "n", "m", "eps", "d", "C", "L_kappa", "alpha"])
+def test_bound_inputs_reject_nan(field):
+    kw = dict(a=16.0, b=16.0, n=100, m=4, eps=1.0, d=1)
+    BoundInputs(**kw)
+    with pytest.raises(ValueError):
+        BoundInputs(**{**kw, field: float("nan")})

@@ -243,3 +243,40 @@ def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
     s2 = cmd_evaluate(ExperimentConfig(out_dir=str(out2), **cfg), ipm_samples=5)
     assert s1 == s2
     assert (out1 / "evaluate.csv").read_bytes() == (out2 / "evaluate.csv").read_bytes()
+
+
+def test_config_without_seed_fails_cleanly(tmp_path, capsys):
+    with pytest.raises(ValueError, match="seed is mandatory"):
+        ExperimentConfig.from_dict({"recipe": "uniform", "n": 50})
+    cfg_path = tmp_path / "noseed.json"
+    cfg_path.write_text(json.dumps({"recipe": "uniform", "n": 50}))
+    rc = main(["mc", "--config", str(cfg_path), "--reps", "2"])
+    assert rc == 1
+    assert "seed is mandatory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_bad_threads_env_is_rejected(tmp_path, monkeypatch, capsys, value):
+    from privgraph.fgw import _pool_size
+
+    monkeypatch.setenv("PRIVGRAPH_THREADS", value)
+    with pytest.raises(ValueError, match="PRIVGRAPH_THREADS"):
+        _pool_size()
+    argv = ["mc", "--recipe", "uniform", "--n", "40", "--m", "4", "--a", "6", "--b", "6", "--seed", "1", "--reps", "2"]
+    assert main(argv) == 1
+    assert "PRIVGRAPH_THREADS" in capsys.readouterr().err
+
+
+def test_mc_runs_through_the_replicate_runner(monkeypatch, capsys):
+    import privgraph.fgw as fgw_mod
+
+    calls = []
+    runner = fgw_mod.run_replicates
+    monkeypatch.setattr(fgw_mod, "run_replicates", lambda fn, n, seed: calls.append(n) or runner(fn, n, seed))
+    argv = ["mc", "--recipe", "uniform", "--n", "60", "--m", "4", "--a", "8", "--b", "8", "--seed", "3", "--reps", "12"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert calls == [12]
+    monkeypatch.setenv("PRIVGRAPH_THREADS", "3")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == serial

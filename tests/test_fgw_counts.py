@@ -1,0 +1,170 @@
+"""The count-based evaluators against dense oracles.
+
+``matched_plan_cost`` and ``plan_cost_exact`` work from boolean adjacency
+blocks and integer counts; here they are checked against the explicit dense
+coupling (``plan_coupling`` + ``fgw_cost``) and against the earlier
+gather-based matched-plan formula, on generated pairs and on pairs whose
+matches, or one whole side, were replaced.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
+
+from privgraph.fgw import (
+    FgwParams,
+    GraphMeasure,
+    _binary_cap,
+    _Engine,
+    fgw_cost,
+    matched_plan_cost,
+    plan_cost_exact,
+    plan_coupling,
+    worst_pair_cost,
+)
+from privgraph.generator import generate_coupled_graphs
+from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel
+from privgraph.noise import discrete_laplace
+from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition, pairwise_distances
+
+
+def _broadcast_distances(xs, ys, metric):
+    diff = np.abs(xs[:, None, :] - ys[None, :, :])
+    return diff.max(axis=-1) if metric == "sup" else np.sqrt((diff**2).sum(axis=-1))
+
+
+def _matched_plan_cost_oracle(pair, params):
+    """The matched-plan charge as first written: fancy-index gathers of the
+    matched blocks and the diagonal of a full Z x Z distance matrix."""
+    tg, sg = pair.true_graph, pair.synthetic_graph
+    n, m = tg.n_vertices, sg.n_vertices
+    worst = worst_pair_cost(params, pair.partition.space.diameter, pair.kernel.lipschitz_constant)
+    if n == 0 and m == 0:
+        return 0.0
+    if n == 0 or m == 0 or pair.match_count == 0:
+        return worst
+    n0, z = max(n, m), pair.match_count
+    t_idx, s_idx = pair.matches[:, 1], pair.matches[:, 2]
+    d_match = _broadcast_distances(tg.attributes[t_idx], sg.attributes[s_idx], params.metric).diagonal()
+    xor_sum = float(np.sum(tg.adjacency[np.ix_(t_idx, t_idx)] != sg.adjacency[np.ix_(s_idx, s_idx)]))
+    matched = ((1.0 - params.alpha) * z * float(d_match.sum()) + params.alpha * params.C * xor_sum) / (n0 * n0)
+    return matched + worst * (n0 * n0 - z * z) / (n0 * n0)
+
+
+def _empty_graph(d):
+    return AttributedGraph(attributes=np.zeros((0, d)), identifiers=np.zeros(0), adjacency=np.zeros((0, 0), bool))
+
+
+@st.composite
+def _pairs(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    metric = draw(st.sampled_from(["sup", "euclidean"]))
+    kernel = chung_lu(d) if draw(st.booleans()) else constant_kernel(draw(st.floats(0.0, 1.0)))
+    params = FgwParams(alpha=draw(st.floats(0.0, 1.0)), C=draw(st.floats(0.1, 3.0)), metric=metric)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    part = build_grid_partition(SpaceConfig(d=d, metric=metric), draw(st.integers(1, 9)))
+    data = AttributeDataset(points=rng.random((draw(st.integers(1, 40)), d)))
+    a, b = draw(st.floats(0.5, 25.0)), draw(st.floats(0.5, 25.0))
+    pair = generate_coupled_graphs(data, part, discrete_laplace(draw(st.floats(0.2, 3.0))), a, b, kernel, rng)
+    variant = draw(st.sampled_from(["generated", "no_matches", "rematched", "empty_true", "empty_synthetic"]))
+    if variant == "no_matches":
+        pair = dataclasses.replace(pair, matches=np.zeros((0, 3), np.int64))
+    elif variant == "rematched":  # matched index sets that differ between the sides
+        n, m = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
+        z = int(rng.integers(0, min(n, m) + 1))
+        matches = np.zeros((z, 3), np.int64)
+        matches[:, 1] = rng.choice(n, z, replace=False)
+        matches[:, 2] = rng.choice(m, z, replace=False)
+        pair = dataclasses.replace(pair, matches=matches)
+    elif variant != "generated":
+        side = "true_graph" if variant == "empty_true" else "synthetic_graph"
+        pair = dataclasses.replace(pair, matches=np.zeros((0, 3), np.int64), **{side: _empty_graph(d)})
+    return pair, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs())
+def test_count_evaluators_match_dense_oracles(case):
+    pair, params = case
+    charge = matched_plan_cost(pair, params)
+    assert charge == pytest.approx(_matched_plan_cost_oracle(pair, params), rel=1e-12, abs=1e-12)
+    exact = plan_cost_exact(pair, params)
+    n, m = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
+    if n and m:
+        a, b, pi = plan_coupling(pair, params)
+        assert exact == pytest.approx(fgw_cost(pi, a, b, params), abs=1e-10)
+    else:
+        worst = worst_pair_cost(params, pair.partition.space.diameter, pair.kernel.lipschitz_constant)
+        assert exact == (0.0 if n == m else worst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(d)), elements=st.floats(-2.0, 2.0)),
+            hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(d)), elements=st.floats(-2.0, 2.0)),
+        )
+    ),
+    st.sampled_from(["sup", "euclidean"]),
+)
+def test_pairwise_distances_match_broadcast_formula(xy, metric):
+    xs, ys = xy
+    got = pairwise_distances(xs, ys, metric=metric)
+    want = _broadcast_distances(xs, ys, metric)
+    if metric == "sup":
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_pairwise_distances_rejects_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric"):
+        pairwise_distances(np.zeros((2, 1)), np.zeros((3, 1)), metric="manhattan")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7), st.integers(2, 7), st.integers(0, 2**32 - 1))
+def test_lp_vertex_matches_dense_constraint_matrix(n, m, seed):
+    rng = np.random.default_rng(seed)
+    a = GraphMeasure(attributes=rng.random((n, 1)), weights=rng.dirichlet(np.ones(n)), structure=np.zeros((n, n)))
+    b = GraphMeasure(attributes=rng.random((m, 1)), weights=rng.dirichlet(np.ones(m)), structure=np.zeros((m, m)))
+    cost = rng.standard_normal((n, m))
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m : (i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    dense = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a.weights, b.weights]), bounds=(0, None), method="highs"
+    )
+    assert dense.success
+    np.testing.assert_array_equal(_Engine(a, b, FgwParams()).lp_vertex(cost), dense.x.reshape(n, m))
+
+
+def test_structure_symmetry_is_checked_exactly():
+    s = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        GraphMeasure(attributes=np.zeros((2, 1)), weights=[0.5, 0.5], structure=s)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        GraphMeasure(attributes=np.zeros((2, 1)), weights=[0.5, 0.5], structure=np.diag([0.0, 1e-300]))
+
+
+def test_binary_cap_scans_each_structure():
+    def measure(s):
+        s = np.asarray(s, dtype=float)
+        n = s.shape[0]
+        return GraphMeasure(attributes=np.zeros((n, 1)), weights=np.full(n, 1.0 / n), structure=s)
+
+    zero = measure(np.zeros((3, 3)))
+    edge = measure([[0, 2.0, 0], [2.0, 0, 2.0], [0, 2.0, 0]])
+    assert _binary_cap(zero, zero) == 0.0
+    assert _binary_cap(edge, zero) == 2.0 and _binary_cap(zero, edge) == 2.0
+    assert _binary_cap(edge, measure([[0, 1.0], [1.0, 0]])) is None  # two different caps
+    assert _binary_cap(measure([[0, 2.0, 0.41], [2.0, 0, 2.0], [0.41, 2.0, 0]]), zero) is None
+    assert _binary_cap(measure([[0, -1.0], [-1.0, 0]]), zero) is None

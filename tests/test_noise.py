@@ -143,3 +143,14 @@ def test_custom_table_validation():
         custom({0: 0.5, 1: 0.6})
     with pytest.raises(ValueError):
         custom({0: -0.1, 1: 1.1})
+
+
+def test_nan_parameters_rejected():
+    with pytest.raises(ValueError, match="eps > 0"):
+        discrete_laplace(float("nan"))
+    with pytest.raises(ValueError, match="eps > 0"):
+        bounded_power(float("nan"), 2)
+    with pytest.raises(ValueError, match="NaN"):
+        custom({-1: 0.5, 1: 0.5, 0: float("nan")})
+    with pytest.raises(ValueError):
+        custom({0: float("nan")})
