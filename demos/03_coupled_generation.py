@@ -2,9 +2,11 @@
 
 Mirrors the product-kernel showcase: attributes are half 0 and half 1 on
 [0,1], the kernel is kappa(x, y) = x*y, and the partition size follows the
-optimal rule. DOT files land in demos/out/ for rendering with graphviz.
+optimal rule. DOT files land in demos/out/ (or the directory given as the
+first argument) for rendering with graphviz.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from privgraph import (
     graph_to_dot,
 )
 
-out = Path(__file__).parent / "out"
+out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
 
 pts = np.zeros((1000, 1))

@@ -30,7 +30,7 @@ def _int_list(text: str) -> list[int]:
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         obj = json.loads(Path(args.config).read_text())
-        cfg = ExperimentConfig.from_dict(obj)
+        cfg = ExperimentConfig.from_dict(obj, seed=args.seed)
     else:
         if args.seed is None:
             raise SystemExit("--seed is mandatory (or provide --config)")
@@ -52,7 +52,6 @@ def _config_from_args(args) -> ExperimentConfig:
         "replicates",
         "refine_iters",
         "out_dir",
-        "seed",
         "csv_sep",
     ):
         val = getattr(args, name, None)

@@ -11,11 +11,13 @@ no matter how the replicate pool is scheduled.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import bounds as bnd
 from .fgw import (
@@ -26,7 +28,7 @@ from .fgw import (
     run_replicates,
     worst_pair_cost,
 )
-from .generator import generate_coupled_graphs
+from .generator import DRAW_ORDER, generate_coupled_graphs
 from .graphs import Kernel, chung_lu, constant_kernel, graph_to_dot, inverse_distance
 from .noise import NoiseSpec, bounded_power, custom, discrete_laplace
 from .space import AttributeDataset, Partition, SpaceConfig, build_grid_partition, load_points_csv
@@ -63,10 +65,23 @@ class ExperimentConfig:
     out_dir: str = "."
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        """Config from a dict or a manifest; a misspelt key (say "epsilon") is an error."""
+    def from_dict(cls, obj: dict, seed: int | None = None) -> "ExperimentConfig":
+        """Config from a dict or a manifest; a misspelt key (say "epsilon") is an error.
+
+        ``seed``, when given, replaces the seed of ``obj``. A manifest replays
+        only under the draw order it was written with.
+        """
         if "config" in obj:  # a manifest: its config plus the resolved_* values it records
+            order = obj.get("draw_order")
+            if order != DRAW_ORDER:
+                recorded = "no draw order (so draw order 1)" if order is None else f"draw order {order}"
+                raise ValueError(
+                    f"the manifest records {recorded}, but this privgraph generates under "
+                    f"draw order {DRAW_ORDER}; it would replay into different graphs"
+                )
             obj = {k: v for k, v in obj["config"].items() if not k.startswith("resolved_")}
+        if seed is not None:
+            obj = {**obj, "seed": seed}
         unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -177,6 +192,12 @@ def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outpu
         "tool": "privgraph",
         "version": VERSION,
         "command": command,
+        "draw_order": DRAW_ORDER,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "config": resolved.manifest_config,
         "seeding": "replicate r uses default_rng(SeedSequence(seed).spawn()[r])",
         "replicate_seed_paths": [[resolved.config.seed, r] for r in range(resolved.config.replicates)],

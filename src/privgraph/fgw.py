@@ -334,7 +334,13 @@ def wasserstein_uniform_exact(xs: np.ndarray, ys: np.ndarray, metric: str = "sup
 
 def worst_pair_cost(params: FgwParams, diam: float, lipschitz: float) -> float:
     """Per-unit-mass cost cap for an arbitrary vertex pair: feature part at the
-    space diameter, structural part at min(C, 2*C*L*diam)."""
+    space diameter, structural part at min(C, 2*C*L*diam).
+
+    It caps every pair's realised cost only when min(C, 2*C*L*diam) = C, that
+    is when 2*L*diam >= 1. Unmatched pairs draw their edges independently,
+    so with the constant kernel (L = 0) a structural cost of C can be
+    realised that this cap does not cover.
+    """
     return (1.0 - params.alpha) * diam + params.alpha * min(
         params.C, 2.0 * params.C * lipschitz * diam
     )
@@ -347,6 +353,11 @@ def matched_plan_cost(pair: CoupledGraphs, params: FgwParams) -> float:
     realized cost; all remaining mass is charged at the worst-case pair cost.
     The mean of this statistic over generator runs is what the theoretical
     accuracy bounds dominate.
+
+    Precondition: it bounds the exact cost of the same plan (the dominance
+    chain exact <= refined <= plan cost <= this charge) only when
+    min(C, 2*C*L*diam) = C, see :func:`worst_pair_cost`. For the constant
+    kernel (L = 0) the charge can fall below the plan's exact cost.
     """
     tg, sg = pair.true_graph, pair.synthetic_graph
     n, m = tg.n_vertices, sg.n_vertices

@@ -10,6 +10,14 @@ independent Bernoulli edges) while sharing as much randomness as possible:
   from the residual laws, which restores the exact categorical marginals;
 * edges between two matched vertex pairs are drawn from the maximal coupling
   of their Bernoulli laws, so they disagree with probability |p - q|.
+
+The stream is consumed in a fixed, versioned order, ``DRAW_ORDER`` (now 2),
+which every manifest records; a manifest written under another order is
+refused rather than replayed into different graphs. Under draw order 2 each
+vertex pair that can carry an edge takes exactly one uniform, drawn in row
+blocks straight into the boolean adjacencies: beyond the two adjacencies
+(N^2 + M^2 bytes) the generator holds O(EDGE_BLOCK_ROWS * N) floats, never
+an N x N float array.
 """
 
 from __future__ import annotations
@@ -25,6 +33,13 @@ from .noise import NoiseSpec
 from .space import AttributeDataset, Partition
 
 _RESIDUAL_TOL = 1e-12
+
+# Version of the order in which the generator consumes its random stream;
+# manifests record it and a manifest written under another order is refused.
+DRAW_ORDER = 2
+# Rows of the upper triangle whose edges are drawn together; the stream does
+# not depend on it, only the size of the per-block float arrays does.
+EDGE_BLOCK_ROWS = 128
 
 
 def maximal_coupling_bernoulli(p: float, q: float, rng: np.random.Generator) -> tuple[int, int]:
@@ -90,6 +105,91 @@ def _categorical(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
 
 
+def _row_blocks(n: int, block):
+    """``block(r0, r1, hi)``, the rows r0:r1 by columns r0:hi of an n x n array.
+
+    When the n rows fit in one row block the whole array is built once and
+    later calls take views of it, so the runs that share it skip a rebuild.
+    """
+    if n <= EDGE_BLOCK_ROWS:
+        whole = block(0, n, n)
+        return lambda r0, r1, hi: whole[r0:r1, r0:hi]
+    return block
+
+
+def _edge_run(
+    rng: np.random.Generator, sides, both_matched, n: int, shared_pairs: bool, upper: np.ndarray
+) -> None:
+    """One run of draw order 2: a uniform u per vertex pair i < j < n, row-major.
+
+    ``both_matched`` gives blocks of the indicator that both ends of a pair
+    are matched shared slots (the shared slots are the first vertices of
+    every graph). The run takes those pairs if ``shared_pairs``, and all
+    other pairs of its one graph if not. Each side is ``(probs, adj)``: the
+    pair is an edge there iff u < its probability from ``probs``. Sides
+    share the uniforms, which is the maximal coupling of their Bernoulli
+    laws. ``upper[i, j]`` is j > i for one block of rows. Only the upper
+    triangle of ``adj`` is written.
+    """
+    for r0 in range(0, n, EDGE_BLOCK_ROWS):
+        r1 = min(r0 + EDGE_BLOCK_ROWS, n)
+        take = upper[: r1 - r0, : n - r0]
+        both = both_matched(r0, r1, n)  # empty past the shared slots
+        if shared_pairs:
+            take = take & both
+        elif both.size:
+            take = take.copy()
+            corner = take[: both.shape[0], : both.shape[1]]
+            np.greater(corner, both, out=corner)  # on booleans: taken and not both matched
+        u = np.empty(take.shape)
+        u.fill(1.0)  # no probability exceeds 1, so an untaken pair gets no edge
+        u[take] = rng.random(np.count_nonzero(take))
+        for probs, adj in sides:
+            adj[r0:r1, r0:n] |= u < probs(r0, r1, n)
+
+
+def _coupled_edges(
+    kernel: Kernel,
+    true_attrs: np.ndarray,
+    syn_attrs: np.ndarray,
+    is_match: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both boolean adjacencies under draw order 2.
+
+    Shared slot s is vertex s of both graphs and ``is_match[s]`` says whether
+    it is matched. Three runs draw from ``rng``: the matched x matched pairs
+    (one uniform shared by both graphs), then every other true-graph pair,
+    then every other synthetic-graph pair. The runs fill the upper
+    triangles; each adjacency is then mirrored one block of rows at a time,
+    because a whole-matrix ``adj |= adj.T`` is several times slower on large
+    graphs. Besides the two adjacencies, the memory used is
+    O(EDGE_BLOCK_ROWS * max(N, M)).
+    """
+    cols = np.arange(max(true_attrs.shape[0], syn_attrs.shape[0]))
+    upper = cols > cols[:EDGE_BLOCK_ROWS, None]
+    both_matched = _row_blocks(
+        is_match.size, lambda r0, r1, hi: is_match[r0:r1, None] & is_match[r0:hi]
+    )
+    sides = []
+    for attrs in (true_attrs, syn_attrs):
+
+        def probs(r0, r1, hi, attrs=attrs):
+            rows = attrs[r0:r1]
+            # a diagonal block passes one array twice, which kernel_matrix evaluates once
+            return kernel_matrix(kernel, rows, rows if hi == r1 else attrs[r0:hi])
+
+        sides.append((_row_blocks(attrs.shape[0], probs), np.zeros((attrs.shape[0],) * 2, dtype=bool)))
+    _edge_run(rng, sides, both_matched, is_match.size, True, upper)
+    for side in sides:
+        _edge_run(rng, [side], both_matched, side[1].shape[0], False, upper)
+    for _, adj in sides:
+        for r0 in range(0, adj.shape[0], EDGE_BLOCK_ROWS):
+            r1 = r0 + EDGE_BLOCK_ROWS
+            adj[r0:, r0:r1] |= adj[r0:r1, r0:].T
+    return sides[0][1], sides[1][1]
+
+
 @dataclass(frozen=True)
 class CoupledGraphs:
     """The jointly generated pair plus the coupling bookkeeping."""
@@ -142,16 +242,30 @@ def generate_coupled_graphs(
 
     ``private`` may carry a precomputed mechanism result to hold the noisy
     measure fixed across replicates; otherwise the mechanism runs first with
-    the same rng. The draw order is fixed (sizes, indicators, residual cells,
-    extra cells, attributes, identifiers, edge uniforms), so output is
-    bit-reproducible for a given generator state.
+    the same rng. The draw order is fixed, so output is bit-reproducible for
+    a given generator state. Draw order 2 (``DRAW_ORDER``): sizes,
+    indicators, residual cells, extra cells, attribute picks, identifiers,
+    then the edge uniforms in three runs, each over pairs i < j in row-major
+    order with one uniform per pair:
+
+    1. matched x matched pairs; the one uniform u decides both graphs, an
+       edge iff u < kappa(x_i, x_j) in the true graph and iff
+       u < kappa(y_i, y_j) in the synthetic one (the maximal coupling);
+    2. every other true-graph pair;
+    3. every other synthetic-graph pair.
+
+    That is C(N,2) + C(M,2) - C(Z,2) uniforms for Z matched vertices. They
+    are drawn in blocks of ``EDGE_BLOCK_ROWS`` rows (the stream does not
+    depend on the block size), so the memory is the two boolean
+    adjacencies plus O(EDGE_BLOCK_ROWS * max(N, M)).
 
     A true vertex takes a uniform dataset point of its cell, found through
     the dataset's cached binning (:meth:`AttributeDataset.bins`), so no work
     here grows with the dataset size.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("expected sizes a, b must be positive")
+    for name, size in (("a", a), ("b", b)):
+        if not (np.isfinite(size) and size > 0):
+            raise ValueError(f"expected size {name} must be finite and positive, got {size!r}")
     if private is None:
         private = run_private_measure(dataset, partition, noise, rng)
 
@@ -207,29 +321,9 @@ def generate_coupled_graphs(
     true_ids = _distinct_uniform_ids(n_true, rng)
     syn_ids = _distinct_uniform_ids(n_syn, rng)
 
-    # edges: matched x matched pairs share one uniform (maximal coupling);
-    # every other pair uses its own graph-local uniform
-    u_true = rng.random((n_true, n_true)) if n_true else np.zeros((0, 0))
-    u_syn = rng.random((n_syn, n_syn)) if n_syn else np.zeros((0, 0))
-    if shared:
-        u_shared = rng.random((shared, shared))
-        pair_mask = np.outer(is_match, is_match)
-        np.copyto(u_true[:shared, :shared], u_shared, where=pair_mask)
-        np.copyto(u_syn[:shared, :shared], u_shared, where=pair_mask)
-
-    def _adj(u_mat: np.ndarray, attrs: np.ndarray) -> np.ndarray:
-        if attrs.shape[0] == 0:
-            return np.zeros((0, 0), dtype=bool)
-        probs = kernel_matrix(kernel, attrs, attrs)
-        upper = np.triu(u_mat < probs, 1)
-        return upper | upper.T
-
-    true_graph = AttributedGraph(
-        attributes=true_attrs, identifiers=true_ids, adjacency=_adj(u_true, true_attrs)
-    )
-    syn_graph = AttributedGraph(
-        attributes=syn_attrs, identifiers=syn_ids, adjacency=_adj(u_syn, syn_attrs)
-    )
+    adj_true, adj_syn = _coupled_edges(kernel, true_attrs, syn_attrs, is_match, rng)
+    true_graph = AttributedGraph(attributes=true_attrs, identifiers=true_ids, adjacency=adj_true)
+    syn_graph = AttributedGraph(attributes=syn_attrs, identifiers=syn_ids, adjacency=adj_syn)
 
     slots = np.where(is_match)[0]
     matches = np.stack([matched_cells, slots, slots], axis=1).astype(np.int64) if slots.size else np.zeros((0, 3), dtype=np.int64)

@@ -73,7 +73,8 @@ def kernel_matrix(kernel: Kernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if kernel.kind == CHUNG_LU:
-        return np.outer(xs.prod(axis=1), ys.prod(axis=1))
+        weights = xs.prod(axis=1)
+        return np.outer(weights, weights if ys is xs else ys.prod(axis=1))
     if kernel.kind == CONSTANT:
         return np.full((xs.shape[0], ys.shape[0]), kernel.p)
     dist = pairwise_distances(xs, ys, metric=kernel.metric)

@@ -6,6 +6,7 @@ import pytest
 
 from privgraph.cli import main
 from privgraph.experiments import ExperimentConfig, cmd_evaluate, cmd_generate, resolve
+from privgraph.generator import DRAW_ORDER
 
 
 def _read_outputs(out_dir: Path) -> dict[str, bytes]:
@@ -64,6 +65,29 @@ def test_generate_deterministic_and_manifest_replay(tmp_path):
     cfg.out_dir = str(out3)
     cmd_generate(cfg)
     assert _read_outputs(out1) == _read_outputs(out3)
+
+
+def test_manifest_from_another_draw_order_is_refused(tmp_path, capsys):
+    cfg = ExperimentConfig(recipe="uniform", n=50, d=1, eps=0.5, a=15.0, b=15.0, m=4, seed=3,
+                           out_dir=str(tmp_path / "run"))
+    cmd_generate(cfg)
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["draw_order"] == DRAW_ORDER == 2
+    assert set(manifest["environment"]) == {"python", "numpy", "scipy"}
+    for order in (None, 1):
+        old = dict(manifest)
+        if order is None:
+            del old["draw_order"]
+        else:
+            old["draw_order"] = order
+        with pytest.raises(ValueError, match="draw order 1.*draw order 2"):
+            ExperimentConfig.from_dict(old)
+        path = tmp_path / f"old_manifest_{order}.json"
+        path.write_text(json.dumps(old))
+        out = tmp_path / f"replay_{order}"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+        assert "draw order 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_generate_private_only_and_redaction(tmp_path):
@@ -253,6 +277,18 @@ def test_config_without_seed_fails_cleanly(tmp_path, capsys):
     rc = main(["mc", "--config", str(cfg_path), "--reps", "2"])
     assert rc == 1
     assert "seed is mandatory" in capsys.readouterr().err
+
+
+def test_seed_flag_completes_a_seedless_config(tmp_path, capsys):
+    cfg_path = tmp_path / "noseed.json"
+    cfg_path.write_text(json.dumps({"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8}))
+    assert main(["mc", "--config", str(cfg_path), "--seed", "3", "--reps", "4"]) == 0
+    from_config = capsys.readouterr().out
+    argv = ["mc", "--recipe", "uniform", "--n", "60", "--m", "4", "--a", "8", "--b", "8", "--seed", "3", "--reps", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == from_config
+    cfg_path.write_text(json.dumps({"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8, "seed": 1}))
+    assert ExperimentConfig.from_dict(json.loads(cfg_path.read_text()), seed=3).seed == 3
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])

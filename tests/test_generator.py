@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import coupled_edges_reference
 from scipy import stats
 
+import privgraph.generator as generator_mod
 from privgraph.generator import (
     generate_coupled_graphs,
     maximal_coupling_bernoulli,
     residual_cell_sampler,
     sample_common_indicator,
 )
-from privgraph.graphs import chung_lu, constant_kernel
+from privgraph.graphs import chung_lu, constant_kernel, inverse_distance
 from privgraph.measures import (
     PrivateMeasureResult,
     ProbabilityMeasure,
@@ -287,3 +293,93 @@ def test_mechanism_rerun_vs_fixed_private():
         data, part, discrete_laplace(1.0), 10, 10, constant_kernel(0.1), rng, private=fixed
     )
     assert pair.private is fixed
+
+
+@st.composite
+def _edge_case(draw):
+    """Attributes and a matched-slot pattern for the edge step."""
+    d = draw(st.sampled_from([1, 2]))
+    shared = draw(st.integers(0, 12))
+    extra_true = draw(st.integers(0, 6))
+    extra_syn = draw(st.sampled_from([0, extra_true, draw(st.integers(0, 6))]))
+    pattern = draw(st.sampled_from(["none", "all", "some"]))
+    if pattern == "some":
+        is_match = np.array(draw(st.lists(st.booleans(), min_size=shared, max_size=shared)), dtype=bool)
+    else:
+        is_match = np.full(shared, pattern == "all")
+    true_attrs = draw(hnp.arrays(np.float64, (shared + extra_true, d), elements=st.floats(0.0, 1.0)))
+    syn_attrs = draw(hnp.arrays(np.float64, (shared + extra_syn, d), elements=st.floats(0.0, 1.0)))
+    kernel = draw(
+        st.sampled_from([chung_lu(d), constant_kernel(0.0), constant_kernel(0.4), constant_kernel(1.0),
+                         inverse_distance(0.3), inverse_distance(2.0, metric="euclidean")])
+    )
+    return kernel, true_attrs, syn_attrs, is_match, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, generator_mod.EDGE_BLOCK_ROWS])
+@settings(max_examples=60, deadline=None)
+@given(case=_edge_case())
+def test_edges_match_draw_order_2_reference(block, case):
+    kernel, true_attrs, syn_attrs, is_match, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(generator_mod, "EDGE_BLOCK_ROWS", block)
+        adj_true, adj_syn = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, is_match, rng)
+    ref_true, ref_syn = coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, ref_rng)
+    assert np.array_equal(adj_true, ref_true) and np.array_equal(adj_syn, ref_syn)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_generator_draws_edges_in_draw_order_2(monkeypatch):
+    # the full generator hands the reference the same attributes, matched
+    # slots and stream position, and leaves the stream where it ends
+    data, part = _cell_center_setup()
+    seen = {}
+    real = generator_mod._coupled_edges
+
+    def recording(kernel, true_attrs, syn_attrs, is_match, rng):
+        seen["state"] = rng.bit_generator.state
+        seen["is_match"] = is_match.copy()
+        return real(kernel, true_attrs, syn_attrs, is_match, rng)
+
+    monkeypatch.setattr(generator_mod, "_coupled_edges", recording)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        kernel = inverse_distance(0.5) if seed % 2 else chung_lu(1)
+        pair = generate_coupled_graphs(data, part, discrete_laplace(0.5), 25.0, 20.0, kernel, rng)
+        assert np.array_equal(np.flatnonzero(seen["is_match"]), pair.matches[:, 1])
+        ref_rng = np.random.default_rng(seed)
+        ref_rng.bit_generator.state = seen["state"]
+        ref_true, ref_syn = coupled_edges_reference(
+            kernel, pair.true_graph.attributes, pair.synthetic_graph.attributes, seen["is_match"], ref_rng
+        )
+        assert np.array_equal(pair.true_graph.adjacency, ref_true)
+        assert np.array_equal(pair.synthetic_graph.adjacency, ref_syn)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_generator_memory_is_two_boolean_adjacencies():
+    data = AttributeDataset(points=np.random.default_rng(0).random((1000, 1)))
+    part = build_grid_partition(SpaceConfig(d=1), 32)
+    tracemalloc.start()
+    try:
+        pair = generate_coupled_graphs(
+            data, part, discrete_laplace(1.0), 2048.0, 2048.0, chung_lu(1), np.random.default_rng(3)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n, m = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
+    assert n > 1900 and m > 1900
+    assert peak <= 2 * (n * n + m * m)
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_non_finite_or_non_positive_sizes_rejected(name, value):
+    data, part = _cell_center_setup()
+    sizes = {"a": 10.0, "b": 10.0, name: value}
+    with pytest.raises(ValueError, match=f"expected size {name} must be finite and positive"):
+        generate_coupled_graphs(
+            data, part, discrete_laplace(1.0), sizes["a"], sizes["b"], chung_lu(1), np.random.default_rng(0)
+        )

@@ -12,6 +12,7 @@ from privgraph.graphs import (
     graph_to_json,
     inverse_distance,
     kernel_eval,
+    kernel_matrix,
     sample_graph,
 )
 from privgraph.measures import ProbabilityMeasure
@@ -34,6 +35,15 @@ def test_kernel_symmetry_range_lipschitz_probes():
             assert 0.0 <= kxy <= 1.0
             lhs = abs(kxy - kernel_eval(kern, x2, y))
             assert lhs <= kern.lipschitz_constant * np.max(np.abs(x - x2)) + 1e-12
+
+
+def test_kernel_matrix_of_one_array_with_itself():
+    # the Chung-Lu weights of xs are computed once when ys is xs
+    xs = np.random.default_rng(2).random((9, 3))
+    for kern in (chung_lu(3), constant_kernel(0.4), inverse_distance(0.7)):
+        same = kernel_matrix(kern, xs, xs)
+        assert np.array_equal(same, kernel_matrix(kern, xs, xs.copy()))
+        assert np.array_equal(same[2:5, 4:], kernel_matrix(kern, xs[2:5], xs[4:]))
 
 
 def test_zero_kernel_no_edges():
