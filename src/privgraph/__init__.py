@@ -68,7 +68,6 @@ from .fgw import (
     reference_graphs,
     spawn_streams,
     worst_pair_cost,
-    wasserstein_uniform_exact,
 )
 from .bounds import (
     BoundInputs,

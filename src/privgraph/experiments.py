@@ -24,6 +24,7 @@ from .fgw import (
     FgwParams,
     evaluate_pair,
     ipm_lower_bound,
+    pair_evaluator,
     reference_graphs,
     run_replicates,
     worst_pair_cost,
@@ -258,8 +259,9 @@ def _evaluate_one(resolved: ResolvedExperiment, r: int, rng: np.random.Generator
         resolved.dataset, resolved.partition, resolved.noise, resolved.a, resolved.b, resolved.kernel, rng
     )
     charge, refined = evaluate_pair(pair, resolved.params, cfg.refine_iters, cfg.refine_size_cap)
+    evaluator = pair_evaluator(pair, cfg.refine_iters, cfg.refine_size_cap)
     graphs = (pair.true_graph, pair.synthetic_graph) if keep_graphs else None
-    return charge, refined, graphs
+    return charge, refined, evaluator, graphs
 
 
 def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
@@ -299,8 +301,9 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
     )
     charges = np.array([res[0] for res in results])
     refined = np.array([res[1] for res in results])
-    trues = [res[2][0] for res in results if res[2] is not None]
-    syns = [res[2][1] for res in results if res[2] is not None]
+    evaluators = [res[2] for res in results]
+    trues = [res[3][0] for res in results if res[3] is not None]
+    syns = [res[3][1] for res in results if res[3] is not None]
     worst = worst_pair_cost(
         resolved.params, resolved.space.diameter, resolved.kernel.lipschitz_constant
     )
@@ -332,7 +335,11 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
     }
 
     sep = cfg.csv_sep
-    lines = [sep.join(["replicate", "matched_plan_cost", "refined_fgw", "coupling_bound", "grid_coupling_bound", "ipm_lower"])]
+    lines = [
+        sep.join(
+            ["replicate", "matched_plan_cost", "refined_fgw", "coupling_bound", "grid_coupling_bound", "ipm_lower", "evaluator"]
+        )
+    ]
     for r in range(nrep):
         lines.append(
             sep.join(
@@ -343,6 +350,7 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
                     f"{coupling_total:.9g}",
                     "" if grid_total is None else f"{grid_total:.9g}",
                     "",
+                    evaluators[r],
                 ]
             )
         )
@@ -355,6 +363,7 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
                 f"{coupling_total:.9g}",
                 "" if grid_total is None else f"{grid_total:.9g}",
                 f"{ipm:.9g}",
+                "+".join(sorted(set(evaluators))),
             ]
         )
     )

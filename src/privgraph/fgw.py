@@ -15,7 +15,10 @@ for exploration but is excluded from the bound machinery.
 
 The module provides: an exact small-instance oracle (multi-start conditional
 gradient over the coupling polytope), a monotone local solver usable from any
-feasible start, the matched-pair transport-plan upper bound used for the
+feasible start (its linear steps go to :func:`transport_vertex`, which solves
+equal-size uniform problems as an assignment, two-vertex sides by a sorted
+fill, and only the remaining shapes in HiGHS; each breaks ties among optimal
+vertices its own way), the matched-pair transport-plan upper bound used for the
 theoretical-bound checks, Monte-Carlo estimation of the expected distance
 over generator runs (through the replicate runner that ``evaluate`` also
 uses), and reference-graph test functions giving a lower bound on the
@@ -29,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csc_array
 
 from .generator import CoupledGraphs, generate_coupled_graphs
@@ -212,22 +215,67 @@ class _Engine:
         return cands[int(np.argmin(vals))]
 
     def lp_vertex(self, cost: np.ndarray) -> np.ndarray:
-        """Exact minimizer of <cost, pi> over the coupling polytope."""
-        n, m = self.a.n, self.b.n
-        if m == 1:
-            return self.a.weights[:, None].copy()
-        if n == 1:
-            return self.b.weights[None, :].copy()
-        # column i*m + j holds the ones of row sum i and column sum n + j
-        rows = np.stack([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)], axis=1)
-        a_eq = csc_array(
-            (np.ones(2 * n * m), rows.ravel(), np.arange(0, 2 * n * m + 1, 2)), shape=(n + m, n * m)
-        )
-        b_eq = np.concatenate([self.a.weights, self.b.weights])
-        res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"transport LP failed: {res.message}")
-        return res.x.reshape(n, m)
+        """Exact minimizing vertex of <cost, pi> over the coupling polytope,
+        from :func:`transport_vertex`; among tied optimal vertices, the one
+        its solver for this shape picks."""
+        return transport_vertex(cost, self.a.weights, self.b.weights)
+
+
+def transport_vertex(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Exact minimizing vertex of <cost, pi> over couplings of wa and wb.
+
+    Each shape gets an exact solver for its polytope:
+    - one row or one column: the forced coupling;
+    - n = m with every weight on both sides equal: an assignment
+      (``linear_sum_assignment``) scaled by that weight, optimal since the
+      polytope's vertices are the scaled permutation matrices
+      (Birkhoff-von Neumann);
+    - two rows or two columns, any weights: a fractional knapsack, filled
+      greedily in stable order of the cost difference between the two;
+    - anything else: the transport LP in HiGHS.
+    Ties among optimal vertices are broken by the solver that runs, so the
+    vertex returned can differ from another exact solver's while the
+    objective agrees.
+    """
+    n, m = cost.shape
+    if m == 1:
+        return wa[:, None].copy()
+    if n == 1:
+        return wb[None, :].copy()
+    if n == m and np.all(wa == wa[0]) and np.all(wb == wa[0]):
+        rows, cols = linear_sum_assignment(cost)
+        pi = np.zeros((n, m))
+        pi[rows, cols] = wa[0]
+        return pi
+    if n == 2:
+        return _two_row_vertex(cost, wa, wb)
+    if m == 2:
+        return _two_row_vertex(cost.T, wb, wa).T
+    return _transport_vertex_highs(cost, wa, wb)
+
+
+def _two_row_vertex(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Two-row transport: row 0 takes column j's mass in increasing order of
+    cost[0, j] - cost[1, j] until it holds wa[0]; row 1 takes the rest."""
+    order = np.argsort(cost[0] - cost[1], kind="stable")
+    mass = wb[order]
+    before = np.cumsum(mass) - mass
+    pi = np.empty((2, wb.size))
+    pi[0, order] = np.clip(wa[0] - before, 0.0, mass)
+    pi[1] = wb - pi[0]
+    return pi
+
+
+def _transport_vertex_highs(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """The transport LP in HiGHS, with a sparse (CSC) equality matrix."""
+    n, m = cost.shape
+    # column i*m + j holds the ones of row sum i and column sum n + j
+    rows = np.stack([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)], axis=1)
+    a_eq = csc_array((np.ones(2 * n * m), rows.ravel(), np.arange(0, 2 * n * m + 1, 2)), shape=(n + m, n * m))
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([wa, wb]), bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return res.x.reshape(n, m)
 
 
 def fgw_cost(pi, a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> float:
@@ -246,9 +294,13 @@ def fgw_upper_bound(
 ) -> tuple[float, np.ndarray]:
     """Conditional-gradient descent from a feasible start.
 
-    Each step solves the linearized transport problem exactly and takes the
+    Each step solves the linearized transport problem exactly
+    (:func:`transport_vertex`: an assignment for equal-size uniform weights,
+    a sorted fill for two rows or columns, HiGHS otherwise) and takes the
     exact line-search step, so the cost sequence is non-increasing and the
-    returned value is always a valid upper bound for the minimum.
+    returned value is always a valid upper bound for the minimum. When the
+    linearized problem has several optimal vertices, the solver's choice
+    among them decides the path, so the value depends on which solver ran.
     """
     pi = product_coupling(a, b) if init is None else np.asarray(init, dtype=float).copy()
     validate_coupling(pi, a, b)
@@ -305,28 +357,6 @@ def fgw_exact_small(
         val, _ = fgw_upper_bound(a, b, params, init=s, iterations=200, tol=1e-14)
         best = min(best, val)
     return max(float(best), 0.0)
-
-
-def wasserstein_uniform_exact(xs: np.ndarray, ys: np.ndarray, metric: str = "sup") -> float:
-    """Independent 1-Wasserstein oracle between uniform point clouds.
-
-    Equal sizes reduce to an assignment problem; unequal sizes solve the
-    transport LP directly.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    d = pairwise_distances(xs, ys, metric=metric)
-    n, m = d.shape
-    if n == m:
-        r, c = linear_sum_assignment(d)
-        return float(d[r, c].sum() / n)
-    a = GraphMeasure(attributes=xs, weights=np.full(n, 1.0 / n), structure=np.zeros((n, n)))
-    b = GraphMeasure(attributes=ys, weights=np.full(m, 1.0 / m), structure=np.zeros((m, m)))
-    eng = _Engine(a, b, FgwParams(alpha=0.0, C=1.0, metric=metric))
-    pi = eng.lp_vertex(d)
-    return float(np.sum(d * pi))
 
 
 # -- the matched transport plan of the coupled generator ---------------------
@@ -513,15 +543,22 @@ def run_replicates(fn, n: int, seed: int) -> list:
         return [f.result() for f in futures]
 
 
+def pair_evaluator(pair: CoupledGraphs, refine_iters: int, refine_size_cap: int) -> str:
+    """Which plan value :func:`evaluate_pair` reports for the pair: "refine"
+    when refine_iters > 0 and 0 < n*m <= refine_size_cap, else "exact"."""
+    nm = pair.true_graph.n_vertices * pair.synthetic_graph.n_vertices
+    return "refine" if refine_iters > 0 and 0 < nm <= refine_size_cap else "exact"
+
+
 def evaluate_pair(
     pair: CoupledGraphs, params: FgwParams, refine_iters: int, refine_size_cap: int
 ) -> tuple[float, float]:
     """(matched-plan charge, plan value) of one replicate. The plan value is
     the matched-plan coupling refined by ``refine_iters`` conditional-gradient
-    steps when n*m <= refine_size_cap, else the coupling's exact cost."""
+    steps when n*m <= refine_size_cap, else the coupling's exact cost (see
+    :func:`pair_evaluator`)."""
     charge = matched_plan_cost(pair, params)
-    nt, ns = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
-    if refine_iters > 0 and 0 < nt * ns <= refine_size_cap:
+    if pair_evaluator(pair, refine_iters, refine_size_cap) == "refine":
         ma, mb, pi = plan_coupling(pair, params)
         value, _ = fgw_upper_bound(ma, mb, params, init=pi, iterations=refine_iters)
     else:

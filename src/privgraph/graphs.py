@@ -20,6 +20,7 @@ from .space import AttributeDataset, pairwise_distances
 CHUNG_LU = "chung_lu"
 CONSTANT = "constant"
 INVERSE_DISTANCE = "inverse_distance"
+_SYMMETRY_ROWS = 128  # adjacency rows per block of the symmetry check
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,18 @@ def kernel_eval(kernel: Kernel, x, y) -> float:
     return float(kernel_matrix(kernel, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
+def _is_symmetric(adj: np.ndarray) -> bool:
+    """Exact adj == adj.T, compared _SYMMETRY_ROWS rows at a time: rows
+    [r0, r1) from column r0 on against the matching columns, so no N x N
+    temporary is made."""
+    n = adj.shape[0]
+    for r0 in range(0, n, _SYMMETRY_ROWS):
+        r1 = min(r0 + _SYMMETRY_ROWS, n)
+        if not np.array_equal(adj[r0:r1, r0:], adj[r0:, r0:r1].T):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class AttributedGraph:
     """Vertices = (attribute, identifier) pairs; undirected simple edges.
@@ -105,7 +118,7 @@ class AttributedGraph:
         n = ids.size
         if attrs.shape[0] != n or adj.shape != (n, n):
             raise ValueError("inconsistent vertex arrays")
-        if n and (np.any(np.diag(adj)) or not np.array_equal(adj, adj.T)):
+        if n and (np.any(np.diag(adj)) or not _is_symmetric(adj)):
             raise ValueError("adjacency must be symmetric with no self-loops")
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "identifiers", ids)

@@ -1,8 +1,12 @@
 """Test-only reference implementations, written for clarity rather than speed."""
 
+import itertools
+
 import numpy as np
+from scipy.optimize import linprog
 
 from privgraph.graphs import kernel_matrix
+from privgraph.space import pairwise_distances
 
 
 def coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, rng):
@@ -32,3 +36,31 @@ def coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, rng):
                     continue
                 adj[i, j] = adj[j, i] = rng.random() < probs[i, j]
     return adj_true, adj_syn
+
+
+def wasserstein_uniform_exact(xs, ys, metric="sup"):
+    """1-Wasserstein distance between uniform point clouds, independent of
+    the package's transport solvers: equal sizes take the cheapest of all
+    permutations, unequal sizes the transport LP with a dense equality
+    matrix."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    d = pairwise_distances(xs, ys, metric=metric)
+    n, m = d.shape
+    if n == m:
+        return min(float(d[np.arange(n), list(perm)].sum()) for perm in itertools.permutations(range(n))) / n
+    res = dense_transport_lp(d, np.full(n, 1.0 / n), np.full(m, 1.0 / m))
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def dense_transport_lp(cost, wa, wb):
+    """The transport LP (row sums wa, column sums wb) in HiGHS, with a dense
+    equality matrix; returns scipy's ``OptimizeResult``."""
+    n, m = cost.shape
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m : (i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    return linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([wa, wb]), bounds=(0, None), method="highs")

@@ -6,6 +6,7 @@ import math
 import time
 
 import numpy as np
+from oracles import wasserstein_uniform_exact
 from scipy import stats
 
 from privgraph.bounds import (
@@ -31,7 +32,6 @@ from privgraph.fgw import (
     product_coupling,
     reference_graphs,
     spawn_streams,
-    wasserstein_uniform_exact,
 )
 from privgraph.generator import generate_coupled_graphs
 from privgraph.graphs import AttributedGraph, chung_lu, kernel_matrix

@@ -145,6 +145,18 @@ def test_evaluate_summary_and_csv(tmp_path):
     assert (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("a, evaluator", [(10.0, "refine"), (100.0, "exact")])
+def test_evaluate_csv_names_each_replicates_evaluator(tmp_path, a, evaluator):
+    # N*M near a*a: 100 is within the default refine_size_cap of 4096, 10,000 is not
+    cfg = ExperimentConfig(
+        recipe="uniform", n=80, d=1, eps=1.0, m=4, a=a, b=a, replicates=4, seed=11, out_dir=str(tmp_path)
+    )
+    cmd_evaluate(cfg, ipm_samples=2)
+    lines = (tmp_path / "evaluate.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "evaluator"
+    assert [line.split(",")[-1] for line in lines[1:]] == [evaluator] * 5
+
+
 def test_auto_resolution_matches_optimal_rule():
     cfg = ExperimentConfig(recipe="uniform", n=1000, d=1, eps=1.0, seed=1)
     resolved = resolve(cfg)

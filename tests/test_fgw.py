@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import wasserstein_uniform_exact
 
 from privgraph.fgw import (
     FgwParams,
@@ -16,7 +17,6 @@ from privgraph.fgw import (
     product_coupling,
     reference_graphs,
     spawn_streams,
-    wasserstein_uniform_exact,
     worst_pair_cost,
 )
 from privgraph.generator import generate_coupled_graphs

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.optimize import linprog
+from oracles import dense_transport_lp
 
 from privgraph.fgw import (
     FgwParams,
     GraphMeasure,
     _binary_cap,
-    _Engine,
+    _transport_vertex_highs,
     fgw_cost,
     matched_plan_cost,
     plan_cost_exact,
@@ -131,20 +131,15 @@ def test_pairwise_distances_rejects_unknown_metric():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 7), st.integers(2, 7), st.integers(0, 2**32 - 1))
 def test_lp_vertex_matches_dense_constraint_matrix(n, m, seed):
+    """The HiGHS transport helper (the shapes with no closed-form solver)
+    returns exactly the dense-matrix LP's vertex."""
     rng = np.random.default_rng(seed)
     a = GraphMeasure(attributes=rng.random((n, 1)), weights=rng.dirichlet(np.ones(n)), structure=np.zeros((n, n)))
     b = GraphMeasure(attributes=rng.random((m, 1)), weights=rng.dirichlet(np.ones(m)), structure=np.zeros((m, m)))
     cost = rng.standard_normal((n, m))
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
-    dense = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a.weights, b.weights]), bounds=(0, None), method="highs"
-    )
+    dense = dense_transport_lp(cost, a.weights, b.weights)
     assert dense.success
-    np.testing.assert_array_equal(_Engine(a, b, FgwParams()).lp_vertex(cost), dense.x.reshape(n, m))
+    np.testing.assert_array_equal(_transport_vertex_highs(cost, a.weights, b.weights), dense.x.reshape(n, m))
 
 
 def test_structure_symmetry_is_checked_exactly():

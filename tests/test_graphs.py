@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import privgraph.graphs as graphs_mod
 from privgraph.graphs import (
     AttributedGraph,
     chung_lu,
@@ -177,3 +178,17 @@ def test_graph_validation():
             identifiers=np.array([0.5]),
             adjacency=np.array([[True]]),
         )
+
+
+@pytest.mark.parametrize("i, j", [(1, 0), (0, 300), (300, 129), (298, 299), (130, 2)])
+def test_symmetry_check_finds_one_asymmetric_entry_in_any_block(i, j):
+    n = 300  # more than two blocks of graphs_mod._SYMMETRY_ROWS rows
+    assert n > 2 * graphs_mod._SYMMETRY_ROWS
+    rng = np.random.default_rng(3)
+    adj = np.triu(rng.random((n + 1, n + 1)) < 0.5, 1)
+    adj = adj | adj.T
+    attrs, ids = np.zeros((n + 1, 1)), np.linspace(0.0, 1.0, n + 1)
+    AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
+    adj[i, j] = not adj[i, j]
+    with pytest.raises(ValueError, match="symmetric"):
+        AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
