@@ -41,7 +41,6 @@ from .graphs import (
     inverse_distance,
     kernel_eval,
     kernel_matrix,
-    sample_graph,
     graph_to_json,
     graph_from_json,
     graph_to_dot,
@@ -49,9 +48,7 @@ from .graphs import (
 from .generator import (
     CoupledGraphs,
     generate_coupled_graphs,
-    maximal_coupling_bernoulli,
-    sample_common_indicator,
-    residual_cell_sampler,
+    sample_graph,
 )
 from .fgw import (
     FgwParams,

@@ -35,31 +35,11 @@ def _config_from_args(args) -> ExperimentConfig:
         if args.seed is None:
             raise SystemExit("--seed is mandatory (or provide --config)")
         cfg = ExperimentConfig(seed=args.seed)
-    for name in (
-        "eps",
-        "d",
-        "metric",
-        "data",
-        "recipe",
-        "n",
-        "m",
-        "a",
-        "b",
-        "kernel",
-        "kernel_param",
-        "alpha",
-        "C",
-        "replicates",
-        "refine_iters",
-        "out_dir",
-        "csv_sep",
-    ):
+    # a flag left unset reads None (False for a switch) and keeps the config's value
+    for name in ExperimentConfig.__dataclass_fields__:
         val = getattr(args, name, None)
-        if val is not None:
+        if val is not None and val is not False:
             setattr(cfg, name, val)
-    for flag in ("private_only", "redact_counts", "emit_dot"):
-        if getattr(args, flag, False):
-            setattr(cfg, flag, True)
     return cfg
 
 
@@ -126,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_proj = sub.add_parser("project", help="TV-project a signed measure onto the simplex")
     p_proj.add_argument("measure", help='JSON file: {"weights": [...], "support": [[...]]?}')
-    p_proj.add_argument("--method", choices=["closed_form", "lp"], default="closed_form")
 
     p_noise = sub.add_parser("noisecheck", help="verify the unit-shift likelihood ratio")
     p_noise.add_argument("--kind", choices=["discrete-laplace", "bounded-power", "custom"], default="discrete-laplace")
@@ -208,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
                 obj.get("support", [[float(i)] for i in range(weights.size)]), dtype=float
             )
             measure = SignedMeasure(support=support, weights=weights)
-            projected, dist = tv_project(measure, method=args.method)
+            projected, dist = tv_project(measure)
             print(json.dumps({"weights": projected.weights.tolist(), "distance": dist}))
             return 0
 
@@ -227,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                 json.dumps(
                     {
                         "satisfied": report.satisfied,
+                        "pure_dp": report.pure_dp,
                         "worst_ratio": report.worst_ratio,
                         "worst_k": report.worst_k,
                         "worst_shift": report.worst_shift,

@@ -24,7 +24,6 @@ from .fgw import (
     FgwParams,
     evaluate_pair,
     ipm_lower_bound,
-    pair_evaluator,
     reference_graphs,
     run_replicates,
     worst_pair_cost,
@@ -258,8 +257,7 @@ def _evaluate_one(resolved: ResolvedExperiment, r: int, rng: np.random.Generator
     pair = generate_coupled_graphs(
         resolved.dataset, resolved.partition, resolved.noise, resolved.a, resolved.b, resolved.kernel, rng
     )
-    charge, refined = evaluate_pair(pair, resolved.params, cfg.refine_iters, cfg.refine_size_cap)
-    evaluator = pair_evaluator(pair, cfg.refine_iters, cfg.refine_size_cap)
+    charge, refined, evaluator = evaluate_pair(pair, resolved.params, cfg.refine_iters, cfg.refine_size_cap)
     graphs = (pair.true_graph, pair.synthetic_graph) if keep_graphs else None
     return charge, refined, evaluator, graphs
 
@@ -334,41 +332,20 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
         "sandwich_satisfied": bool(ipm <= refined.mean() + 3 * refined_se),
     }
 
-    sep = cfg.csv_sep
-    lines = [
-        sep.join(
-            ["replicate", "matched_plan_cost", "refined_fgw", "coupling_bound", "grid_coupling_bound", "ipm_lower", "evaluator"]
-        )
+    def fmt(value) -> str:
+        return "" if value is None else f"{value:.9g}"
+
+    rows = [["replicate", "matched_plan_cost", "refined_fgw", "coupling_bound", "grid_coupling_bound", "ipm_lower", "evaluator"]]
+    rows += [
+        [str(r), fmt(charges[r]), fmt(refined[r]), fmt(coupling_total), fmt(grid_total), "", evaluators[r]]
+        for r in range(nrep)
     ]
-    for r in range(nrep):
-        lines.append(
-            sep.join(
-                [
-                    str(r),
-                    f"{charges[r]:.9g}",
-                    f"{refined[r]:.9g}",
-                    f"{coupling_total:.9g}",
-                    "" if grid_total is None else f"{grid_total:.9g}",
-                    "",
-                    evaluators[r],
-                ]
-            )
-        )
-    lines.append(
-        sep.join(
-            [
-                "summary",
-                f"{summary['matched_plan_mean']:.9g}",
-                f"{summary['refined_mean']:.9g}",
-                f"{coupling_total:.9g}",
-                "" if grid_total is None else f"{grid_total:.9g}",
-                f"{ipm:.9g}",
-                "+".join(sorted(set(evaluators))),
-            ]
-        )
+    rows.append(
+        ["summary", fmt(summary["matched_plan_mean"]), fmt(summary["refined_mean"]), fmt(coupling_total),
+         fmt(grid_total), fmt(ipm), "+".join(sorted(set(evaluators)))]
     )
     csv_path = out_dir / "evaluate.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("".join(cfg.csv_sep.join(row) + "\n" for row in rows))
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_manifest(out_dir / "manifest.json", "evaluate", resolved, [str(csv_path)], t0)
     return summary

@@ -8,21 +8,18 @@ structural distances, weight alpha), both at exponent 1:
              + alpha * sum_ijkl |S_A[i,k] - S_B[j,l]| pi_ij pi_kl
 
 minimized over couplings pi of the two vertex weight vectors. Structural
-distances default to cap-scaled adjacency (entry C if the pair is an edge,
-else 0), which keeps every structural term below C and makes the quadratic
-evaluable with three matrix products. Shortest-path structure is available
-for exploration but is excluded from the bound machinery.
+distances are cap-scaled adjacency (entry C if the pair is an edge, else 0),
+which keeps every structural term below C and makes the quadratic evaluable
+with three matrix products.
 
 The module provides: an exact small-instance oracle (multi-start conditional
 gradient over the coupling polytope), a monotone local solver usable from any
-feasible start (its linear steps go to :func:`transport_vertex`, which solves
-equal-size uniform problems as an assignment, two-vertex sides by a sorted
-fill, and only the remaining shapes in HiGHS; each breaks ties among optimal
-vertices its own way), the matched-pair transport-plan upper bound used for the
-theoretical-bound checks, Monte-Carlo estimation of the expected distance
-over generator runs (through the replicate runner that ``evaluate`` also
-uses), and reference-graph test functions giving a lower bound on the
-induced distance between graph distributions.
+feasible start (its linear steps go to :func:`transport_vertex`), the
+matched-pair transport-plan upper bound used for the theoretical-bound
+checks, Monte-Carlo estimation of the expected distance over generator runs
+(through the replicate runner that ``evaluate`` also uses), and
+reference-graph test functions giving a lower bound on the induced distance
+between graph distributions.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from .noise import NoiseSpec
 from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
 
 _MARGINAL_TOL = 1e-9
-_GENERIC_CAP = 1600  # max n*m for the dense quartic tensor path
 _DIST_ROWS = 128  # rows of an N x M feature-distance matrix held at once
 
 
@@ -89,30 +85,13 @@ class GraphMeasure:
         return self.weights.size
 
 
-def graph_to_measure(
-    g: AttributedGraph, params: FgwParams, structure: str = "adjacency"
-) -> GraphMeasure:
-    """Uniform vertex weights; structural distance C on edges and 0 otherwise.
-
-    ``structure="shortest_path"`` uses hop counts clipped at C (disconnected
-    pairs charged C); exploratory only.
-    """
+def graph_to_measure(g: AttributedGraph, params: FgwParams) -> GraphMeasure:
+    """Uniform vertex weights; structural distance C on edges and 0 otherwise."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("cannot build a measure from an empty graph")
-    if structure == "adjacency":
-        s = g.adjacency.astype(float) * params.C
-    elif structure == "shortest_path":
-        from scipy.sparse.csgraph import shortest_path
-
-        hops = shortest_path(g.adjacency.astype(float), method="D", unweighted=True)
-        hops[~np.isfinite(hops)] = params.C
-        s = np.minimum(hops, params.C)
-        np.fill_diagonal(s, 0.0)
-    else:
-        raise ValueError(f"unknown structure {structure!r}")
     return GraphMeasure(
-        attributes=g.attributes, weights=np.full(n, 1.0 / n), structure=s
+        attributes=g.attributes, weights=np.full(n, 1.0 / n), structure=g.adjacency.astype(float) * params.C
     )
 
 
@@ -148,53 +127,33 @@ def _binary_cap(a: GraphMeasure, b: GraphMeasure) -> float | None:
     return caps.pop() if caps else 0.0
 
 
-def feature_costs(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> np.ndarray:
-    return pairwise_distances(a.attributes, b.attributes, metric=params.metric)
-
-
 class _Engine:
-    """Precomputed quantities for repeated cost/gradient evaluations."""
+    """Precomputed quantities for repeated cost/gradient evaluations.
+
+    Both structures must take values in {0, c} for one c > 0 (cap-scaled
+    adjacency), so that |S_A[i,k] - S_B[j,l]| = S_A[i,k] + S_B[j,l] -
+    2 S_A[i,k] S_B[j,l] / c and the quadratic term is three matrix products.
+    """
 
     def __init__(self, a: GraphMeasure, b: GraphMeasure, params: FgwParams):
         self.a, self.b, self.params = a, b, params
-        self.D = feature_costs(a, b, params)
-        self.cap = _binary_cap(a, b)
-        if self.cap is None:
-            if a.n * b.n > _GENERIC_CAP:
-                raise ValueError(
-                    "generic structures are limited to small instances "
-                    f"(n*m <= {_GENERIC_CAP}); use adjacency structure"
-                )
-            self.T = np.abs(
-                a.structure[:, None, :, None] - b.structure[None, :, None, :]
-            )  # (n, m, n, m)
-        else:
-            self.const = float(
-                a.weights @ a.structure @ a.weights
-                + b.weights @ b.structure @ b.weights
-            )
+        cap = _binary_cap(a, b)
+        if cap is None:
+            raise ValueError("structures must take values in {0, c} for one c > 0 (cap-scaled adjacency)")
+        self.D = pairwise_distances(a.attributes, b.attributes, metric=params.metric)
+        self.const = float(a.weights @ a.structure @ a.weights + b.weights @ b.structure @ b.weights)
+        self.cross = 2.0 / cap if cap else 0.0  # both structures are zero when cap is 0
 
     def q_of(self, pi: np.ndarray) -> np.ndarray:
         """Q(pi)_ij = sum_kl |S_A[i,k] - S_B[j,l]| pi_kl."""
         a, b = self.a, self.b
-        if self.cap is None:
-            return np.einsum("ijkl,kl->ij", self.T, pi)
         base = (a.structure @ pi.sum(axis=1))[:, None] + (b.structure @ pi.sum(axis=0))[None, :]
-        if self.cap == 0.0:
-            return base
-        return base - (2.0 / self.cap) * (a.structure @ pi @ b.structure)
+        return base - self.cross * (a.structure @ pi @ b.structure)
 
     def cost(self, pi: np.ndarray) -> float:
         al = self.params.alpha
         lin = (1.0 - al) * float(np.sum(self.D * pi))
-        if self.cap is None:
-            quad = float(np.sum(self.q_of(pi) * pi))
-        elif self.cap == 0.0:
-            quad = 0.0
-        else:
-            quad = self.const - (2.0 / self.cap) * float(
-                np.sum(pi * (self.a.structure @ pi @ self.b.structure))
-            )
+        quad = self.const - self.cross * float(np.sum(pi * (self.a.structure @ pi @ self.b.structure)))
         return lin + al * quad
 
     def gradient(self, pi: np.ndarray) -> np.ndarray:
@@ -213,12 +172,6 @@ class _Engine:
             cands.append(min(max(-c1 / (2.0 * c2), 0.0), 1.0))
         vals = [c1 * t + c2 * t * t for t in cands]
         return cands[int(np.argmin(vals))]
-
-    def lp_vertex(self, cost: np.ndarray) -> np.ndarray:
-        """Exact minimizing vertex of <cost, pi> over the coupling polytope,
-        from :func:`transport_vertex`; among tied optimal vertices, the one
-        its solver for this shape picks."""
-        return transport_vertex(cost, self.a.weights, self.b.weights)
 
 
 def transport_vertex(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -295,19 +248,17 @@ def fgw_upper_bound(
     """Conditional-gradient descent from a feasible start.
 
     Each step solves the linearized transport problem exactly
-    (:func:`transport_vertex`: an assignment for equal-size uniform weights,
-    a sorted fill for two rows or columns, HiGHS otherwise) and takes the
-    exact line-search step, so the cost sequence is non-increasing and the
-    returned value is always a valid upper bound for the minimum. When the
-    linearized problem has several optimal vertices, the solver's choice
-    among them decides the path, so the value depends on which solver ran.
+    (:func:`transport_vertex`) and takes the exact line-search step, so the
+    cost sequence is non-increasing and the returned value is always a valid
+    upper bound for the minimum. Among tied optimal vertices the solver's
+    choice decides the path, so the value depends on which solver ran.
     """
     pi = product_coupling(a, b) if init is None else np.asarray(init, dtype=float).copy()
     validate_coupling(pi, a, b)
     eng = _Engine(a, b, params)
     cost = eng.cost(pi)
     for _ in range(iterations):
-        vertex = eng.lp_vertex(eng.gradient(pi))
+        vertex = transport_vertex(eng.gradient(pi), a.weights, b.weights)
         t = eng.line_search(pi, vertex)
         if t <= 0.0:
             break
@@ -345,8 +296,8 @@ def fgw_exact_small(
     starts = [product_coupling(a, b)]
     if a.n == b.n and np.allclose(a.weights, b.weights):
         starts.append(np.diag(a.weights))
-    starts.append(eng.lp_vertex(eng.D))
-    vertices = [eng.lp_vertex(rng.standard_normal((a.n, b.n))) for _ in range(n_starts)]
+    starts.append(transport_vertex(eng.D, a.weights, b.weights))
+    vertices = [transport_vertex(rng.standard_normal((a.n, b.n)), a.weights, b.weights) for _ in range(n_starts)]
     starts.extend(vertices)
     for _ in range(n_starts // 3):
         picks = rng.integers(0, len(vertices), size=3)
@@ -543,27 +494,23 @@ def run_replicates(fn, n: int, seed: int) -> list:
         return [f.result() for f in futures]
 
 
-def pair_evaluator(pair: CoupledGraphs, refine_iters: int, refine_size_cap: int) -> str:
-    """Which plan value :func:`evaluate_pair` reports for the pair: "refine"
-    when refine_iters > 0 and 0 < n*m <= refine_size_cap, else "exact"."""
-    nm = pair.true_graph.n_vertices * pair.synthetic_graph.n_vertices
-    return "refine" if refine_iters > 0 and 0 < nm <= refine_size_cap else "exact"
-
-
 def evaluate_pair(
     pair: CoupledGraphs, params: FgwParams, refine_iters: int, refine_size_cap: int
-) -> tuple[float, float]:
-    """(matched-plan charge, plan value) of one replicate. The plan value is
-    the matched-plan coupling refined by ``refine_iters`` conditional-gradient
-    steps when n*m <= refine_size_cap, else the coupling's exact cost (see
-    :func:`pair_evaluator`)."""
+) -> tuple[float, float, str]:
+    """(matched-plan charge, plan value, evaluator) of one replicate. The
+    evaluator is "refine" when refine_iters > 0 and 0 < n*m <= refine_size_cap:
+    the plan value is then the matched-plan coupling refined by
+    ``refine_iters`` conditional-gradient steps. Otherwise it is "exact", the
+    coupling's exact cost."""
     charge = matched_plan_cost(pair, params)
-    if pair_evaluator(pair, refine_iters, refine_size_cap) == "refine":
+    nm = pair.true_graph.n_vertices * pair.synthetic_graph.n_vertices
+    evaluator = "refine" if refine_iters > 0 and 0 < nm <= refine_size_cap else "exact"
+    if evaluator == "refine":
         ma, mb, pi = plan_coupling(pair, params)
         value, _ = fgw_upper_bound(ma, mb, params, init=pi, iterations=refine_iters)
     else:
         value = plan_cost_exact(pair, params)
-    return charge, value
+    return charge, value, evaluator
 
 
 def mc_expected_fgw(
@@ -591,7 +538,7 @@ def mc_expected_fgw(
 
     def one(r, rng):
         pair = generate_coupled_graphs(dataset, partition, noise, a, b, kernel, rng, private=private)
-        return evaluate_pair(pair, params, refine_iters, refine_size_cap)
+        return evaluate_pair(pair, params, refine_iters, refine_size_cap)[:2]
 
     charges, values = np.array(run_replicates(one, replicates, seed), dtype=float).T.copy()
     return McFgwResult(
@@ -611,35 +558,15 @@ def reference_graphs(d: int, count: int = 7) -> list[AttributedGraph]:
     Single-vertex references dominate the list because their FGW value
     against any graph is closed-form exact (the coupling is forced).
     """
-    refs = []
-    n_single = max(count - 2, 1)
-    for t in np.linspace(0.1, 0.9, n_single):
-        refs.append(
-            AttributedGraph(
-                attributes=np.full((1, d), t),
-                identifiers=np.array([0.5]),
-                adjacency=np.zeros((1, 1), dtype=bool),
-            )
-        )
-    if count >= 2:
-        two = np.array([np.full(d, 0.25), np.full(d, 0.75)])
-        ids = np.array([0.25, 0.75])
-        refs.append(
-            AttributedGraph(
-                attributes=two,
-                identifiers=ids,
-                adjacency=np.array([[False, True], [True, False]]),
-            )
-        )
-    if count >= 3 and len(refs) < count:
-        two = np.array([np.full(d, 0.25), np.full(d, 0.75)])
-        refs.append(
-            AttributedGraph(
-                attributes=two,
-                identifiers=np.array([0.3, 0.7]),
-                adjacency=np.zeros((2, 2), dtype=bool),
-            )
-        )
+    refs = [
+        AttributedGraph(attributes=np.full((1, d), t), identifiers=[0.5], adjacency=np.zeros((1, 1), dtype=bool))
+        for t in np.linspace(0.1, 0.9, max(count - 2, 1))
+    ]
+    two = np.array([np.full(d, 0.25), np.full(d, 0.75)])
+    if count >= 2:  # one edge
+        refs.append(AttributedGraph(attributes=two, identifiers=[0.25, 0.75], adjacency=~np.eye(2, dtype=bool)))
+    if count >= 3:  # no edge
+        refs.append(AttributedGraph(attributes=two, identifiers=[0.3, 0.7], adjacency=np.zeros((2, 2), dtype=bool)))
     return refs[:count]
 
 

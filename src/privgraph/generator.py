@@ -17,7 +17,8 @@ refused rather than replayed into different graphs. Under draw order 2 each
 vertex pair that can carry an edge takes exactly one uniform, drawn in row
 blocks straight into the boolean adjacencies: beyond the two adjacencies
 (N^2 + M^2 bytes) the generator holds O(EDGE_BLOCK_ROWS * N) floats, never
-an N x N float array.
+an N x N float array. :func:`sample_graph`, one graph of the model on its
+own, draws its edges with the same code.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import AttributedGraph, Kernel, _distinct_uniform_ids, graph_to_dict, kernel_matrix
-from .measures import PrivateMeasureResult, run_private_measure
+from .measures import PrivateMeasureResult, ProbabilityMeasure, run_private_measure
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition
 
@@ -40,35 +41,6 @@ DRAW_ORDER = 2
 # Rows of the upper triangle whose edges are drawn together; the stream does
 # not depend on it, only the size of the per-block float arrays does.
 EDGE_BLOCK_ROWS = 128
-
-
-def maximal_coupling_bernoulli(p: float, q: float, rng: np.random.Generator) -> tuple[int, int]:
-    """Pair of bits with marginals Ber(p), Ber(q) and P(bits differ) = |p - q|.
-
-    One shared uniform threshold achieves the maximal coupling: the joint law
-    is (1,1) w.p. min(p,q), (1,0) w.p. p - min, (0,1) w.p. q - min,
-    (0,0) w.p. 1 - max(p,q).
-    """
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ValueError("p, q must lie in [0,1]")
-    u = rng.random()
-    return int(u < p), int(u < q)
-
-
-def sample_common_indicator(probs: np.ndarray, rng: np.random.Generator) -> int | None:
-    """Cell k with probability probs[k], or None with the residual probability.
-
-    ``probs`` are the per-cell minima min(counts_k/n, private_k); their sum
-    must not exceed 1 (a tiny numerical overshoot is clamped).
-    """
-    probs = np.asarray(probs, dtype=float)
-    total = probs.sum()
-    if total > 1.0 + 1e-9:
-        raise ValueError(f"indicator probabilities sum to {total} > 1")
-    u = rng.random()
-    if u >= total:
-        return None
-    return int(np.searchsorted(np.cumsum(probs), u, side="right"))
 
 
 def _residual_probs(base: np.ndarray, common: np.ndarray) -> np.ndarray:
@@ -85,16 +57,6 @@ def _residual_probs(base: np.ndarray, common: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("residual law undefined: no residual mass")
     return res / total
-
-
-def residual_cell_sampler(base: np.ndarray, common: np.ndarray, rng: np.random.Generator) -> int:
-    """Cell draw conditional on the common indicator having returned None.
-
-    Composing the indicator with this residual reproduces the base categorical
-    law exactly: P(k) = common_k + P(none) * (base_k - common_k)/P(none).
-    """
-    res = _residual_probs(base, common)
-    return int(np.searchsorted(np.cumsum(res), rng.random(), side="right"))
 
 
 def _categorical(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,6 +150,36 @@ def _coupled_edges(
             r1 = r0 + EDGE_BLOCK_ROWS
             adj[r0:, r0:r1] |= adj[r0:r1, r0:].T
     return sides[0][1], sides[1][1]
+
+
+def sample_graph(
+    attr_measure: AttributeDataset | ProbabilityMeasure | np.ndarray,
+    intensity: float,
+    kernel: Kernel,
+    rng: np.random.Generator,
+) -> AttributedGraph:
+    """One draw from the random connection model.
+
+    Vertex count ~ Poisson(intensity); attributes iid from ``attr_measure``
+    (uniform over a dataset's points, or per-weight over a measure's support);
+    identifiers iid uniform on [0,1]; each pair carries an edge independently
+    with probability kernel(x_i, x_j). The edges come from
+    :func:`_coupled_edges` with an empty synthetic side: one uniform per pair
+    i < j, C(N,2) in all, drawn in row blocks (no N x N float array).
+    """
+    if intensity <= 0:
+        raise ValueError("intensity must be > 0")
+    n = int(rng.poisson(intensity))
+    if isinstance(attr_measure, ProbabilityMeasure):
+        support = attr_measure.support
+        idx = rng.choice(support.shape[0], size=n, p=attr_measure.weights / attr_measure.weights.sum())
+        attrs = support[idx]
+    else:
+        pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.atleast_2d(attr_measure)
+        attrs = pts[rng.integers(0, pts.shape[0], size=n)]
+    ids = _distinct_uniform_ids(n, rng)
+    adj = _coupled_edges(kernel, attrs, attrs[:0], np.zeros(0, dtype=bool), rng)[0]
+    return AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
 
 
 @dataclass(frozen=True)

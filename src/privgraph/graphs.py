@@ -1,10 +1,10 @@
-"""Random connection model: Poisson vertex processes with attributes and
-conditionally independent Bernoulli edges.
+"""Attributed graphs of the random connection model: connection kernels, the
+graph type, and JSON/DOT/edge-list export.
 
-A graph is sampled by drawing a Poisson number of vertices, giving each an
-attribute (iid from an empirical dataset or a discrete probability measure)
-and a uniform identifier, then connecting each unordered pair independently
-with probability kernel(x_i, x_j).
+A graph of the model has a Poisson number of vertices, each with an attribute
+and a uniform identifier, and connects each unordered pair independently with
+probability kernel(x_i, x_j). The sampler, :func:`privgraph.generator.sample_graph`,
+draws its edges with the coupled generator's edge code.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import ProbabilityMeasure
-from .space import AttributeDataset, pairwise_distances
+from .space import pairwise_distances
 
 CHUNG_LU = "chung_lu"
 CONSTANT = "constant"
@@ -156,47 +155,6 @@ def _distinct_uniform_ids(n: int, rng: np.random.Generator) -> np.ndarray:
         dup = np.setdiff1d(np.arange(n), first)
         ids[dup] = rng.random(dup.size)
     return ids
-
-
-def sample_edges(
-    kernel: Kernel, attrs: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Independent Bernoulli edges on unordered pairs given the attributes."""
-    n = attrs.shape[0]
-    probs = kernel_matrix(kernel, attrs, attrs)
-    u = rng.random((n, n))
-    upper = np.triu(u < probs, 1)
-    return upper | upper.T
-
-
-def sample_graph(
-    attr_measure: AttributeDataset | ProbabilityMeasure | np.ndarray,
-    intensity: float,
-    kernel: Kernel,
-    rng: np.random.Generator,
-) -> AttributedGraph:
-    """One draw from the random connection model.
-
-    Vertex count ~ Poisson(intensity); attributes iid from ``attr_measure``
-    (uniform over a dataset's points, or per-weight over a measure's support);
-    identifiers iid uniform on [0,1]; each pair carries an edge independently
-    with probability kernel(x_i, x_j).
-    """
-    if intensity <= 0:
-        raise ValueError("intensity must be > 0")
-    n = int(rng.poisson(intensity))
-    if isinstance(attr_measure, ProbabilityMeasure):
-        support = attr_measure.support
-        idx = rng.choice(support.shape[0], size=n, p=attr_measure.weights / attr_measure.weights.sum())
-        attrs = support[idx]
-    else:
-        pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.atleast_2d(attr_measure)
-        attrs = pts[rng.integers(0, pts.shape[0], size=n)]
-    if n == 0:
-        return empty_graph(attrs.shape[1] if attrs.ndim == 2 else 1)
-    ids = _distinct_uniform_ids(n, rng)
-    adj = sample_edges(kernel, attrs, rng)
-    return AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,11 +5,10 @@ one uniform representative per cell (independently of the data), perturbs the
 normalized counts with iid integer noise, and projects the resulting signed
 measure back onto the probability simplex in total-variation distance.
 
-The projection has two interchangeable solver paths: a linear program
-(2m variables, 3m+1 constraints) and a closed form (clip negatives, then move
-the surplus/deficit of positive mass at unit cost). The LP is the reference
-semantics; the closed form is the deterministic fast path and fixes the
-tie-break among non-unique optima (mass adjusted in ascending index order).
+The projection is a closed form: clip negatives, then move the surplus or
+deficit of positive mass at unit cost. It attains the analytic optimum
+(:func:`tv_optimum_analytic`) and fixes the tie-break among non-unique optima
+(mass adjusted in ascending index order).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .noise import NoiseSpec, sample as noise_sample
 from .space import AttributeDataset, Partition, sample_uniform_in_cells
@@ -92,82 +90,13 @@ def _project_closed_form(w: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _project_lp(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Epigraph LP: minimize sum(u) over tau >= 0, sum(tau)=1,
-    u_i >= w_i - tau_i, u_i >= tau_i - w_i."""
-    m = w.size
-    c = np.concatenate([np.zeros(m), np.ones(m)])
-    eye = np.eye(m)
-    a_ub = np.block([[-eye, -eye], [eye, -eye]])
-    b_ub = np.concatenate([-w, w])
-    a_eq = np.concatenate([np.ones(m), np.zeros(m)])[None, :]
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(0, None)] * m,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"projection LP failed: {res.message}")
-    return res.x[:m], float(res.fun)
-
-
-def tv_project(nu: SignedMeasure, method: str = "closed_form") -> tuple[ProbabilityMeasure, float]:
-    """Closest probability measure on the same support in TV distance.
-
-    ``method`` is "closed_form" (default, deterministic tie-break) or "lp".
-    Both achieve the same optimal distance; tests hold them to within 1e-9
-    of each other and of the analytic optimum.
-    """
+def tv_project(nu: SignedMeasure) -> tuple[ProbabilityMeasure, float]:
+    """Closest probability measure on the same support in TV distance, and
+    that distance (by the closed form, with its deterministic tie-break)."""
     if nu.m < 1:
         raise ValueError("empty measure")
-    if method == "closed_form":
-        tau = _project_closed_form(nu.weights.copy())
-        dist = float(np.abs(nu.weights - tau).sum())
-    elif method == "lp":
-        tau, dist = _project_lp(nu.weights)
-        tau = np.clip(tau, 0.0, None)
-        tau = tau / tau.sum()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ProbabilityMeasure(support=nu.support, weights=tau), dist
-
-
-def tv_project_bruteforce(weights: np.ndarray) -> float:
-    """Exact optimum by enumerating vertices of the feasible region.
-
-    The objective sum|w_i - tau_i| is piecewise linear over the simplex cut by
-    the hyperplanes tau_i = w_i, so its minimum is attained at a point where
-    m-1 coordinates sit at 0 or w_i and the remaining one absorbs the slack.
-    Enumerating all such candidates (m * 2^(m-1), tiny for m <= 5) is an
-    exhaustive polytope-vertex search independent of both solver paths.
-    """
-    w = np.asarray(weights, dtype=float)
-    m = w.size
-    best = np.inf
-    others_template = [i for i in range(m)]
-    for free in range(m):
-        others = [i for i in others_template if i != free]
-        for mask in range(2 ** len(others)):
-            tau = np.zeros(m)
-            ok = True
-            for bit, i in enumerate(others):
-                if (mask >> bit) & 1:
-                    if w[i] < 0:
-                        ok = False
-                        break
-                    tau[i] = w[i]
-            if not ok:
-                continue
-            slack = 1.0 - tau.sum()
-            if slack < -1e-12:
-                continue
-            tau[free] = max(slack, 0.0)
-            best = min(best, float(np.abs(w - tau).sum()))
-    return best
+    tau = _project_closed_form(nu.weights)
+    return ProbabilityMeasure(support=nu.support, weights=tau), float(np.abs(nu.weights - tau).sum())
 
 
 @dataclass(frozen=True)
@@ -203,7 +132,6 @@ def run_private_measure(
     partition: Partition,
     noise: NoiseSpec,
     rng: np.random.Generator,
-    projection_method: str = "closed_form",
 ) -> PrivateMeasureResult:
     """Count, perturb, project.
 
@@ -217,7 +145,7 @@ def run_private_measure(
     reps = sample_uniform_in_cells(partition, np.arange(partition.m), rng)
     lam = noise_sample(noise, rng, size=partition.m)
     raw = SignedMeasure(support=reps, weights=(counts + lam) / dataset.n)
-    private, residual = tv_project(raw, method=projection_method)
+    private, residual = tv_project(raw)
     return PrivateMeasureResult(
         representatives=reps,
         counts=counts,

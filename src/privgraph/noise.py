@@ -159,11 +159,17 @@ def abs_variance(spec: NoiseSpec) -> float:
 
 @dataclass(frozen=True)
 class RatioReport:
+    """``satisfied``: the unit-shift ratio holds at every support point.
+    ``pure_dp``: that, and the support is all of Z, so noisy counts are
+    epsilon-DP at ``level``. A finite support never is: a count c + 1 can
+    produce an output just past the support of count c."""
+
     satisfied: bool
     worst_ratio: float
     worst_k: int
     worst_shift: int
     level: float
+    pure_dp: bool
 
 
 def dp_ratio_satisfied(spec: NoiseSpec, eps_level: float) -> RatioReport:
@@ -172,17 +178,21 @@ def dp_ratio_satisfied(spec: NoiseSpec, eps_level: float) -> RatioReport:
     Unit shifts suffice because neighboring datasets change exactly one cell
     count by one. Discrete Laplace is handled analytically (the supremum ratio
     is exp(eps) exactly, attained whenever |k+a| = |k| - 1); finite supports
-    are scanned exhaustively. Returns the maximizing (k, shift).
+    are scanned exhaustively. Returns the maximizing (k, shift). The scan
+    skips the points just outside a finite support, where pmf(k) = 0 <
+    pmf(k+a), so only discrete Laplace can report ``pure_dp``.
     """
     bound = math.exp(eps_level)
     if spec.kind == DISCRETE_LAPLACE:
         worst = math.exp(spec.eps)
+        satisfied = worst <= bound * (1 + 1e-12)
         return RatioReport(
-            satisfied=worst <= bound * (1 + 1e-12),
+            satisfied=satisfied,
             worst_ratio=worst,
             worst_k=1,
             worst_shift=-1,
             level=eps_level,
+            pure_dp=satisfied,
         )
     support = spec.finite_support
     worst, worst_k, worst_a = 0.0, int(support[0]), 1
@@ -200,4 +210,5 @@ def dp_ratio_satisfied(spec: NoiseSpec, eps_level: float) -> RatioReport:
         worst_k=worst_k,
         worst_shift=worst_a,
         level=eps_level,
+        pure_dp=False,
     )

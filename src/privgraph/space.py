@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,14 +68,29 @@ def pairwise_distances(xs: np.ndarray, ys: np.ndarray, metric: str = SUP) -> np.
 class Partition:
     """Regular grid decomposition of [0,1]^d into m = k_per_axis^d cells.
 
-    ``lows``/``highs`` are (m, d) arrays of box corners in C order of the
-    per-axis indices, so cell index = ravel_multi_index(axis indices).
+    ``lows``/``highs`` are read-only (m, d) arrays of box corners (i/k and
+    (i+1)/k per axis), derived once per partition, in C order of the per-axis
+    indices, so cell index = ravel_multi_index(axis indices).
     """
 
     space: SpaceConfig
     k_per_axis: int
-    lows: np.ndarray = field(repr=False)
-    highs: np.ndarray = field(repr=False)
+
+    @cached_property
+    def lows(self) -> np.ndarray:
+        return self._corners(0)
+
+    @cached_property
+    def highs(self) -> np.ndarray:
+        return self._corners(1)
+
+    def _corners(self, shift: int) -> np.ndarray:
+        k = self.k_per_axis
+        axis = np.arange(shift, k + shift, dtype=float) / k
+        grids = np.meshgrid(*[axis] * self.d, indexing="ij")
+        corners = np.stack([g.ravel() for g in grids], axis=1)
+        corners.flags.writeable = False
+        return corners
 
     @property
     def d(self) -> int:
@@ -113,15 +129,7 @@ def _k_for_request(m_request: int, d: int) -> int:
 
 def build_grid_partition(space: SpaceConfig, m_request: int) -> Partition:
     """Grid partition with k_per_axis = ceil(m_request^(1/d)); realized m = k^d."""
-    k = _k_for_request(m_request, space.d)
-    edges = np.arange(k + 1, dtype=float) / k
-    axes_lo = [edges[:-1]] * space.d
-    axes_hi = [edges[1:]] * space.d
-    grids_lo = np.meshgrid(*axes_lo, indexing="ij")
-    grids_hi = np.meshgrid(*axes_hi, indexing="ij")
-    lows = np.stack([g.ravel() for g in grids_lo], axis=1)
-    highs = np.stack([g.ravel() for g in grids_hi], axis=1)
-    return Partition(space=space, k_per_axis=k, lows=lows, highs=highs)
+    return Partition(space=space, k_per_axis=_k_for_request(m_request, space.d))
 
 
 def cell_indices(partition: Partition, x: np.ndarray) -> np.ndarray:
@@ -151,17 +159,14 @@ def cell_index(partition: Partition, x) -> int:
 
 def sample_uniform_in_cell(partition: Partition, k: int, rng: np.random.Generator) -> np.ndarray:
     """Point uniformly distributed on cell k."""
-    if not 0 <= k < partition.m:
-        raise IndexError(f"cell index {k} out of range [0, {partition.m})")
-    lo, hi = partition.lows[k], partition.highs[k]
-    return lo + rng.random(partition.d) * (hi - lo)
+    return sample_uniform_in_cells(partition, [k], rng)[0]
 
 
 def sample_uniform_in_cells(partition: Partition, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized :func:`sample_uniform_in_cell` for an index array."""
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size and (ks.min() < 0 or ks.max() >= partition.m):
-        raise IndexError("cell index out of range")
+        raise IndexError(f"cell index out of range [0, {partition.m})")
     lo = partition.lows[ks]
     hi = partition.highs[ks]
     return lo + rng.random((ks.size, partition.d)) * (hi - lo)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from privgraph.generator import _residual_probs
 from privgraph.graphs import kernel_matrix
 from privgraph.space import pairwise_distances
 
@@ -64,3 +65,97 @@ def dense_transport_lp(cost, wa, wb):
     for j in range(m):
         a_eq[n + j, j::m] = 1.0
     return linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([wa, wb]), bounds=(0, None), method="highs")
+
+
+def tv_project_lp(weights):
+    """TV projection onto the simplex as the epigraph LP in HiGHS: minimize
+    sum(u) over tau >= 0, sum(tau) = 1, u_i >= w_i - tau_i, u_i >= tau_i - w_i
+    (2m variables, 2m inequalities). Returns the optimal distance."""
+    w = np.asarray(weights, dtype=float)
+    m = w.size
+    eye = np.eye(m)
+    res = linprog(
+        np.concatenate([np.zeros(m), np.ones(m)]),
+        A_ub=np.block([[-eye, -eye], [eye, -eye]]),
+        b_ub=np.concatenate([-w, w]),
+        A_eq=np.concatenate([np.ones(m), np.zeros(m)])[None, :],
+        b_eq=[1.0],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def tv_project_bruteforce(weights):
+    """Exact TV-projection optimum by enumerating vertices of the feasible region.
+
+    The objective sum|w_i - tau_i| is piecewise linear over the simplex cut by
+    the hyperplanes tau_i = w_i, so its minimum is attained at a point where
+    m-1 coordinates sit at 0 or w_i and the remaining one absorbs the slack.
+    Enumerating all such candidates (m * 2^(m-1), tiny for m <= 5) is an
+    exhaustive polytope-vertex search independent of every solver.
+    """
+    w = np.asarray(weights, dtype=float)
+    m = w.size
+    best = np.inf
+    for free in range(m):
+        others = [i for i in range(m) if i != free]
+        for mask in range(2 ** len(others)):
+            tau = np.zeros(m)
+            ok = True
+            for bit, i in enumerate(others):
+                if (mask >> bit) & 1:
+                    if w[i] < 0:
+                        ok = False
+                        break
+                    tau[i] = w[i]
+            if not ok:
+                continue
+            slack = 1.0 - tau.sum()
+            if slack < -1e-12:
+                continue
+            tau[free] = max(slack, 0.0)
+            best = min(best, float(np.abs(w - tau).sum()))
+    return best
+
+
+def maximal_coupling_bernoulli(p, q, rng):
+    """Pair of bits with marginals Ber(p), Ber(q) and P(bits differ) = |p - q|.
+
+    One shared uniform threshold achieves the maximal coupling: the joint law
+    is (1,1) w.p. min(p,q), (1,0) w.p. p - min, (0,1) w.p. q - min,
+    (0,0) w.p. 1 - max(p,q). The generator draws each matched pair's edges
+    this way, with the uniform shared by both graphs.
+    """
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+        raise ValueError("p, q must lie in [0,1]")
+    u = rng.random()
+    return int(u < p), int(u < q)
+
+
+def sample_common_indicator(probs, rng):
+    """Cell k with probability probs[k], or None with the residual probability.
+
+    ``probs`` are the per-cell minima min(counts_k/n, private_k); their sum
+    must not exceed 1 (a tiny numerical overshoot is clamped).
+    """
+    probs = np.asarray(probs, dtype=float)
+    total = probs.sum()
+    if total > 1.0 + 1e-9:
+        raise ValueError(f"indicator probabilities sum to {total} > 1")
+    u = rng.random()
+    if u >= total:
+        return None
+    return int(np.searchsorted(np.cumsum(probs), u, side="right"))
+
+
+def residual_cell_sampler(base, common, rng):
+    """Cell draw conditional on the common indicator having returned None,
+    from the generator's residual law.
+
+    Composing the indicator with this residual reproduces the base categorical
+    law exactly: P(k) = common_k + P(none) * (base_k - common_k)/P(none).
+    """
+    res = _residual_probs(base, common)
+    return int(np.searchsorted(np.cumsum(res), rng.random(), side="right"))

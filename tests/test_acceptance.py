@@ -6,7 +6,7 @@ import math
 import time
 
 import numpy as np
-from oracles import wasserstein_uniform_exact
+from oracles import tv_project_bruteforce, tv_project_lp, wasserstein_uniform_exact
 from scipy import stats
 
 from privgraph.bounds import (
@@ -40,7 +40,6 @@ from privgraph.measures import (
     run_private_measure,
     tv_optimum_analytic,
     tv_project,
-    tv_project_bruteforce,
     true_counts,
 )
 from privgraph.noise import bounded_power, discrete_laplace, dp_ratio_satisfied, sample
@@ -62,9 +61,12 @@ def test_criterion_1_tv_projection_optimality():
         m = int(rng.integers(1, 6))
         w = rng.uniform(-1.0, 2.0, size=m)
         nu = SignedMeasure(support=np.arange(m, dtype=float)[:, None], weights=w)
-        _, d_lp = tv_project(nu, method="lp")
+        d_lp = tv_project_lp(w)
         ok &= abs(d_lp - tv_project_bruteforce(w)) < 1e-6
         ok &= abs(d_lp - tv_optimum_analytic(w)) < 1e-9
+        _, d = tv_project(nu)  # the projection the mechanism runs
+        ok &= abs(d - tv_project_bruteforce(w)) < 1e-6
+        ok &= abs(d - tv_optimum_analytic(w)) < 1e-9
     elapsed = _report(1, "TV projection optimality", ok, t0, 30)
     assert ok and elapsed < 30
 

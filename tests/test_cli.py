@@ -189,6 +189,10 @@ def test_noisecheck_command(capsys):
     assert main(["noisecheck", "--kind", "discrete-laplace", "--eps", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["satisfied"] and report["worst_ratio"] == pytest.approx(np.e)
+    assert report["pure_dp"]
+    assert main(["noisecheck", "--kind", "bounded-power", "--eps", "1", "--A", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["satisfied"] and not report["pure_dp"]
     assert main(["noisecheck", "--kind", "discrete-laplace", "--eps", "1", "--level", "0.5"]) == 2
 
 

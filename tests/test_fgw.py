@@ -121,8 +121,8 @@ def test_fgw_cost_matches_brute_force():
         )
 
 
-def test_fgw_cost_generic_structure_path_agrees():
-    # force the generic tensor path by perturbing one structural entry
+def test_fgw_rejects_structure_that_is_not_capped_adjacency():
+    # one structural entry off {0, C}: the three-product form does not apply
     rng = np.random.default_rng(2)
     params = FgwParams(alpha=0.7, C=1.0)
     a = _random_measure(rng, 3, params=params)
@@ -131,9 +131,12 @@ def test_fgw_cost_generic_structure_path_agrees():
     a2 = GraphMeasure(attributes=a.attributes, weights=a.weights, structure=s)
     b = _random_measure(rng, 3, params=params)
     pi = product_coupling(a2, b)
-    assert fgw_cost(pi, a2, b, params) == pytest.approx(
-        brute_force_cost(pi, a2, b, params), abs=1e-10
-    )
+    with pytest.raises(ValueError, match="cap-scaled adjacency"):
+        fgw_cost(pi, a2, b, params)
+    with pytest.raises(ValueError, match="cap-scaled adjacency"):
+        fgw_upper_bound(a2, b, params)
+    with pytest.raises(ValueError, match="cap-scaled adjacency"):
+        fgw_exact_small(b, a2, params)
 
 
 def test_exact_small_identity_and_symmetry():

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import coupled_edges_reference
-from scipy import stats
-
-import privgraph.generator as generator_mod
-from privgraph.generator import (
-    generate_coupled_graphs,
+from oracles import (
+    coupled_edges_reference,
     maximal_coupling_bernoulli,
     residual_cell_sampler,
     sample_common_indicator,
 )
+from scipy import stats
+
+import privgraph.generator as generator_mod
+from privgraph.generator import generate_coupled_graphs
 from privgraph.graphs import chung_lu, constant_kernel, inverse_distance
 from privgraph.measures import (
     PrivateMeasureResult,

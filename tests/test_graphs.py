@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 import privgraph.graphs as graphs_mod
+from privgraph.generator import _coupled_edges, sample_graph
 from privgraph.graphs import (
     AttributedGraph,
     chung_lu,
@@ -14,7 +15,6 @@ from privgraph.graphs import (
     inverse_distance,
     kernel_eval,
     kernel_matrix,
-    sample_graph,
 )
 from privgraph.measures import ProbabilityMeasure
 from privgraph.space import AttributeDataset
@@ -110,10 +110,9 @@ def test_conditional_edge_independence():
     kern = chung_lu(1)
     n_rep = 4000
     e01, e23 = np.zeros(n_rep, bool), np.zeros(n_rep, bool)
-    from privgraph.graphs import sample_edges
-
     for r in range(n_rep):
-        adj = sample_edges(kern, attrs, rng)
+        # the single-graph edge draw of sample_graph: no synthetic side
+        adj = _coupled_edges(kern, attrs, attrs[:0], np.zeros(0, bool), rng)[0]
         e01[r], e23[r] = adj[0, 1], adj[2, 3]
     cov = np.cov(e01.astype(float), e23.astype(float))[0, 1]
     p1, p2 = kernel_eval(kern, [0.9], [0.8]), kernel_eval(kern, [0.7], [0.6])

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import tv_project_bruteforce, tv_project_lp
 
 from privgraph.measures import (
     ProbabilityMeasure,
@@ -11,7 +14,6 @@ from privgraph.measures import (
     tv_distance,
     tv_optimum_analytic,
     tv_project,
-    tv_project_bruteforce,
 )
 from privgraph.noise import discrete_laplace, expected_abs, zero_noise
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
@@ -90,11 +92,22 @@ def test_tv_project_lp_matches_closed_form_and_oracles():
         m = int(rng.integers(1, 6))
         w = rng.uniform(-1.0, 2.0, size=m)
         nu = _measure(w)
-        _, d_closed = tv_project(nu, method="closed_form")
-        _, d_lp = tv_project(nu, method="lp")
+        _, d_closed = tv_project(nu)
+        d_lp = tv_project_lp(w)
         assert abs(d_lp - d_closed) < 1e-9
         assert abs(d_lp - tv_optimum_analytic(w)) < 1e-9
         assert abs(d_lp - tv_project_bruteforce(w)) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.integers(1, 30), elements=st.floats(-2.0, 3.0)))
+def test_tv_project_attains_analytic_optimum(w):
+    """The closed form returns a probability vector at the optimal distance,
+    and the distance it reports is the distance to that vector."""
+    proj, dist = tv_project(_measure(w))
+    assert dist == pytest.approx(tv_optimum_analytic(w), abs=1e-9)
+    assert dist == float(np.abs(w - proj.weights).sum())
+    assert proj.weights.min() >= 0.0 and abs(proj.weights.sum() - 1.0) <= 1e-9
 
 
 def test_tv_project_idempotent():

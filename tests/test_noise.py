@@ -119,6 +119,17 @@ def test_dp_ratio_bounded_power_scan():
         assert abs(report.worst_k) == 1
 
 
+def test_pure_dp_only_for_full_support():
+    # a finite support passes the on-support scan, yet an output just past it
+    # is possible from a count c + 1 and impossible from c
+    for spec in (zero_noise(), custom({-1: 0.25, 0: 0.5, 1: 0.25}), bounded_power(1.0, 2)):
+        report = dp_ratio_satisfied(spec, 1.0)
+        assert report.satisfied and not report.pure_dp
+    assert dp_ratio_satisfied(zero_noise(), 0.1).satisfied  # the scan's meaning is unchanged
+    assert dp_ratio_satisfied(discrete_laplace(1.0), 1.0).pure_dp
+    assert not dp_ratio_satisfied(discrete_laplace(1.0), 0.5).pure_dp
+
+
 def test_dp_ratio_violation_detected():
     eps0 = 0.5
     hot = math.exp(2 * eps0)

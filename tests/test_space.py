@@ -21,6 +21,26 @@ def test_grid_d1_two_cells():
     assert part.max_diam == 0.5
 
 
+def test_partitions_of_one_grid_compare_and_hash_equal():
+    a, b = build_grid_partition(SpaceConfig(2), 16), build_grid_partition(SpaceConfig(2), 16)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != build_grid_partition(SpaceConfig(2), 25)
+    assert a != build_grid_partition(SpaceConfig(2, metric="euclidean"), 16)
+
+
+@pytest.mark.parametrize("d, m", [(1, 7), (2, 16), (3, 27), (2, 4489)])
+def test_cell_corners_are_i_over_k(d, m):
+    # oracle: the corners built from the k + 1 grid edges i/k, axis by axis
+    part = build_grid_partition(SpaceConfig(d), m)
+    edges = np.arange(part.k_per_axis + 1, dtype=float) / part.k_per_axis
+    for corners, axis in ((part.lows, edges[:-1]), (part.highs, edges[1:])):
+        grids = np.meshgrid(*[axis] * d, indexing="ij")
+        assert np.array_equal(corners, np.stack([g.ravel() for g in grids], axis=1))
+        assert not corners.flags.writeable
+    assert part.lows is part.lows  # derived once per partition
+
+
 def test_grid_d2_request_3_rounds_up():
     part = build_grid_partition(SpaceConfig(d=2), 3)
     assert part.k_per_axis == 2
