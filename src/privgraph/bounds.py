@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgw import FgwParams
+from .fgw import FgwParams, worst_pair_cost
 from .graphs import Kernel
 from .noise import NoiseSpec, expected_abs
 from .space import Partition, SpaceConfig, build_grid_partition
@@ -52,7 +52,7 @@ class CostRates:
 
 def cost_rates(alpha: float, C: float, L_kappa: float, diam: float = 1.0) -> CostRates:
     matched = 1.0 - alpha + alpha * (2.0 * C * L_kappa)
-    worst = (1.0 - alpha) * diam + alpha * min(C, 2.0 * C * L_kappa * diam)
+    worst = worst_pair_cost(FgwParams(alpha=alpha, C=C), diam, L_kappa)
     return CostRates(matched_rate=matched, worst_cost=worst)
 
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, resolve
-from .fgw import FgwParams, fgw_exact_small, fgw_upper_bound, graph_to_measure, mc_expected_fgw
+from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc
+from .fgw import FgwParams, fgw_exact_small, fgw_upper_bound, graph_to_measure
 from .graphs import graph_from_json
 from .measures import SignedMeasure, tv_project
 from .noise import bounded_power, discrete_laplace, dp_ratio_satisfied, noise_from_json
@@ -40,6 +40,10 @@ def _config_from_args(args) -> ExperimentConfig:
         val = getattr(args, name, None)
         if val is not None and val is not False:
             setattr(cfg, name, val)
+    for name in ("m", "a", "b"):  # a flag or a JSON string other than "auto" is a number
+        val = getattr(cfg, name)
+        if isinstance(val, str) and val != "auto":
+            setattr(cfg, name, float(val) if name != "m" else int(float(val)))
     return cfg
 
 
@@ -65,13 +69,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser):
     p.add_argument("--csv-sep", dest="csv_sep")
 
 
-def _coerce_auto(cfg: ExperimentConfig):
-    for name in ("m", "a", "b"):
-        val = getattr(cfg, name)
-        if isinstance(val, str) and val != "auto":
-            setattr(cfg, name, float(val) if name != "m" else int(float(val)))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="privgraph",
@@ -88,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_eval = sub.add_parser("evaluate", help="replicate distances vs. theoretical bounds")
     _add_experiment_flags(p_eval)
-    p_eval.add_argument("--ipm-samples", type=int, default=50)
+    p_eval.add_argument("--ipm-samples", dest="ipm_samples", type=int, help="replicates the IPM bound scores")
 
     p_bounds = sub.add_parser("bounds", help="per-term bound report for given inputs")
     p_bounds.add_argument("--json", required=True, help="JSON file of bound inputs")
@@ -124,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo expected FGW over generator runs")
     _add_experiment_flags(p_mc)
-    p_mc.add_argument("--reps", type=int, help="alias for --replicates")
+    p_mc.add_argument("--reps", dest="replicates", type=int, help="alias for --replicates")
 
     args = parser.parse_args(argv)
 
@@ -133,15 +130,12 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _config_from_args(args)
             if args.emit == "dot":
                 cfg.emit_dot = True
-            _coerce_auto(cfg)
             outputs = cmd_generate(cfg, eps_list=args.eps_list)
             print("\n".join(outputs))
             return 0
 
         if args.command == "evaluate":
-            cfg = _config_from_args(args)
-            _coerce_auto(cfg)
-            summary = cmd_evaluate(cfg, ipm_samples=args.ipm_samples)
+            summary = cmd_evaluate(_config_from_args(args))
             print(json.dumps(summary, indent=2, sort_keys=True))
             ok = summary["coupling_bound_satisfied"] and summary["sandwich_satisfied"]
             return 0 if ok else 3
@@ -238,28 +232,9 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "mc":
             cfg = _config_from_args(args)
-            if args.reps is not None:
-                cfg.replicates = args.reps
-            _coerce_auto(cfg)
-            resolved = resolve(cfg)
-            res = mc_expected_fgw(
-                resolved.dataset,
-                resolved.partition,
-                resolved.noise,
-                resolved.a,
-                resolved.b,
-                resolved.kernel,
-                resolved.params,
-                cfg.replicates,
-                cfg.seed,
-                refine_iters=cfg.refine_iters,
-                refine_size_cap=cfg.refine_size_cap,
-            )
-            print(f"mean{cfg.csv_sep}stderr{cfg.csv_sep}plan_mean{cfg.csv_sep}plan_stderr")
-            print(
-                f"{res.mean:.9g}{cfg.csv_sep}{res.stderr:.9g}{cfg.csv_sep}"
-                f"{res.plan_mean:.9g}{cfg.csv_sep}{res.plan_stderr:.9g}"
-            )
+            res = cmd_mc(cfg)
+            print(cfg.csv_sep.join(["mean", "stderr", "plan_mean", "plan_stderr"]))
+            print(cfg.csv_sep.join(f"{v:.9g}" for v in (res.mean, res.stderr, res.plan_mean, res.plan_stderr)))
             return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

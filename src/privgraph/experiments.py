@@ -1,4 +1,4 @@
-"""Experiment configuration, manifests, and the evaluate/generate commands behind the CLI.
+"""Experiment configuration, manifests, and the generate/evaluate/mc commands behind the CLI.
 
 A config fully determines an experiment: dataset (file or synthetic recipe),
 space, partition request (or "auto" via the optimal parameter rule), noise,
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +21,19 @@ import scipy
 
 from . import bounds as bnd
 from .fgw import (
+    REFINE_SIZE_CAP,
     FgwParams,
-    evaluate_pair,
+    McFgwResult,
     ipm_lower_bound,
+    mc_expected_fgw,
     reference_graphs,
-    run_replicates,
+    spawn_streams,
     worst_pair_cost,
 )
+
+# Re-exported, not called here: benchmarks/tracing.py times each replicate by
+# wrapping the runner it finds as privgraph.experiments.run_replicates.
+from .fgw import run_replicates  # noqa: F401
 from .generator import DRAW_ORDER, generate_coupled_graphs
 from .graphs import Kernel, chung_lu, constant_kernel, graph_to_dot, inverse_distance
 from .noise import NoiseSpec, bounded_power, custom, discrete_laplace
@@ -57,7 +63,7 @@ class ExperimentConfig:
     C: float = 1.0
     replicates: int = 100
     refine_iters: int = 2
-    refine_size_cap: int = 4096
+    ipm_samples: int = 50  # replicates whose graphs the IPM lower bound scores
     private_only: bool = False
     redact_counts: bool = False
     emit_dot: bool = False
@@ -69,7 +75,9 @@ class ExperimentConfig:
         """Config from a dict or a manifest; a misspelt key (say "epsilon") is an error.
 
         ``seed``, when given, replaces the seed of ``obj``. A manifest replays
-        only under the draw order it was written with.
+        only under the draw order it was written with. Configs and manifests
+        written while the refine size was a setting carry ``refine_size_cap``;
+        it is accepted only at :data:`privgraph.fgw.REFINE_SIZE_CAP`.
         """
         if "config" in obj:  # a manifest: its config plus the resolved_* values it records
             order = obj.get("draw_order")
@@ -80,6 +88,13 @@ class ExperimentConfig:
                     f"draw order {DRAW_ORDER}; it would replay into different graphs"
                 )
             obj = {k: v for k, v in obj["config"].items() if not k.startswith("resolved_")}
+        cap = obj.get("refine_size_cap", REFINE_SIZE_CAP)
+        if cap != REFINE_SIZE_CAP:
+            raise ValueError(
+                f"refine_size_cap is {cap!r}, but this privgraph fixes it at {REFINE_SIZE_CAP}; "
+                "replaying it would pick different evaluators"
+            )
+        obj = {k: v for k, v in obj.items() if k != "refine_size_cap"}
         if seed is not None:
             obj = {**obj, "seed": seed}
         unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
@@ -88,9 +103,6 @@ class ExperimentConfig:
         if obj.get("seed") is None:
             raise ValueError('seed is mandatory in experiment mode: the config has no "seed"')
         return cls(**obj)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def make_recipe_dataset(recipe: str, n: int, d: int, seed: int) -> AttributeDataset:
@@ -132,7 +144,6 @@ def make_noise(cfg: ExperimentConfig) -> NoiseSpec:
 class ResolvedExperiment:
     config: ExperimentConfig
     dataset: AttributeDataset
-    space: SpaceConfig
     partition: Partition
     noise: NoiseSpec
     kernel: Kernel
@@ -142,13 +153,22 @@ class ResolvedExperiment:
 
     @property
     def manifest_config(self) -> dict:
-        out = self.config.to_dict()
+        out = asdict(self.config)
         out["resolved_m"] = self.partition.m
         out["resolved_k_per_axis"] = self.partition.k_per_axis
         out["resolved_a"] = self.a
         out["resolved_b"] = self.b
         out["resolved_n"] = self.dataset.n
         return out
+
+    def monte_carlo(self, keep_graphs: int = 0) -> McFgwResult:
+        """The config's replicates through the one replicate kernel,
+        :func:`privgraph.fgw.mc_expected_fgw`."""
+        cfg = self.config
+        return mc_expected_fgw(
+            self.dataset, self.partition, self.noise, self.a, self.b, self.kernel, self.params,
+            cfg.replicates, cfg.seed, refine_iters=cfg.refine_iters, keep_graphs=keep_graphs,
+        )
 
 
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
@@ -160,30 +180,18 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
         dataset = make_recipe_dataset(cfg.recipe, cfg.n, cfg.d, cfg.seed)
     else:
         raise ValueError("config needs either a data path or a recipe")
-    space = SpaceConfig(d=cfg.d, metric=cfg.metric)
-    if cfg.m == "auto":
-        opt = bnd.optimal_params(cfg.eps, dataset.n, cfg.d)
-        m_request = opt.m_request
-        auto_a = opt.a
-    else:
-        m_request = int(cfg.m)
-        auto_a = None
-    partition = build_grid_partition(space, m_request)
-    if cfg.a == "auto" or cfg.b == "auto":
-        if auto_a is None:
-            auto_a = float(partition.m) ** (2.0 / cfg.d)
-    a = auto_a if cfg.a == "auto" else float(cfg.a)
-    b = auto_a if cfg.b == "auto" else float(cfg.b)
+    m_request = bnd.optimal_params(cfg.eps, dataset.n, cfg.d).m_request if cfg.m == "auto" else int(cfg.m)
+    partition = build_grid_partition(SpaceConfig(d=cfg.d, metric=cfg.metric), m_request)
+    auto_a = float(partition.m) ** (2.0 / cfg.d)  # a = m^(2/d), as in bounds.optimal_params
     return ResolvedExperiment(
         config=cfg,
         dataset=dataset,
-        space=space,
         partition=partition,
         noise=make_noise(cfg),
         kernel=make_kernel(cfg.kernel, cfg.kernel_param, cfg.d, cfg.metric),
         params=FgwParams(alpha=cfg.alpha, C=cfg.C, metric=cfg.metric),
-        a=a,
-        b=b,
+        a=auto_a if cfg.a == "auto" else float(cfg.a),
+        b=auto_a if cfg.b == "auto" else float(cfg.b),
     )
 
 
@@ -216,11 +224,9 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
     eps_values = eps_list or [cfg.eps]
     outputs: list[str] = []
     resolved = None
-    children = np.random.SeedSequence(cfg.seed).spawn(len(eps_values))
+    streams = spawn_streams(cfg.seed, len(eps_values))
     for idx, eps in enumerate(eps_values):
-        sub = ExperimentConfig(**{**cfg.to_dict(), "eps": eps})
-        resolved = resolve(sub)
-        rng = np.random.default_rng(children[idx])
+        resolved = resolve(replace(cfg, eps=eps))
         pair = generate_coupled_graphs(
             resolved.dataset,
             resolved.partition,
@@ -228,7 +234,7 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
             resolved.a,
             resolved.b,
             resolved.kernel,
-            rng,
+            streams[idx],
         )
         tag = f"eps{eps:g}"
         pair_path = out_dir / f"pair_{tag}.json"
@@ -252,23 +258,24 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
     return outputs
 
 
-def _evaluate_one(resolved: ResolvedExperiment, r: int, rng: np.random.Generator, keep_graphs: bool):
-    cfg = resolved.config
-    pair = generate_coupled_graphs(
-        resolved.dataset, resolved.partition, resolved.noise, resolved.a, resolved.b, resolved.kernel, rng
-    )
-    charge, refined, evaluator = evaluate_pair(pair, resolved.params, cfg.refine_iters, cfg.refine_size_cap)
-    graphs = (pair.true_graph, pair.synthetic_graph) if keep_graphs else None
-    return charge, refined, evaluator, graphs
+def cmd_mc(cfg: ExperimentConfig) -> McFgwResult:
+    """Monte-Carlo expected FGW distance and matched-plan charge over the
+    config's replicates."""
+    return resolve(cfg).monte_carlo()
 
 
-def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
+def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int | None = None) -> dict:
     """Per-replicate distance statistics against the theoretical bounds.
 
     Writes evaluate.csv (per-replicate rows + summary row) and a manifest.
-    Returns the summary as a dict.
+    Returns the summary as a dict. ``ipm_samples``, when given, replaces
+    ``cfg.ipm_samples``, so the manifest records the value that ran.
     """
     t0 = time.time()
+    if ipm_samples is not None:
+        cfg = replace(cfg, ipm_samples=ipm_samples)
+    if not isinstance(cfg.ipm_samples, int) or cfg.ipm_samples < 1:
+        raise ValueError(f"ipm_samples must be an integer >= 1, got {cfg.ipm_samples!r}")
     resolved = resolve(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,19 +298,10 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
         except ValueError:
             grid_total = None
 
-    keep = min(ipm_samples, cfg.replicates)
-    results = run_replicates(
-        lambda r, rng: _evaluate_one(resolved, r, rng, keep_graphs=r < keep),
-        cfg.replicates,
-        cfg.seed,
-    )
-    charges = np.array([res[0] for res in results])
-    refined = np.array([res[1] for res in results])
-    evaluators = [res[2] for res in results]
-    trues = [res[3][0] for res in results if res[3] is not None]
-    syns = [res[3][1] for res in results if res[3] is not None]
+    res = resolved.monte_carlo(keep_graphs=cfg.ipm_samples)
+    trues, syns = zip(*res.graphs)
     worst = worst_pair_cost(
-        resolved.params, resolved.space.diameter, resolved.kernel.lipschitz_constant
+        resolved.params, resolved.partition.space.diameter, resolved.kernel.lipschitz_constant
     )
     ipm = ipm_lower_bound(
         trues,
@@ -314,22 +312,19 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
         empty_value=worst,
     )
 
-    nrep = cfg.replicates
-    charge_se = float(charges.std(ddof=1) / np.sqrt(nrep))
-    refined_se = float(refined.std(ddof=1) / np.sqrt(nrep))
     summary = {
-        "matched_plan_mean": float(charges.mean()),
-        "matched_plan_stderr": charge_se,
-        "refined_mean": float(refined.mean()),
-        "refined_stderr": refined_se,
+        "matched_plan_mean": res.plan_mean,
+        "matched_plan_stderr": res.plan_stderr,
+        "refined_mean": res.mean,
+        "refined_stderr": res.stderr,
         "coupling_bound": coupling_total,
         "grid_coupling_bound": grid_total,
         "ipm_lower": ipm,
-        "coupling_bound_satisfied": bool(charges.mean() <= coupling_total + 3 * charge_se),
+        "coupling_bound_satisfied": bool(res.plan_mean <= coupling_total + 3 * res.plan_stderr),
         "grid_bound_satisfied": (
-            bool(charges.mean() <= grid_total + 3 * charge_se) if grid_total is not None else None
+            bool(res.plan_mean <= grid_total + 3 * res.plan_stderr) if grid_total is not None else None
         ),
-        "sandwich_satisfied": bool(ipm <= refined.mean() + 3 * refined_se),
+        "sandwich_satisfied": bool(ipm <= res.mean + 3 * res.stderr),
     }
 
     def fmt(value) -> str:
@@ -337,12 +332,12 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int = 50) -> dict:
 
     rows = [["replicate", "matched_plan_cost", "refined_fgw", "coupling_bound", "grid_coupling_bound", "ipm_lower", "evaluator"]]
     rows += [
-        [str(r), fmt(charges[r]), fmt(refined[r]), fmt(coupling_total), fmt(grid_total), "", evaluators[r]]
-        for r in range(nrep)
+        [str(r), fmt(charge), fmt(value), fmt(coupling_total), fmt(grid_total), "", evaluator]
+        for r, (charge, value, evaluator) in enumerate(zip(res.plan_charges, res.values, res.evaluators))
     ]
     rows.append(
         ["summary", fmt(summary["matched_plan_mean"]), fmt(summary["refined_mean"]), fmt(coupling_total),
-         fmt(grid_total), fmt(ipm), "+".join(sorted(set(evaluators)))]
+         fmt(grid_total), fmt(ipm), "+".join(sorted(set(res.evaluators)))]
     )
     csv_path = out_dir / "evaluate.csv"
     csv_path.write_text("".join(cfg.csv_sep.join(row) + "\n" for row in rows))

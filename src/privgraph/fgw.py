@@ -40,6 +40,9 @@ from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
 
 _MARGINAL_TOL = 1e-9
 _DIST_ROWS = 128  # rows of an N x M feature-distance matrix held at once
+# Largest N*M scored by conditional-gradient refinement; larger pairs get the
+# matched plan's exact cost (see evaluate_pair).
+REFINE_SIZE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -447,10 +450,15 @@ def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
 
 @dataclass(frozen=True)
 class McFgwResult:
+    """Per-replicate plan values, matched-plan charges and evaluators, with the
+    ``(true, synthetic)`` graphs of the first ``keep_graphs`` replicates."""
+
     mean: float
     stderr: float
     values: np.ndarray = field(repr=False)
     plan_charges: np.ndarray = field(repr=False)
+    evaluators: tuple[str, ...] = field(repr=False)
+    graphs: list[tuple[AttributedGraph, AttributedGraph]] = field(repr=False)
 
     @property
     def plan_mean(self) -> float:
@@ -458,8 +466,7 @@ class McFgwResult:
 
     @property
     def plan_stderr(self) -> float:
-        n = self.plan_charges.size
-        return float(self.plan_charges.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return float(self.plan_charges.std(ddof=1) / np.sqrt(self.plan_charges.size))
 
 
 def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -494,17 +501,15 @@ def run_replicates(fn, n: int, seed: int) -> list:
         return [f.result() for f in futures]
 
 
-def evaluate_pair(
-    pair: CoupledGraphs, params: FgwParams, refine_iters: int, refine_size_cap: int
-) -> tuple[float, float, str]:
+def evaluate_pair(pair: CoupledGraphs, params: FgwParams, refine_iters: int) -> tuple[float, float, str]:
     """(matched-plan charge, plan value, evaluator) of one replicate. The
-    evaluator is "refine" when refine_iters > 0 and 0 < n*m <= refine_size_cap:
+    evaluator is "refine" when refine_iters > 0 and 0 < n*m <= REFINE_SIZE_CAP:
     the plan value is then the matched-plan coupling refined by
     ``refine_iters`` conditional-gradient steps. Otherwise it is "exact", the
     coupling's exact cost."""
     charge = matched_plan_cost(pair, params)
     nm = pair.true_graph.n_vertices * pair.synthetic_graph.n_vertices
-    evaluator = "refine" if refine_iters > 0 and 0 < nm <= refine_size_cap else "exact"
+    evaluator = "refine" if refine_iters > 0 and 0 < nm <= REFINE_SIZE_CAP else "exact"
     if evaluator == "refine":
         ma, mb, pi = plan_coupling(pair, params)
         value, _ = fgw_upper_bound(ma, mb, params, init=pi, iterations=refine_iters)
@@ -524,28 +529,35 @@ def mc_expected_fgw(
     replicates: int,
     seed: int,
     refine_iters: int = 2,
-    refine_size_cap: int = 4096,
     private: PrivateMeasureResult | None = None,
+    keep_graphs: int = 0,
 ) -> McFgwResult:
     """Monte-Carlo estimate of the expected FGW distance between the pair.
 
-    Each replicate is scored by :func:`evaluate_pair`; its analytic plan
-    charge is recorded alongside as the statistic the theoretical bounds
-    dominate in expectation. Replicates run through :func:`run_replicates`.
+    This is the one replicate loop: ``privgraph evaluate`` and ``privgraph mc``
+    both run it. Each replicate draws a coupled pair and scores it by
+    :func:`evaluate_pair`; its analytic plan charge is recorded alongside as
+    the statistic the theoretical bounds dominate in expectation. Replicates
+    run through :func:`run_replicates`; the graphs of the first
+    ``keep_graphs`` are kept in the result.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
 
     def one(r, rng):
         pair = generate_coupled_graphs(dataset, partition, noise, a, b, kernel, rng, private=private)
-        return evaluate_pair(pair, params, refine_iters, refine_size_cap)[:2]
+        kept = (pair.true_graph, pair.synthetic_graph) if r < keep_graphs else None
+        return (*evaluate_pair(pair, params, refine_iters), kept)
 
-    charges, values = np.array(run_replicates(one, replicates, seed), dtype=float).T.copy()
+    charges, values, evaluators, graphs = zip(*run_replicates(one, replicates, seed))
+    values = np.array(values, dtype=float)
     return McFgwResult(
         mean=float(values.mean()),
         stderr=float(values.std(ddof=1) / np.sqrt(replicates)),
         values=values,
-        plan_charges=charges,
+        plan_charges=np.array(charges, dtype=float),
+        evaluators=evaluators,
+        graphs=[g for g in graphs if g is not None],
     )
 
 

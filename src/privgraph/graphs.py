@@ -19,7 +19,7 @@ from .space import pairwise_distances
 CHUNG_LU = "chung_lu"
 CONSTANT = "constant"
 INVERSE_DISTANCE = "inverse_distance"
-_SYMMETRY_ROWS = 128  # adjacency rows per block of the symmetry check
+_SYMMETRY_ROWS = 128  # adjacency rows per block of the symmetry check and the edge listing
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,15 @@ def kernel_eval(kernel: Kernel, x, y) -> float:
     return float(kernel_matrix(kernel, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
+def _edge_blocks(adj: np.ndarray):
+    """(i, j) index arrays of the edges i < j in row-major order, _SYMMETRY_ROWS
+    rows at a time, so no N x N temporary is made."""
+    for r0 in range(0, adj.shape[0], _SYMMETRY_ROWS):
+        i, j = np.nonzero(adj[r0 : r0 + _SYMMETRY_ROWS])
+        upper = j > i + r0
+        yield i[upper] + r0, j[upper]
+
+
 def _is_symmetric(adj: np.ndarray) -> bool:
     """Exact adj == adj.T, compared _SYMMETRY_ROWS rows at a time: rows
     [r0, r1) from column r0 on against the matching columns, so no N x N
@@ -129,11 +138,11 @@ class AttributedGraph:
 
     @property
     def n_edges(self) -> int:
-        return int(np.triu(self.adjacency, 1).sum())
+        # the adjacency is symmetric with an empty diagonal (checked in __post_init__)
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def edge_list(self) -> list[tuple[int, int]]:
-        i, j = np.nonzero(np.triu(self.adjacency, 1))
-        return list(zip(i.tolist(), j.tolist()))
+        return [e for i, j in _edge_blocks(self.adjacency) for e in zip(i.tolist(), j.tolist())]
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(np.int64)
@@ -166,7 +175,7 @@ def graph_to_dict(g: AttributedGraph) -> dict:
             {"attr": g.attributes[i].tolist(), "id": float(g.identifiers[i])}
             for i in range(g.n_vertices)
         ],
-        "edges": [[int(i), int(j)] for i, j in g.edge_list()],
+        "edges": [e for i, j in _edge_blocks(g.adjacency) for e in np.column_stack((i, j)).tolist()],
     }
 
 

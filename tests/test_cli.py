@@ -6,6 +6,7 @@ import pytest
 
 from privgraph.cli import main
 from privgraph.experiments import ExperimentConfig, cmd_evaluate, cmd_generate, resolve
+from privgraph.fgw import REFINE_SIZE_CAP
 from privgraph.generator import DRAW_ORDER
 
 
@@ -147,7 +148,7 @@ def test_evaluate_summary_and_csv(tmp_path):
 
 @pytest.mark.parametrize("a, evaluator", [(10.0, "refine"), (100.0, "exact")])
 def test_evaluate_csv_names_each_replicates_evaluator(tmp_path, a, evaluator):
-    # N*M near a*a: 100 is within the default refine_size_cap of 4096, 10,000 is not
+    # N*M near a*a: 100 is within fgw.REFINE_SIZE_CAP (4096), 10,000 is not
     cfg = ExperimentConfig(
         recipe="uniform", n=80, d=1, eps=1.0, m=4, a=a, b=a, replicates=4, seed=11, out_dir=str(tmp_path)
     )
@@ -332,3 +333,43 @@ def test_mc_runs_through_the_replicate_runner(monkeypatch, capsys):
     monkeypatch.setenv("PRIVGRAPH_THREADS", "3")
     assert main(argv) == 0
     assert capsys.readouterr().out == serial
+
+
+_SMALL_EVALUATE = ["--recipe", "uniform", "--n", "80", "--d", "1", "--m", "4", "--a", "10", "--b", "10"]
+
+
+def test_evaluate_manifest_replays_its_ipm_samples(tmp_path, capsys):
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    argv = ["evaluate", *_SMALL_EVALUATE, "--replicates", "12", "--ipm-samples", "3", "--seed", "3"]
+    assert main([*argv, "--out", str(run)]) == 0
+    assert json.loads((run / "manifest.json").read_text())["config"]["ipm_samples"] == 3
+    assert main(["evaluate", "--config", str(run / "manifest.json"), "--out", str(replay)]) == 0
+    assert _read_outputs(replay) == _read_outputs(run)
+
+
+def test_manifest_refine_size_cap_replays_only_at_the_constant(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["evaluate", *_SMALL_EVALUATE, "--replicates", "12", "--seed", "3", "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert "refine_size_cap" not in manifest["config"]
+    for cap, rc in ((REFINE_SIZE_CAP, 0), (100, 1)):
+        manifest["config"]["refine_size_cap"] = cap  # as manifests written before the constant record it
+        path = tmp_path / f"manifest_{cap}.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / f"replay_{cap}")]) == rc
+    assert _read_outputs(tmp_path / f"replay_{REFINE_SIZE_CAP}") == _read_outputs(run)
+    assert "refine_size_cap is 100" in capsys.readouterr().err
+    assert not (tmp_path / "replay_100").exists()
+
+
+def test_too_few_replicates_or_ipm_samples_are_refused(tmp_path, capsys):
+    argv = [*_SMALL_EVALUATE, "--seed", "1"]
+    assert main(["evaluate", *argv, "--replicates", "1", "--out", str(tmp_path / "one")]) == 1
+    assert "need at least 2 replicates" in capsys.readouterr().err
+    assert not (tmp_path / "one" / "summary.json").exists()
+    assert main(["mc", *argv, "--reps", "1"]) == 1
+    assert "need at least 2 replicates" in capsys.readouterr().err
+    assert main(["evaluate", *argv, "--ipm-samples", "0", "--out", str(tmp_path / "zero")]) == 1
+    assert "ipm_samples must be an integer >= 1, got 0" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="ipm_samples"):
+        cmd_evaluate(ExperimentConfig(seed=1, recipe="uniform", out_dir=str(tmp_path)), ipm_samples=-1)

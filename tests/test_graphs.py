@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,6 +11,7 @@ from privgraph.graphs import (
     chung_lu,
     constant_kernel,
     graph_from_json,
+    graph_to_dict,
     graph_to_dot,
     graph_to_edge_list_text,
     graph_to_json,
@@ -191,3 +194,19 @@ def test_symmetry_check_finds_one_asymmetric_entry_in_any_block(i, j):
     adj[i, j] = not adj[i, j]
     with pytest.raises(ValueError, match="symmetric"):
         AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
+
+
+@pytest.mark.parametrize("n, p", [(0, 0.5), (1, 0.5), (2, 1.0), (7, 0.4), (129, 0.0), (300, 0.3), (300, 1.0)])
+def test_edges_match_the_triu_formulation(n, p):
+    # reference: edges i < j read off an N x N np.triu copy
+    rng = np.random.default_rng(n)
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    g = AttributedGraph(attributes=rng.random((n, 2)), identifiers=np.linspace(0.0, 1.0, n), adjacency=adj | adj.T)
+    i, j = np.nonzero(np.triu(g.adjacency, 1))
+    ref = list(zip(i.tolist(), j.tolist()))
+    assert g.n_edges == int(np.triu(g.adjacency, 1).sum()) == len(ref)
+    assert g.edge_list() == ref
+    assert graph_to_json(g) == json.dumps({**graph_to_dict(g), "edges": [[int(a), int(b)] for a, b in ref]})
+    assert graph_to_edge_list_text(g) == "".join(f"{a} {b}\n" for a, b in ref)
+    dot_edges = [line for line in graph_to_dot(g).splitlines() if "--" in line]
+    assert dot_edges == [f"  {a} -- {b};" for a, b in ref]
