@@ -130,7 +130,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _config_from_args(args)
             if args.emit == "dot":
                 cfg.emit_dot = True
-            outputs = cmd_generate(cfg, eps_list=args.eps_list)
+            eps_list = args.eps_list
+            if eps_list is None and args.eps is None and args.config:  # a manifest's recorded levels
+                eps_list = json.loads(Path(args.config).read_text()).get("eps_list")
+            outputs = cmd_generate(cfg, eps_list=eps_list)
             print("\n".join(outputs))
             return 0
 

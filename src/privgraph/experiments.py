@@ -195,7 +195,10 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     )
 
 
-def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outputs: list[str], t0: float) -> None:
+def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outputs: list[str], t0: float,
+                   eps_list: list[float] | None = None) -> None:
+    """``eps_list``, a ``generate`` run's levels, is recorded with one seed path per level."""
+    streams = resolved.config.replicates if eps_list is None else len(eps_list)
     manifest = {
         "tool": "privgraph",
         "version": VERSION,
@@ -208,16 +211,18 @@ def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outpu
         },
         "config": resolved.manifest_config,
         "seeding": "replicate r uses default_rng(SeedSequence(seed).spawn()[r])",
-        "replicate_seed_paths": [[resolved.config.seed, r] for r in range(resolved.config.replicates)],
+        "replicate_seed_paths": [[resolved.config.seed, r] for r in range(streams)],
         "outputs": outputs,
         "timing_s": round(time.time() - t0, 3),
+        **({} if eps_list is None else {"eps_list": eps_list}),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> list[str]:
-    """Generate one coupled pair per privacy level; write JSON (+ optional DOT)
-    and a manifest sufficient for bit-exact replay."""
+    """Generate one coupled pair per privacy level, level i from replicate
+    stream i; write JSON (+ optional DOT) and a manifest that records the
+    levels, sufficient for bit-exact replay."""
     t0 = time.time()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,7 +259,7 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
             p = out_dir / f"synthetic_{tag}.dot"
             p.write_text(graph_to_dot(pair.synthetic_graph, name="synthetic_graph"))
             outputs.append(str(p))
-    write_manifest(out_dir / "manifest.json", "generate", resolved, outputs, t0)
+    write_manifest(out_dir / "manifest.json", "generate", resolved, outputs, t0, eps_list=eps_values)
     return outputs
 
 

@@ -343,38 +343,24 @@ def matched_plan_cost(pair: CoupledGraphs, params: FgwParams) -> float:
     min(C, 2*C*L*diam) = C, see :func:`worst_pair_cost`. For the constant
     kernel (L = 0) the charge can fall below the plan's exact cost.
     """
-    tg, sg = pair.true_graph, pair.synthetic_graph
-    n, m = tg.n_vertices, sg.n_vertices
-    diam = pair.partition.space.diameter
-    lip = pair.kernel.lipschitz_constant
-    worst = worst_pair_cost(params, diam, lip)
-    if n == 0 and m == 0:
-        return 0.0
-    if n == 0 or m == 0:
-        return worst
-    n0 = max(n, m)
+    n, m = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
+    worst = worst_pair_cost(params, pair.partition.space.diameter, pair.kernel.lipschitz_constant)
     z = pair.match_count
-    if z == 0:
-        return worst
-    d_match = _matched_distances(pair, params.metric)
-    blk_t, blk_s = _matched_blocks(pair)
-    xor_sum = float(np.count_nonzero(blk_t != blk_s))
+    if z == 0:  # also when a graph is empty, since Z <= min(N, M)
+        return 0.0 if n == m == 0 else worst
+    n0 = max(n, m)
     matched = (
-        (1.0 - params.alpha) * z * float(d_match.sum()) + params.alpha * params.C * xor_sum
+        (1.0 - params.alpha) * z * _matched_distance_sum(pair, params.metric)
+        + params.alpha * params.C * pair.edge_counts.xor
     ) / (n0 * n0)
     return matched + worst * (n0 * n0 - z * z) / (n0 * n0)
 
 
-def _matched_distances(pair: CoupledGraphs, metric: str) -> np.ndarray:
-    """Feature distance of each matched vertex pair, in match order."""
-    xs, ys = pair.true_graph.attributes, pair.synthetic_graph.attributes
-    return SpaceConfig(xs.shape[1], metric).distance(xs[pair.matches[:, 1]], ys[pair.matches[:, 2]])
-
-
-def _matched_blocks(pair: CoupledGraphs) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean adjacency among the matched vertices, in match order, per side."""
-    t_idx, s_idx = pair.matches[:, 1], pair.matches[:, 2]
-    return pair.true_graph.adjacency[t_idx][:, t_idx], pair.synthetic_graph.adjacency[s_idx][:, s_idx]
+def _matched_distance_sum(pair: CoupledGraphs, metric: str) -> float:
+    """Summed feature distance of the matched vertex pairs (vertex s of both
+    graphs for s < Z)."""
+    z, xs, ys = pair.match_count, pair.true_graph.attributes, pair.synthetic_graph.attributes
+    return float(SpaceConfig(xs.shape[1], metric).distance(xs[:z], ys[:z]).sum())
 
 
 def plan_coupling(pair: CoupledGraphs, params: FgwParams) -> tuple[GraphMeasure, GraphMeasure, np.ndarray]:
@@ -395,55 +381,55 @@ def plan_coupling(pair: CoupledGraphs, params: FgwParams) -> tuple[GraphMeasure,
     return a, b, pi
 
 
-def _completion(adj: np.ndarray, blk: np.ndarray, idx: np.ndarray, n0: int):
-    """One side's completion marginal u = 1/n - 1_idx/n0 with (A u)[idx] and
-    u^T A u, both from integer counts on the boolean adjacency A."""
-    n = adj.shape[0]
+def _completion(deg: np.ndarray, row: np.ndarray, n0: int):
+    """One side's completion marginal u = 1/n - 1_[:Z]/n0 with (A u)[:Z] and
+    u^T A u, from the adjacency A's degrees and matched-block row counts."""
+    n, z = deg.size, row.size
     u = np.full(n, 1.0 / n)
-    u[idx] -= 1.0 / n0
-    deg, row = np.count_nonzero(adj, axis=1), np.count_nonzero(blk, axis=1)
-    au = (n0 * deg[idx] - n * row) / (n * n0)
-    uau = n0 * n0 * int(deg.sum()) - 2 * n0 * n * int(deg[idx].sum()) + n * n * int(row.sum())
+    u[:z] -= 1.0 / n0
+    au = (float(n0) * deg[:z] - float(n) * row) / (n * n0)  # exact: float64 holds these integers
+    uau = n0 * n0 * int(deg.sum()) - 2 * n0 * n * int(deg[:z].sum()) + n * n * int(row.sum())
     return u, au, uau / (n * n0) ** 2
 
 
 def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
     """Cost of the explicit matched-plan coupling without materializing it.
 
-    The plan is matched mass w = 1/max(N, M) plus the product completion
-    u v^T / (1 - Z w) with u = 1/N - w 1_T (v likewise on the synthetic side).
-    Every structural term is an exact integer count on the boolean adjacency:
-    degrees, edges inside the matched blocks, and edges the blocks share; only
-    the feature term u^T D v needs float N x M work, done in row blocks.
+    The plan is matched mass w = 1/max(N, M) on vertex s of both graphs for
+    s < Z, plus the product completion u v^T / (1 - Z w) with
+    u = 1/N - w 1_[:Z] (v likewise on the synthetic side). Every structural
+    term comes from the pair's integer :attr:`~CoupledGraphs.edge_counts`:
+    degrees, edges inside the matched blocks, and edges the blocks share. The
+    feature term u^T D v sums v over each distinct synthetic attribute row
+    first, so its float work is N x (distinct rows), in row blocks.
     """
     tg, sg = pair.true_graph, pair.synthetic_graph
     n, m = tg.n_vertices, sg.n_vertices
-    diam = pair.partition.space.diameter
-    lip = pair.kernel.lipschitz_constant
-    if n == 0 and m == 0:
-        return 0.0
     if n == 0 or m == 0:
-        return worst_pair_cost(params, diam, lip)
+        return 0.0 if n == m else worst_pair_cost(params, pair.partition.space.diameter, pair.kernel.lipschitz_constant)
     n0 = max(n, m)
     w = 1.0 / n0
-    t_idx, s_idx = pair.matches[:, 1], pair.matches[:, 2]
-    z = t_idx.size
+    z = pair.match_count
     rest = (n0 - z) / n0
-    blk_t, blk_s = _matched_blocks(pair)
-    feature = w * float(_matched_distances(pair, params.metric).sum())
+    counts = pair.edge_counts
+    feature = w * _matched_distance_sum(pair, params.metric)
     # <pi, S_A pi S_B> / C^2 from the matched part and the product completion
-    bilinear = w * w * np.count_nonzero(blk_t & blk_s)
+    bilinear = w * w * counts.both
     if z < n0:
-        u, au_t, uau = _completion(tg.adjacency, blk_t, t_idx, n0)
-        v, bv_s, vbv = _completion(sg.adjacency, blk_s, s_idx, n0)
-        # u^T D v over the feature distances D, built _DIST_ROWS rows at a time
-        xs, ys = tg.attributes, sg.attributes
+        u, au_t, uau = _completion(counts.deg[0], counts.row[0], n0)
+        v, bv_s, vbv = _completion(counts.deg[1], counts.row[1], n0)
+        # u^T D v over the feature distances D to each distinct synthetic row
+        xs, ys = tg.attributes, np.ascontiguousarray(sg.attributes)
+        # rows as single byte strings: a 1-D unique is several times faster than axis=0
+        rows = ys.view(np.dtype((np.void, ys.itemsize * ys.shape[1]))).ravel()
+        _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+        ys, v = ys[first], np.bincount(group, weights=v, minlength=first.size)
         feature += sum(
             float(u[i : i + _DIST_ROWS] @ pairwise_distances(xs[i : i + _DIST_ROWS], ys, params.metric) @ v)
             for i in range(0, n, _DIST_ROWS)
         ) / rest
         bilinear += 2.0 * w * float(au_t @ bv_s) / rest + uau * vbv / (rest * rest)
-    const = np.count_nonzero(tg.adjacency) / (n * n) + np.count_nonzero(sg.adjacency) / (m * m)
+    const = int(counts.deg[0].sum()) / (n * n) + int(counts.deg[1].sum()) / (m * m)
     quad = params.C * (const - 2.0 * bilinear)
     return (1.0 - params.alpha) * feature + params.alpha * quad
 

@@ -11,11 +11,13 @@ independent Bernoulli edges) while sharing as much randomness as possible:
 * edges between two matched vertex pairs are drawn from the maximal coupling
   of their Bernoulli laws, so they disagree with probability |p - q|.
 
-The stream is consumed in a fixed, versioned order, ``DRAW_ORDER`` (now 2),
-which every manifest records; a manifest written under another order is
-refused rather than replayed into different graphs. Under draw order 2 each
-vertex pair that can carry an edge takes exactly one uniform, drawn in row
-blocks straight into the boolean adjacencies: beyond the two adjacencies
+The stream is consumed in a fixed, versioned order, ``DRAW_ORDER`` (now 3),
+which every manifest records; a manifest written under another order (1 or
+2) is refused rather than replayed into different graphs. Under draw order 3
+the matched vertices come first: matched pair s is vertex s of both graphs
+for s < Z, so every matched block is the contiguous view ``adj[:Z, :Z]``.
+Each vertex pair that can carry an edge takes exactly one uniform, drawn in
+row blocks straight into the boolean adjacencies: beyond the two adjacencies
 (N^2 + M^2 bytes) the generator holds O(EDGE_BLOCK_ROWS * N) floats, never
 an N x N float array. :func:`sample_graph`, one graph of the model on its
 own, draws its edges with the same code.
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +41,7 @@ _RESIDUAL_TOL = 1e-12
 
 # Version of the order in which the generator consumes its random stream;
 # manifests record it and a manifest written under another order is refused.
-DRAW_ORDER = 2
+DRAW_ORDER = 3
 # Rows of the upper triangle whose edges are drawn together; the stream does
 # not depend on it, only the size of the per-block float arrays does.
 EDGE_BLOCK_ROWS = 128
@@ -67,88 +71,58 @@ def _categorical(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
 
 
-def _row_blocks(n: int, block):
-    """``block(r0, r1, hi)``, the rows r0:r1 by columns r0:hi of an n x n array.
+def _kernel_blocks(kernel: Kernel, attrs: np.ndarray):
+    """``probs(r0, r1, c0, c1)``, the kernel values of rows r0:r1 by columns
+    c0:c1. A graph of at most EDGE_BLOCK_ROWS vertices is evaluated once,
+    whole, and every call takes a view of it."""
+    if len(attrs) <= EDGE_BLOCK_ROWS:
+        whole = kernel_matrix(kernel, attrs, attrs)
+        return lambda r0, r1, c0, c1: whole[r0:r1, c0:c1]
 
-    When the n rows fit in one row block the whole array is built once and
-    later calls take views of it, so the runs that share it skip a rebuild.
-    """
-    if n <= EDGE_BLOCK_ROWS:
-        whole = block(0, n, n)
-        return lambda r0, r1, hi: whole[r0:r1, r0:hi]
-    return block
+    def probs(r0, r1, c0, c1):
+        rows = attrs[r0:r1]  # a diagonal block passes one array twice, which kernel_matrix evaluates once
+        return kernel_matrix(kernel, rows, rows if (c0, c1) == (r0, r1) else attrs[c0:c1])
 
-
-def _edge_run(
-    rng: np.random.Generator, sides, both_matched, n: int, shared_pairs: bool, upper: np.ndarray
-) -> None:
-    """One run of draw order 2: a uniform u per vertex pair i < j < n, row-major.
-
-    ``both_matched`` gives blocks of the indicator that both ends of a pair
-    are matched shared slots (the shared slots are the first vertices of
-    every graph). The run takes those pairs if ``shared_pairs``, and all
-    other pairs of its one graph if not. Each side is ``(probs, adj)``: the
-    pair is an edge there iff u < its probability from ``probs``. Sides
-    share the uniforms, which is the maximal coupling of their Bernoulli
-    laws. ``upper[i, j]`` is j > i for one block of rows. Only the upper
-    triangle of ``adj`` is written.
-    """
-    for r0 in range(0, n, EDGE_BLOCK_ROWS):
-        r1 = min(r0 + EDGE_BLOCK_ROWS, n)
-        take = upper[: r1 - r0, : n - r0]
-        both = both_matched(r0, r1, n)  # empty past the shared slots
-        if shared_pairs:
-            take = take & both
-        elif both.size:
-            take = take.copy()
-            corner = take[: both.shape[0], : both.shape[1]]
-            np.greater(corner, both, out=corner)  # on booleans: taken and not both matched
-        u = np.empty(take.shape)
-        u.fill(1.0)  # no probability exceeds 1, so an untaken pair gets no edge
-        u[take] = rng.random(np.count_nonzero(take))
-        for probs, adj in sides:
-            adj[r0:r1, r0:n] |= u < probs(r0, r1, n)
+    return probs
 
 
 def _coupled_edges(
-    kernel: Kernel,
-    true_attrs: np.ndarray,
-    syn_attrs: np.ndarray,
-    is_match: np.ndarray,
-    rng: np.random.Generator,
+    kernel: Kernel, true_attrs: np.ndarray, syn_attrs: np.ndarray, z: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both boolean adjacencies under draw order 2.
+    """Both boolean adjacencies under draw order 3; vertex s < z is matched
+    pair s of both graphs.
 
-    Shared slot s is vertex s of both graphs and ``is_match[s]`` says whether
-    it is matched. Three runs draw from ``rng``: the matched x matched pairs
-    (one uniform shared by both graphs), then every other true-graph pair,
-    then every other synthetic-graph pair. The runs fill the upper
-    triangles; each adjacency is then mirrored one block of rows at a time,
-    because a whole-matrix ``adj |= adj.T`` is several times slower on large
-    graphs. Besides the two adjacencies, the memory used is
-    O(EDGE_BLOCK_ROWS * max(N, M)).
+    Three runs draw one uniform u per vertex pair i < j, row-major: the
+    upper triangle of [0, z)^2, shared by both graphs (an edge in each iff u
+    is below that graph's kernel value: the maximal coupling), then for the
+    true and then the synthetic graph alone the rectangle [0, z) x [z, n)
+    followed by the upper triangle of [z, n)^2. Rows go EDGE_BLOCK_ROWS at a
+    time, so besides the two adjacencies the memory is
+    O(EDGE_BLOCK_ROWS * max(N, M)). The upper triangles are then mirrored
+    one block of rows at a time, faster on large graphs than ``adj |= adj.T``.
     """
-    cols = np.arange(max(true_attrs.shape[0], syn_attrs.shape[0]))
+    cols = np.arange(max(len(true_attrs), len(syn_attrs)))
     upper = cols > cols[:EDGE_BLOCK_ROWS, None]
-    both_matched = _row_blocks(
-        is_match.size, lambda r0, r1, hi: is_match[r0:r1, None] & is_match[r0:hi]
-    )
-    sides = []
-    for attrs in (true_attrs, syn_attrs):
-
-        def probs(r0, r1, hi, attrs=attrs):
-            rows = attrs[r0:r1]
-            # a diagonal block passes one array twice, which kernel_matrix evaluates once
-            return kernel_matrix(kernel, rows, rows if hi == r1 else attrs[r0:hi])
-
-        sides.append((_row_blocks(attrs.shape[0], probs), np.zeros((attrs.shape[0],) * 2, dtype=bool)))
-    _edge_run(rng, sides, both_matched, is_match.size, True, upper)
+    sides = [(_kernel_blocks(kernel, x), np.zeros((len(x), len(x)), dtype=bool)) for x in (true_attrs, syn_attrs)]
+    runs = [(sides, 0, z, 0, z)]  # (sides, rows r0:r1, columns c0:c1)
     for side in sides:
-        _edge_run(rng, [side], both_matched, side[1].shape[0], False, upper)
+        n = len(side[1])
+        runs += [([side], 0, z, z, n), ([side], z, n, z, n)]
+    for run_sides, r0, r1, c0, c1 in runs:
+        for b0 in range(r0, r1, EDGE_BLOCK_ROWS):
+            b1, lo = min(b0 + EDGE_BLOCK_ROWS, r1), max(c0, b0)
+            if lo == b0:  # a triangle block: columns b0 on, pairs j > i only
+                take = upper[: b1 - b0, : c1 - b0]
+                u = np.empty(take.shape)
+                u.fill(1.0)  # no probability exceeds 1, so an untaken pair gets no edge
+                u[take] = rng.random(np.count_nonzero(take))
+            else:  # a rectangle block: every pair
+                u = rng.random((b1 - b0, c1 - lo))
+            for probs, adj in run_sides:  # each pair i < j is written by one run only
+                np.less(u, probs(b0, b1, lo, c1), out=adj[b0:b1, lo:c1])
     for _, adj in sides:
-        for r0 in range(0, adj.shape[0], EDGE_BLOCK_ROWS):
-            r1 = r0 + EDGE_BLOCK_ROWS
-            adj[r0:, r0:r1] |= adj[r0:r1, r0:].T
+        for r0 in range(0, len(adj), EDGE_BLOCK_ROWS):
+            adj[r0:, r0 : r0 + EDGE_BLOCK_ROWS] |= adj[r0 : r0 + EDGE_BLOCK_ROWS, r0:].T
     return sides[0][1], sides[1][1]
 
 
@@ -178,8 +152,38 @@ def sample_graph(
         pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.atleast_2d(attr_measure)
         attrs = pts[rng.integers(0, pts.shape[0], size=n)]
     ids = _distinct_uniform_ids(n, rng)
-    adj = _coupled_edges(kernel, attrs, attrs[:0], np.zeros(0, dtype=bool), rng)[0]
+    adj = _coupled_edges(kernel, attrs, attrs[:0], 0, rng)[0]
     return AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
+
+
+class EdgeCounts(NamedTuple):
+    """Integer edge counts of a coupled pair whose first z vertices are matched.
+
+    ``deg`` and ``row`` hold, for the true and then the synthetic graph, the
+    vertex degrees and each matched vertex's edges into the matched block
+    ``adj[:z, :z]`` (int32 arrays); ``xor`` and ``both`` count the ordered
+    pairs of that block that are an edge in exactly one graph or in both.
+    """
+
+    deg: tuple[np.ndarray, np.ndarray]
+    row: tuple[np.ndarray, np.ndarray]
+    xor: int
+    both: int
+
+
+def count_edges(adj_true: np.ndarray, adj_syn: np.ndarray, z: int) -> EdgeCounts:
+    """:class:`EdgeCounts` from the two boolean adjacencies, read through
+    contiguous views EDGE_BLOCK_ROWS rows at a time (no N x N temporary)."""
+    blocks = adj_true[:z, :z], adj_syn[:z, :z]
+    both = sum(
+        int(np.count_nonzero(blocks[0][r0 : r0 + EDGE_BLOCK_ROWS] & blocks[1][r0 : r0 + EDGE_BLOCK_ROWS]))
+        for r0 in range(0, z, EDGE_BLOCK_ROWS)
+    )
+    # an int32 sum over booleans is about twice as fast as count_nonzero(axis=1)
+    deg = tuple(a.sum(axis=1, dtype=np.int32) for a in (adj_true, adj_syn))
+    row = tuple(b.sum(axis=1, dtype=np.int32) for b in blocks)
+    # |A xor B| = |A| + |B| - 2 |A and B|
+    return EdgeCounts(deg, row, int(row[0].sum() + row[1].sum()) - 2 * both, both)
 
 
 @dataclass(frozen=True)
@@ -191,16 +195,31 @@ class CoupledGraphs:
     shared_count: int
     extra_true_count: int
     extra_synthetic_count: int
-    matches: np.ndarray  # (Z, 3) rows of (cell, true index, synthetic index)
+    matches: np.ndarray  # (Z, 3) rows of (cell, s, s): vertex s of both graphs is matched pair s
     private: PrivateMeasureResult = field(repr=False)
     partition: Partition = field(repr=False)
     kernel: Kernel = field(repr=False)
     a: float
     b: float
 
+    def __post_init__(self):
+        z = len(self.matches)
+        if (
+            self.matches.shape != (z, 3)
+            or z > min(self.true_graph.n_vertices, self.synthetic_graph.n_vertices)
+            or (self.matches[:, 1:] != np.arange(z)[:, None]).any()
+        ):
+            raise ValueError("matches must pair vertex s of both graphs for s = 0..Z-1 (matched vertices first)")
+
     @property
     def match_count(self) -> int:
         return int(self.matches.shape[0])
+
+    @cached_property
+    def edge_counts(self) -> EdgeCounts:
+        """The pair's integer edge counts, computed once and shared by the
+        matched-plan evaluators."""
+        return count_edges(self.true_graph.adjacency, self.synthetic_graph.adjacency, self.match_count)
 
     def to_dict(self, redact_counts: bool = False, private_only: bool = False) -> dict:
         out = {
@@ -235,21 +254,14 @@ def generate_coupled_graphs(
     ``private`` may carry a precomputed mechanism result to hold the noisy
     measure fixed across replicates; otherwise the mechanism runs first with
     the same rng. The draw order is fixed, so output is bit-reproducible for
-    a given generator state. Draw order 2 (``DRAW_ORDER``): sizes,
+    a given generator state. Draw order 3 (``DRAW_ORDER``): sizes,
     indicators, residual cells, extra cells, attribute picks, identifiers,
-    then the edge uniforms in three runs, each over pairs i < j in row-major
-    order with one uniform per pair:
-
-    1. matched x matched pairs; the one uniform u decides both graphs, an
-       edge iff u < kappa(x_i, x_j) in the true graph and iff
-       u < kappa(y_i, y_j) in the synthetic one (the maximal coupling);
-    2. every other true-graph pair;
-    3. every other synthetic-graph pair.
-
-    That is C(N,2) + C(M,2) - C(Z,2) uniforms for Z matched vertices. They
-    are drawn in blocks of ``EDGE_BLOCK_ROWS`` rows (the stream does not
-    depend on the block size), so the memory is the two boolean
-    adjacencies plus O(EDGE_BLOCK_ROWS * max(N, M)).
+    then the edge uniforms in the three runs of :func:`_coupled_edges`,
+    C(N,2) + C(M,2) - C(Z,2) uniforms for Z matched vertices. The vertex
+    order is fixed before the attribute picks: the matched shared slots
+    first, in slot order, then the residual shared slots, then the extras,
+    so matched pair s is vertex s of both graphs and every matched block is
+    the view ``adj[:Z, :Z]``.
 
     A true vertex takes a uniform dataset point of its cell, found through
     the dataset's cached binning (:meth:`AttributeDataset.bins`), so no work
@@ -261,38 +273,31 @@ def generate_coupled_graphs(
     if private is None:
         private = run_private_measure(dataset, partition, noise, rng)
 
-    n = dataset.n
-    base_true = private.counts / n
+    base_true = private.counts / dataset.n
     base_syn = private.private_measure.weights
     common = np.minimum(base_true, base_syn)
     total_common = float(common.sum())
     p_none = 1.0 - total_common
     if p_none < -_RESIDUAL_TOL:
         raise ValueError(f"indicator mass exceeds 1 by {-p_none}")
-    p_none = max(p_none, 0.0)
 
     lo = min(a, b)
     shared = int(rng.poisson(lo))
     extra_true = int(rng.poisson(a - lo))
     extra_syn = int(rng.poisson(b - lo))
 
-    # shared slots: matched cell or per-side residual cells
+    # shared slots: matched cell or per-side residual cells; vertices are the
+    # matched slots, then the residual slots, then the extras
     u = rng.random(shared)
     is_match = u < total_common
-    cum_common = np.cumsum(common)
-    true_cells = np.empty(shared + extra_true, dtype=np.int64)
-    syn_cells = np.empty(shared + extra_syn, dtype=np.int64)
-    matched_cells = np.searchsorted(cum_common, u[is_match], side="right")
-    true_cells[:shared][is_match] = matched_cells
-    syn_cells[:shared][is_match] = matched_cells
-    n_resid = int((~is_match).sum())
-    if n_resid:
-        res_true = _residual_probs(base_true, common)
-        res_syn = _residual_probs(base_syn, common)
-        true_cells[:shared][~is_match] = _categorical(res_true, n_resid, rng)
-        syn_cells[:shared][~is_match] = _categorical(res_syn, n_resid, rng)
-    true_cells[shared:] = _categorical(base_true, extra_true, rng)
-    syn_cells[shared:] = _categorical(base_syn, extra_syn, rng)
+    z = int(np.count_nonzero(is_match))
+    matched_cells = np.searchsorted(np.cumsum(common), u[is_match], side="right").astype(np.int64)
+    res_true = res_syn = np.zeros(0, dtype=np.int64)
+    if shared > z:
+        res_true = _categorical(_residual_probs(base_true, common), shared - z, rng)
+        res_syn = _categorical(_residual_probs(base_syn, common), shared - z, rng)
+    true_cells = np.concatenate([matched_cells, res_true, _categorical(base_true, extra_true, rng)])
+    syn_cells = np.concatenate([matched_cells, res_syn, _categorical(base_syn, extra_syn, rng)])
 
     n_true = shared + extra_true
     n_syn = shared + extra_syn
@@ -303,30 +308,20 @@ def generate_coupled_graphs(
         raise AssertionError("true vertex assigned to an empty cell")
     pick = np.floor(rng.random(n_true) * sizes[true_cells]).astype(np.int64)
     pick = np.minimum(pick, np.maximum(sizes[true_cells] - 1, 0))
-    true_attrs = (
-        dataset.points[order[offsets[true_cells] + pick]]
-        if n_true
-        else np.zeros((0, partition.d))
-    )
-    syn_attrs = private.representatives[syn_cells] if n_syn else np.zeros((0, partition.d))
+    true_attrs = dataset.points[order[offsets[true_cells] + pick]]
+    syn_attrs = private.representatives[syn_cells]
 
     true_ids = _distinct_uniform_ids(n_true, rng)
     syn_ids = _distinct_uniform_ids(n_syn, rng)
 
-    adj_true, adj_syn = _coupled_edges(kernel, true_attrs, syn_attrs, is_match, rng)
-    true_graph = AttributedGraph(attributes=true_attrs, identifiers=true_ids, adjacency=adj_true)
-    syn_graph = AttributedGraph(attributes=syn_attrs, identifiers=syn_ids, adjacency=adj_syn)
-
-    slots = np.where(is_match)[0]
-    matches = np.stack([matched_cells, slots, slots], axis=1).astype(np.int64) if slots.size else np.zeros((0, 3), dtype=np.int64)
-
+    adj_true, adj_syn = _coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
     return CoupledGraphs(
-        true_graph=true_graph,
-        synthetic_graph=syn_graph,
+        true_graph=AttributedGraph(attributes=true_attrs, identifiers=true_ids, adjacency=adj_true),
+        synthetic_graph=AttributedGraph(attributes=syn_attrs, identifiers=syn_ids, adjacency=adj_syn),
         shared_count=shared,
         extra_true_count=extra_true,
         extra_synthetic_count=extra_syn,
-        matches=matches,
+        matches=np.stack([matched_cells, np.arange(z), np.arange(z)], axis=1),
         private=private,
         partition=partition,
         kernel=kernel,

@@ -201,6 +201,14 @@ def graph_from_json(text: str) -> AttributedGraph:
     return graph_from_dict(json.loads(text))
 
 
+def _edge_lines(g: AttributedGraph, line: str) -> str:
+    """``line % (i, j)`` for each edge i < j in row-major order, formatted one
+    block of rows at a time from :func:`_edge_blocks`."""
+    return "".join(
+        (line * i.size) % tuple(np.column_stack((i, j)).ravel().tolist()) for i, j in _edge_blocks(g.adjacency)
+    )
+
+
 def graph_to_dot(g: AttributedGraph, name: str = "G") -> str:
     """DOT export with grayscale vertices; small attributes render dark."""
     lines = [f"graph {name} {{", "  node [shape=circle style=filled label=\"\"];"]
@@ -208,11 +216,8 @@ def graph_to_dot(g: AttributedGraph, name: str = "G") -> str:
         shade = float(np.mean(g.attributes[i]))
         shade = min(max(shade, 0.0), 1.0)
         lines.append(f'  {i} [fillcolor="0.000 0.000 {shade:.3f}"];')
-    for i, j in g.edge_list():
-        lines.append(f"  {i} -- {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for line in lines) + _edge_lines(g, "  %d -- %d;\n") + "}\n"
 
 
 def graph_to_edge_list_text(g: AttributedGraph) -> str:
-    return "".join(f"{i} {j}\n" for i, j in g.edge_list())
+    return _edge_lines(g, "%d %d\n")

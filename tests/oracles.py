@@ -11,12 +11,14 @@ from privgraph.space import pairwise_distances
 
 
 def coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, rng):
-    """Draw order 2, one pair and one ``rng.random()`` call at a time.
+    """The edge runs, one pair and one ``rng.random()`` call at a time.
 
     Shared slot s is vertex s of both graphs. The runs, each over pairs
     i < j in row-major order: matched x matched pairs (one uniform decides
     the edge in both graphs), then the other true-graph pairs, then the
-    other synthetic-graph pairs.
+    other synthetic-graph pairs. This is draw order 2 for any ``is_match``
+    and draw order 3 when the matched slots are a prefix,
+    ``arange(shared) < Z``.
     """
     probs_true = kernel_matrix(kernel, true_attrs, true_attrs)
     probs_syn = kernel_matrix(kernel, syn_attrs, syn_attrs)

@@ -73,21 +73,22 @@ def test_manifest_from_another_draw_order_is_refused(tmp_path, capsys):
                            out_dir=str(tmp_path / "run"))
     cmd_generate(cfg)
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["draw_order"] == DRAW_ORDER == 2
+    assert manifest["draw_order"] == DRAW_ORDER == 3
     assert set(manifest["environment"]) == {"python", "numpy", "scipy"}
-    for order in (None, 1):
+    for order in (None, 1, 2):
         old = dict(manifest)
         if order is None:
             del old["draw_order"]
         else:
             old["draw_order"] = order
-        with pytest.raises(ValueError, match="draw order 1.*draw order 2"):
+        recorded = f"draw order {order or 1}"
+        with pytest.raises(ValueError, match=f"{recorded}.*draw order 3"):
             ExperimentConfig.from_dict(old)
         path = tmp_path / f"old_manifest_{order}.json"
         path.write_text(json.dumps(old))
         out = tmp_path / f"replay_{order}"
         assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
-        assert "draw order 1" in capsys.readouterr().err
+        assert recorded in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -121,6 +122,20 @@ def test_generate_multi_eps_recipe(tmp_path):
     names = {Path(o).name for o in outputs}
     assert {"pair_eps1.json", "pair_eps0.1.json", "true.dot",
             "synthetic_eps1.dot", "synthetic_eps0.1.dot"} <= names
+
+
+def test_generate_eps_list_manifest_replays_every_level(tmp_path):
+    argv = ["generate", "--recipe", "uniform", "--n", "300", "--d", "1", "--seed", "1",
+            "--eps-list", "1,0.1,0.01", "--emit", "dot"]
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(argv + ["--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["eps_list"] == [1.0, 0.1, 0.01]
+    assert manifest["replicate_seed_paths"] == [[1, 0], [1, 1], [1, 2]]
+    assert main(["generate", "--config", str(first / "manifest.json"), "--out", str(replay)]) == 0
+    written = _read_outputs(first)
+    assert {"pair_eps1.json", "pair_eps0.1.json", "pair_eps0.01.json"} <= set(written)
+    assert _read_outputs(replay) == written
 
 
 def test_evaluate_summary_and_csv(tmp_path):

@@ -15,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import dense_transport_lp
 
+import privgraph.generator as generator_mod
 from privgraph.fgw import (
     FgwParams,
     GraphMeasure,
     _binary_cap,
     _transport_vertex_highs,
+    evaluate_pair,
     fgw_cost,
     matched_plan_cost,
     plan_cost_exact,
@@ -59,6 +61,14 @@ def _empty_graph(d):
     return AttributedGraph(attributes=np.zeros((0, d)), identifiers=np.zeros(0), adjacency=np.zeros((0, 0), bool))
 
 
+def _matched_first(g, perm, z):
+    """``g`` with its vertices reordered by ``perm``; the random set perm[:z]
+    becomes the matched prefix."""
+    return AttributedGraph(
+        attributes=g.attributes[perm], identifiers=g.identifiers[perm], adjacency=g.adjacency[np.ix_(perm, perm)]
+    )
+
+
 @st.composite
 def _pairs(draw):
     d = draw(st.sampled_from([1, 2, 3]))
@@ -74,13 +84,17 @@ def _pairs(draw):
     variant = draw(st.sampled_from(["generated", "no_matches", "rematched", "empty_true", "empty_synthetic"]))
     if variant == "no_matches":
         pair = dataclasses.replace(pair, matches=np.zeros((0, 3), np.int64))
-    elif variant == "rematched":  # matched index sets that differ between the sides
+    elif variant == "rematched":  # random matched sets, moved to the front of each graph
         n, m = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
         z = int(rng.integers(0, min(n, m) + 1))
         matches = np.zeros((z, 3), np.int64)
-        matches[:, 1] = rng.choice(n, z, replace=False)
-        matches[:, 2] = rng.choice(m, z, replace=False)
-        pair = dataclasses.replace(pair, matches=matches)
+        matches[:, 1] = matches[:, 2] = np.arange(z)
+        pair = dataclasses.replace(
+            pair,
+            true_graph=_matched_first(pair.true_graph, rng.permutation(n), z),
+            synthetic_graph=_matched_first(pair.synthetic_graph, rng.permutation(m), z),
+            matches=matches,
+        )
     elif variant != "generated":
         side = "true_graph" if variant == "empty_true" else "synthetic_graph"
         pair = dataclasses.replace(pair, matches=np.zeros((0, 3), np.int64), **{side: _empty_graph(d)})
@@ -163,3 +177,40 @@ def test_binary_cap_scans_each_structure():
     assert _binary_cap(edge, measure([[0, 1.0], [1.0, 0]])) is None  # two different caps
     assert _binary_cap(measure([[0, 2.0, 0.41], [2.0, 0, 2.0], [0.41, 2.0, 0]]), zero) is None
     assert _binary_cap(measure([[0, -1.0], [-1.0, 0]]), zero) is None
+
+
+def _generated_pair(a=40.0, b=30.0, seed=5):
+    part = build_grid_partition(SpaceConfig(d=1), 8)
+    data = AttributeDataset(points=np.random.default_rng(seed).random((200, 1)))
+    return generate_coupled_graphs(data, part, discrete_laplace(1.0), a, b, chung_lu(1), np.random.default_rng(seed))
+
+
+def test_coupled_graphs_reject_matches_that_are_not_the_prefix():
+    pair = _generated_pair()
+    z = pair.match_count
+    assert z >= 2 and np.array_equal(pair.matches[:, 1], np.arange(z))
+    swapped = pair.matches.copy()
+    swapped[[0, 1], 1] = swapped[[1, 0], 1]
+    shifted = pair.matches.copy()
+    shifted[:, 2] += 1
+    too_many = np.zeros((pair.synthetic_graph.n_vertices + 1, 3), np.int64)
+    too_many[:, 1] = too_many[:, 2] = np.arange(too_many.shape[0])
+    for bad in (swapped, shifted, pair.matches[1:], too_many, pair.matches[:, :2]):
+        with pytest.raises(ValueError, match="matched vertices first"):
+            dataclasses.replace(pair, matches=bad)
+    assert dataclasses.replace(pair, matches=pair.matches[:1]).match_count == 1
+
+
+@pytest.mark.parametrize("refine_iters, evaluator", [(0, "exact"), (2, "exact"), (2, "refine")])
+def test_evaluate_pair_counts_edges_once(monkeypatch, refine_iters, evaluator):
+    calls = []
+    real = generator_mod.count_edges
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(generator_mod, "count_edges", counting)
+    pair = _generated_pair(*((90.0, 70.0) if evaluator == "exact" else (8.0, 8.0)))
+    assert evaluate_pair(pair, FgwParams(), refine_iters)[2] == evaluator
+    assert calls == [pair.match_count]

@@ -297,65 +297,68 @@ def test_mechanism_rerun_vs_fixed_private():
 
 @st.composite
 def _edge_case(draw):
-    """Attributes and a matched-slot pattern for the edge step."""
+    """Attributes and a matched-prefix length for the edge step."""
     d = draw(st.sampled_from([1, 2]))
     shared = draw(st.integers(0, 12))
     extra_true = draw(st.integers(0, 6))
     extra_syn = draw(st.sampled_from([0, extra_true, draw(st.integers(0, 6))]))
-    pattern = draw(st.sampled_from(["none", "all", "some"]))
-    if pattern == "some":
-        is_match = np.array(draw(st.lists(st.booleans(), min_size=shared, max_size=shared)), dtype=bool)
-    else:
-        is_match = np.full(shared, pattern == "all")
+    z = draw(st.sampled_from([0, shared, draw(st.integers(0, shared))]))
     true_attrs = draw(hnp.arrays(np.float64, (shared + extra_true, d), elements=st.floats(0.0, 1.0)))
     syn_attrs = draw(hnp.arrays(np.float64, (shared + extra_syn, d), elements=st.floats(0.0, 1.0)))
     kernel = draw(
         st.sampled_from([chung_lu(d), constant_kernel(0.0), constant_kernel(0.4), constant_kernel(1.0),
                          inverse_distance(0.3), inverse_distance(2.0, metric="euclidean")])
     )
-    return kernel, true_attrs, syn_attrs, is_match, draw(st.integers(0, 2**32 - 1))
+    return kernel, true_attrs, syn_attrs, shared, z, draw(st.integers(0, 2**32 - 1))
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, generator_mod.EDGE_BLOCK_ROWS])
 @settings(max_examples=60, deadline=None)
 @given(case=_edge_case())
-def test_edges_match_draw_order_2_reference(block, case):
-    kernel, true_attrs, syn_attrs, is_match, seed = case
+def test_edges_match_draw_order_3_reference(block, case):
+    # the reference takes the matched slots as a mask; under draw order 3
+    # they are the first z shared slots
+    kernel, true_attrs, syn_attrs, shared, z, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(generator_mod, "EDGE_BLOCK_ROWS", block)
-        adj_true, adj_syn = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, is_match, rng)
-    ref_true, ref_syn = coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, ref_rng)
+        adj_true, adj_syn = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
+    ref_true, ref_syn = coupled_edges_reference(kernel, true_attrs, syn_attrs, np.arange(shared) < z, ref_rng)
     assert np.array_equal(adj_true, ref_true) and np.array_equal(adj_syn, ref_syn)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_generator_draws_edges_in_draw_order_2(monkeypatch):
+def test_generator_draws_edges_in_draw_order_3(monkeypatch):
     # the full generator hands the reference the same attributes, matched
-    # slots and stream position, and leaves the stream where it ends
+    # prefix and stream position, and leaves the stream where it ends
     data, part = _cell_center_setup()
     seen = {}
     real = generator_mod._coupled_edges
 
-    def recording(kernel, true_attrs, syn_attrs, is_match, rng):
+    def recording(kernel, true_attrs, syn_attrs, z, rng):
         seen["state"] = rng.bit_generator.state
-        seen["is_match"] = is_match.copy()
-        return real(kernel, true_attrs, syn_attrs, is_match, rng)
+        seen["z"] = z
+        return real(kernel, true_attrs, syn_attrs, z, rng)
 
     monkeypatch.setattr(generator_mod, "_coupled_edges", recording)
+    mixed = 0  # seeds whose shared slots are partly matched, partly residual
     for seed in range(5):
         rng = np.random.default_rng(seed)
         kernel = inverse_distance(0.5) if seed % 2 else chung_lu(1)
         pair = generate_coupled_graphs(data, part, discrete_laplace(0.5), 25.0, 20.0, kernel, rng)
-        assert np.array_equal(np.flatnonzero(seen["is_match"]), pair.matches[:, 1])
+        z = seen["z"]
+        mixed += 0 < z < pair.shared_count
+        assert np.array_equal(pair.matches[:, 1], np.arange(z)) and np.array_equal(pair.matches[:, 2], np.arange(z))
         ref_rng = np.random.default_rng(seed)
         ref_rng.bit_generator.state = seen["state"]
         ref_true, ref_syn = coupled_edges_reference(
-            kernel, pair.true_graph.attributes, pair.synthetic_graph.attributes, seen["is_match"], ref_rng
+            kernel, pair.true_graph.attributes, pair.synthetic_graph.attributes,
+            np.arange(pair.shared_count) < z, ref_rng,
         )
         assert np.array_equal(pair.true_graph.adjacency, ref_true)
         assert np.array_equal(pair.synthetic_graph.adjacency, ref_syn)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert mixed
 
 
 def test_generator_memory_is_two_boolean_adjacencies():

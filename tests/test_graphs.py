@@ -115,7 +115,7 @@ def test_conditional_edge_independence():
     e01, e23 = np.zeros(n_rep, bool), np.zeros(n_rep, bool)
     for r in range(n_rep):
         # the single-graph edge draw of sample_graph: no synthetic side
-        adj = _coupled_edges(kern, attrs, attrs[:0], np.zeros(0, bool), rng)[0]
+        adj = _coupled_edges(kern, attrs, attrs[:0], 0, rng)[0]
         e01[r], e23[r] = adj[0, 1], adj[2, 3]
     cov = np.cov(e01.astype(float), e23.astype(float))[0, 1]
     p1, p2 = kernel_eval(kern, [0.9], [0.8]), kernel_eval(kern, [0.7], [0.6])
@@ -210,3 +210,42 @@ def test_edges_match_the_triu_formulation(n, p):
     assert graph_to_edge_list_text(g) == "".join(f"{a} {b}\n" for a, b in ref)
     dot_edges = [line for line in graph_to_dot(g).splitlines() if "--" in line]
     assert dot_edges == [f"  {a} -- {b};" for a, b in ref]
+
+
+def _dot_formatted_whole(g, name):
+    """DOT text as it was formatted from the whole edge list at once."""
+    lines = [f"graph {name} {{", "  node [shape=circle style=filled label=\"\"];"]
+    for i in range(g.n_vertices):
+        shade = min(max(float(np.mean(g.attributes[i])), 0.0), 1.0)
+        lines.append(f'  {i} [fillcolor="0.000 0.000 {shade:.3f}"];')
+    lines += [f"  {i} -- {j};" for i, j in g.edge_list()]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dot_and_edge_list_text_bytes():
+    adj = np.zeros((4, 4), dtype=bool)
+    for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
+        adj[i, j] = adj[j, i] = True
+    g = AttributedGraph(
+        attributes=np.array([[0.1, 0.3], [0.9, 1.0], [0.5, 0.5], [0.0, 0.25]]),
+        identifiers=np.array([0.4, 0.1, 0.7, 0.2]),
+        adjacency=adj,
+    )
+    assert graph_to_dot(g, name="pair") == (
+        "graph pair {\n"
+        '  node [shape=circle style=filled label=""];\n'
+        '  0 [fillcolor="0.000 0.000 0.200"];\n'
+        '  1 [fillcolor="0.000 0.000 0.950"];\n'
+        '  2 [fillcolor="0.000 0.000 0.500"];\n'
+        '  3 [fillcolor="0.000 0.000 0.125"];\n'
+        "  0 -- 1;\n  0 -- 3;\n  1 -- 2;\n  2 -- 3;\n"
+        "}\n"
+    )
+    assert graph_to_edge_list_text(g) == "0 1\n0 3\n1 2\n2 3\n"
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 300):  # 300 vertices span three blocks of rows
+        adj = np.triu(rng.random((n, n)) < 0.3, 1)
+        g = AttributedGraph(attributes=rng.random((n, 1)), identifiers=np.linspace(0.0, 1.0, n), adjacency=adj | adj.T)
+        assert graph_to_dot(g, name="G") == _dot_formatted_whole(g, "G")
+        assert graph_to_edge_list_text(g) == "".join(f"{i} {j}\n" for i, j in g.edge_list())
