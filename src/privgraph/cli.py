@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc
+from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc, load_config
 from .fgw import FgwParams, fgw_exact_small, fgw_upper_bound, graph_to_measure
 from .graphs import graph_from_json
 from .measures import SignedMeasure, tv_project
@@ -27,10 +27,11 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args) -> tuple[ExperimentConfig, list[float] | None]:
+    """The config of --config and the flags, and the levels a --config manifest records."""
+    levels = None
     if args.config:
-        obj = json.loads(Path(args.config).read_text())
-        cfg = ExperimentConfig.from_dict(obj, seed=args.seed)
+        cfg, levels = load_config(args.config, seed=args.seed)
     else:
         if args.seed is None:
             raise SystemExit("--seed is mandatory (or provide --config)")
@@ -44,7 +45,7 @@ def _config_from_args(args) -> ExperimentConfig:
         val = getattr(cfg, name)
         if isinstance(val, str) and val != "auto":
             setattr(cfg, name, float(val) if name != "m" else int(float(val)))
-    return cfg
+    return cfg, levels
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser):
@@ -127,18 +128,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "generate":
-            cfg = _config_from_args(args)
+            cfg, levels = _config_from_args(args)
             if args.emit == "dot":
                 cfg.emit_dot = True
             eps_list = args.eps_list
-            if eps_list is None and args.eps is None and args.config:  # a manifest's recorded levels
-                eps_list = json.loads(Path(args.config).read_text()).get("eps_list")
+            if eps_list is None and args.eps is None:
+                eps_list = levels
             outputs = cmd_generate(cfg, eps_list=eps_list)
             print("\n".join(outputs))
             return 0
 
         if args.command == "evaluate":
-            summary = cmd_evaluate(_config_from_args(args))
+            summary = cmd_evaluate(_config_from_args(args)[0])
             print(json.dumps(summary, indent=2, sort_keys=True))
             ok = summary["coupling_bound_satisfied"] and summary["sandwich_satisfied"]
             return 0 if ok else 3
@@ -234,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "mc":
-            cfg = _config_from_args(args)
+            cfg = _config_from_args(args)[0]
             res = cmd_mc(cfg)
             print(cfg.csv_sep.join(["mean", "stderr", "plan_mean", "plan_stderr"]))
             print(cfg.csv_sep.join(f"{v:.9g}" for v in (res.mean, res.stderr, res.plan_mean, res.plan_stderr)))

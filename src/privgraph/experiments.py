@@ -105,6 +105,12 @@ class ExperimentConfig:
         return cls(**obj)
 
 
+def load_config(path: str, seed: int | None = None) -> tuple[ExperimentConfig, list[float] | None]:
+    """The config in a JSON file, and the privacy levels a ``generate`` manifest records."""
+    obj = json.loads(Path(path).read_text())
+    return ExperimentConfig.from_dict(obj, seed=seed), obj.get("eps_list")
+
+
 def make_recipe_dataset(recipe: str, n: int, d: int, seed: int) -> AttributeDataset:
     """Synthetic datasets: "half_zero_one" (half attrs 0, half 1, any d) or
     "uniform" (iid uniform on the cube)."""
@@ -254,10 +260,10 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
         if cfg.emit_dot:
             if idx == 0 and not cfg.private_only:
                 p = out_dir / "true.dot"
-                p.write_text(graph_to_dot(pair.true_graph, name="true_graph"))
+                p.write_text(graph_to_dot(pair.written[0], name="true_graph"))
                 outputs.append(str(p))
             p = out_dir / f"synthetic_{tag}.dot"
-            p.write_text(graph_to_dot(pair.synthetic_graph, name="synthetic_graph"))
+            p.write_text(graph_to_dot(pair.written[1], name="synthetic_graph"))
             outputs.append(str(p))
     write_manifest(out_dir / "manifest.json", "generate", resolved, outputs, t0, eps_list=eps_values)
     return outputs

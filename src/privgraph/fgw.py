@@ -398,10 +398,11 @@ def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
     The plan is matched mass w = 1/max(N, M) on vertex s of both graphs for
     s < Z, plus the product completion u v^T / (1 - Z w) with
     u = 1/N - w 1_[:Z] (v likewise on the synthetic side). Every structural
-    term comes from the pair's integer :attr:`~CoupledGraphs.edge_counts`:
-    degrees, edges inside the matched blocks, and edges the blocks share. The
-    feature term u^T D v sums v over each distinct synthetic attribute row
-    first, so its float work is N x (distinct rows), in row blocks.
+    term comes from the vertex degrees and the pair's integer
+    :attr:`~CoupledGraphs.edge_counts`: edges inside the matched blocks, and
+    edges the blocks share. The feature term u^T D v sums v over each
+    distinct synthetic attribute row first, so its float work is
+    N x (distinct rows), in row blocks.
     """
     tg, sg = pair.true_graph, pair.synthetic_graph
     n, m = tg.n_vertices, sg.n_vertices
@@ -412,12 +413,14 @@ def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
     z = pair.match_count
     rest = (n0 - z) / n0
     counts = pair.edge_counts
+    # int32 degrees; a graph whose vertices are all matched is its own matched block
+    deg = [r if r.size == g.n_vertices else g.adjacency.sum(axis=1, dtype=np.int32) for g, r in zip((tg, sg), counts.row)]
     feature = w * _matched_distance_sum(pair, params.metric)
     # <pi, S_A pi S_B> / C^2 from the matched part and the product completion
     bilinear = w * w * counts.both
     if z < n0:
-        u, au_t, uau = _completion(counts.deg[0], counts.row[0], n0)
-        v, bv_s, vbv = _completion(counts.deg[1], counts.row[1], n0)
+        u, au_t, uau = _completion(deg[0], counts.row[0], n0)
+        v, bv_s, vbv = _completion(deg[1], counts.row[1], n0)
         # u^T D v over the feature distances D to each distinct synthetic row
         xs, ys = tg.attributes, np.ascontiguousarray(sg.attributes)
         # rows as single byte strings: a 1-D unique is several times faster than axis=0
@@ -429,7 +432,7 @@ def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
             for i in range(0, n, _DIST_ROWS)
         ) / rest
         bilinear += 2.0 * w * float(au_t @ bv_s) / rest + uau * vbv / (rest * rest)
-    const = int(counts.deg[0].sum()) / (n * n) + int(counts.deg[1].sum()) / (m * m)
+    const = int(deg[0].sum()) / (n * n) + int(deg[1].sum()) / (m * m)
     quad = params.C * (const - 2.0 * bilinear)
     return (1.0 - params.alpha) * feature + params.alpha * quad
 

@@ -16,6 +16,8 @@ which every manifest records; a manifest written under another order (1 or
 2) is refused rather than replayed into different graphs. Under draw order 3
 the matched vertices come first: matched pair s is vertex s of both graphs
 for s < Z, so every matched block is the contiguous view ``adj[:Z, :Z]``.
+That layout reflects the true data, so written files list each graph's
+vertices in identifier order instead (:attr:`CoupledGraphs.written`).
 Each vertex pair that can carry an edge takes exactly one uniform, drawn in
 row blocks straight into the boolean adjacencies: beyond the two adjacencies
 (N^2 + M^2 bytes) the generator holds O(EDGE_BLOCK_ROWS * N) floats, never
@@ -157,15 +159,15 @@ def sample_graph(
 
 
 class EdgeCounts(NamedTuple):
-    """Integer edge counts of a coupled pair whose first z vertices are matched.
+    """Integer edge counts of the matched blocks ``adj[:z, :z]`` of a coupled
+    pair whose first z vertices are matched.
 
-    ``deg`` and ``row`` hold, for the true and then the synthetic graph, the
-    vertex degrees and each matched vertex's edges into the matched block
-    ``adj[:z, :z]`` (int32 arrays); ``xor`` and ``both`` count the ordered
-    pairs of that block that are an edge in exactly one graph or in both.
+    ``row`` holds, for the true and then the synthetic graph, each matched
+    vertex's edges into its matched block (int32 arrays); ``xor`` and
+    ``both`` count the ordered pairs of the blocks that are an edge in
+    exactly one graph or in both.
     """
 
-    deg: tuple[np.ndarray, np.ndarray]
     row: tuple[np.ndarray, np.ndarray]
     xor: int
     both: int
@@ -180,10 +182,9 @@ def count_edges(adj_true: np.ndarray, adj_syn: np.ndarray, z: int) -> EdgeCounts
         for r0 in range(0, z, EDGE_BLOCK_ROWS)
     )
     # an int32 sum over booleans is about twice as fast as count_nonzero(axis=1)
-    deg = tuple(a.sum(axis=1, dtype=np.int32) for a in (adj_true, adj_syn))
     row = tuple(b.sum(axis=1, dtype=np.int32) for b in blocks)
     # |A xor B| = |A| + |B| - 2 |A and B|
-    return EdgeCounts(deg, row, int(row[0].sum() + row[1].sum()) - 2 * both, both)
+    return EdgeCounts(row, int(row[0].sum() + row[1].sum()) - 2 * both, both)
 
 
 @dataclass(frozen=True)
@@ -221,20 +222,34 @@ class CoupledGraphs:
         matched-plan evaluators."""
         return count_edges(self.true_graph.adjacency, self.synthetic_graph.adjacency, self.match_count)
 
+    @cached_property
+    def written(self) -> tuple[AttributedGraph, AttributedGraph, np.ndarray]:
+        """Both graphs with their vertices sorted by identifier, and the matches
+        renumbered to that order: the layout of every file written. The
+        identifiers are iid, so unlike the matched-first layout this order
+        does not depend on the true data."""
+        graphs, matches = [], self.matches.copy()
+        for col, g in ((1, self.true_graph), (2, self.synthetic_graph)):
+            order = np.argsort(g.identifiers)
+            graphs.append(AttributedGraph(g.attributes[order], g.identifiers[order], g.adjacency[np.ix_(order, order)]))
+            matches[:, col] = np.argsort(order)[matches[:, col]]
+        return (*graphs, matches)
+
     def to_dict(self, redact_counts: bool = False, private_only: bool = False) -> dict:
+        tg, sg, matches = self.written
         out = {
             "a": self.a,
             "b": self.b,
-            "synthetic_graph": graph_to_dict(self.synthetic_graph),
+            "synthetic_graph": graph_to_dict(sg),
             "private_measure": self.private.to_dict(redact_counts=redact_counts),
         }
         if not private_only:
-            out["true_graph"] = graph_to_dict(self.true_graph)
+            out["true_graph"] = graph_to_dict(tg)
             out["coupling"] = {
                 "shared_count": self.shared_count,
                 "extra_true_count": self.extra_true_count,
                 "extra_synthetic_count": self.extra_synthetic_count,
-                "matches": self.matches.tolist(),
+                "matches": matches.tolist(),
             }
         return out
 

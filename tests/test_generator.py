@@ -14,7 +14,7 @@ from scipy import stats
 
 import privgraph.generator as generator_mod
 from privgraph.generator import generate_coupled_graphs
-from privgraph.graphs import chung_lu, constant_kernel, inverse_distance
+from privgraph.graphs import chung_lu, constant_kernel, graph_from_dict, inverse_distance
 from privgraph.measures import (
     PrivateMeasureResult,
     ProbabilityMeasure,
@@ -199,6 +199,45 @@ def test_disjoint_supports_yield_no_matches():
     assert pair.match_count == 0
     assert np.all(pair.true_graph.attributes == 0.25)
     assert np.all(pair.synthetic_graph.attributes == private.representatives[1, 0])
+
+
+def test_written_pair_is_in_identifier_order():
+    data, part = _cell_center_setup()
+    pair = generate_coupled_graphs(data, part, discrete_laplace(1.0), 30, 25, chung_lu(1), np.random.default_rng(13))
+    out = pair.to_dict()
+    written = []
+    for key, g in (("true_graph", pair.true_graph), ("synthetic_graph", pair.synthetic_graph)):
+        w = graph_from_dict(out[key])
+        order = np.argsort(g.identifiers)
+        assert np.array_equal(w.identifiers, g.identifiers[order]) and np.array_equal(w.attributes, g.attributes[order])
+        assert np.array_equal(w.adjacency, g.adjacency[np.ix_(order, order)])
+        written.append(w)
+    matches = np.array(out["coupling"]["matches"])
+    z = pair.match_count
+    assert z >= 2 and np.array_equal(matches[:, 0], pair.matches[:, 0])
+    # each written match joins the same two vertices as matched pair s in memory
+    assert np.array_equal(written[0].identifiers[matches[:, 1]], pair.true_graph.identifiers[:z])
+    assert np.array_equal(written[1].identifiers[matches[:, 2]], pair.synthetic_graph.identifiers[:z])
+
+
+def test_written_synthetic_vertex_order_does_not_depend_on_the_true_counts():
+    # Fixed private weights (1/2, 1/2); the true data sits in cell 0 or in
+    # cell 1. The matched cells are then all 0 or all 1, so in the
+    # matched-first layout vertex 0 would carry the true data's cell.
+    part = build_grid_partition(SpaceConfig(d=1), 2)
+    reps = (part.lows + part.highs) / 2.0
+    freq = []
+    for counts in ([10, 0], [0, 10]):
+        data = AttributeDataset(points=np.repeat(reps, counts, axis=0))
+        private = _fixed_private(part, counts, [0.5, 0.5])
+        rng = np.random.default_rng(12)
+        first = []
+        for _ in range(400):
+            pair = generate_coupled_graphs(data, part, zero_noise(), 8, 8, constant_kernel(0.5), rng, private=private)
+            vertices = pair.to_dict(private_only=True)["synthetic_graph"]["vertices"]
+            first += [vertices[0]["attr"][0] == reps[0, 0]] if vertices else []
+        freq.append(np.mean(first))
+    assert abs(freq[0] - freq[1]) < 0.1 and all(abs(f - 0.5) < 0.1 for f in freq)
 
 
 def test_per_cell_counts_have_poisson_marginals():
