@@ -398,11 +398,10 @@ def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
     The plan is matched mass w = 1/max(N, M) on vertex s of both graphs for
     s < Z, plus the product completion u v^T / (1 - Z w) with
     u = 1/N - w 1_[:Z] (v likewise on the synthetic side). Every structural
-    term comes from the vertex degrees and the pair's integer
-    :attr:`~CoupledGraphs.edge_counts`: edges inside the matched blocks, and
-    edges the blocks share. The feature term u^T D v sums v over each
-    distinct synthetic attribute row first, so its float work is
-    N x (distinct rows), in row blocks.
+    term comes from integer degrees and :attr:`~CoupledGraphs.edge_counts`:
+    edges inside the matched blocks, and edges the blocks share. The
+    feature term u^T D v sums v over each distinct synthetic attribute row
+    first, so its float work is N x (distinct rows), in row blocks.
     """
     tg, sg = pair.true_graph, pair.synthetic_graph
     n, m = tg.n_vertices, sg.n_vertices
