@@ -29,8 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csc_array
 
 from .generator import CoupledGraphs, generate_coupled_graphs
 from .graphs import AttributedGraph, Kernel
@@ -199,6 +197,8 @@ def transport_vertex(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.nda
     if n == 1:
         return wb[None, :].copy()
     if n == m and np.all(wa == wa[0]) and np.all(wb == wa[0]):
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(cost)
         pi = np.zeros((n, m))
         pi[rows, cols] = wa[0]
@@ -224,6 +224,9 @@ def _two_row_vertex(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndar
 
 def _transport_vertex_highs(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """The transport LP in HiGHS, with a sparse (CSC) equality matrix."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
     n, m = cost.shape
     # column i*m + j holds the ones of row sum i and column sum n + j
     rows = np.stack([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)], axis=1)
@@ -531,6 +534,10 @@ def mc_expected_fgw(
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
+    if refine_iters > 0 and a * b <= REFINE_SIZE_CAP:
+        # N*M is about a*b, so refinement can run: load its solvers (about
+        # 0.5 s) now rather than inside the first replicate
+        import scipy.optimize  # noqa: F401
 
     def one(r, rng):
         pair = generate_coupled_graphs(dataset, partition, noise, a, b, kernel, rng, private=private)

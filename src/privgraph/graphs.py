@@ -158,8 +158,9 @@ def empty_graph(d: int) -> AttributedGraph:
 
 def _distinct_uniform_ids(n: int, rng: np.random.Generator) -> np.ndarray:
     ids = rng.random(n)
-    # duplicates have probability zero but rejection keeps the invariant exact
-    while np.unique(ids).size < n:
+    # duplicates have probability zero but rejection keeps the invariant exact;
+    # the check sorts rather than calling np.unique, whose first call imports numpy.ma
+    while (np.diff(np.sort(ids)) == 0).any():
         _, first = np.unique(ids, return_index=True)
         dup = np.setdiff1d(np.arange(n), first)
         ids[dup] = rng.random(dup.size)

@@ -8,7 +8,9 @@ cell index.
 
 from __future__ import annotations
 
-import csv
+import itertools
+import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -217,26 +219,61 @@ class AttributeDataset:
 
 
 def load_points_csv(path: str, d: int, header: bool = False) -> AttributeDataset:
-    """Read d decimal columns from a CSV file; out-of-range values are rejected
-    with their row number (1-based, counting the header if present)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < d:
-                raise ValueError(f"row {lineno}: expected {d} columns, got {len(row)}")
-            try:
-                vals = [float(c) for c in row[:d]]
-            except ValueError as exc:
-                raise ValueError(f"row {lineno}: non-numeric value ({exc})") from None
-            for v in vals:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"row {lineno}: value {v} outside [0,1]")
-            rows.append(vals)
-    if not rows:
+    """Read the first d comma-separated columns of a CSV file with numpy's C
+    reader. Empty lines are skipped, extra columns ignored and fields may be
+    double-quoted. A row with too few columns, a non-numeric field, or a value
+    outside [0,1] (NaN and infinities included) is rejected with its 1-based
+    line number in the file, counting the header if present."""
+    try:
+        pts = _read_columns(path, d, header)
+    except ValueError as exc:
+        row, reason = _loadtxt_error(exc, d)
+        if row:  # the rows before the failing one parse; an out-of-range value there comes first
+            _check_unit_range(path, header, _read_columns(path, d, header, max_rows=row))
+        raise ValueError(f"row {_file_line(path, header, row)}: {reason}") from None
+    if pts.shape[0] == 0:
         raise ValueError(f"no data rows in {path}")
-    return AttributeDataset(points=rows)
+    _check_unit_range(path, header, pts)
+    return AttributeDataset(points=pts)
+
+
+def _read_columns(path: str, d: int, header: bool, max_rows: int | None = None) -> np.ndarray:
+    # loadtxt's warnings (no data; blank lines not counted in max_rows) are
+    # about cases the caller handles
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            path, delimiter=",", usecols=range(d), comments=None, quotechar='"',
+            skiprows=int(header), max_rows=max_rows, ndmin=2, dtype=float,
+        )
+
+
+def _check_unit_range(path: str, header: bool, pts: np.ndarray) -> None:
+    bad = ~((pts >= 0.0) & (pts <= 1.0))  # NaN fails both comparisons
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), pts.shape[1])
+        raise ValueError(f"row {_file_line(path, header, row)}: value {float(pts[row, col])} outside [0,1]")
+
+
+# numpy counts data rows (blank lines and skipped rows not included), from 0
+# in conversion errors and from 1 in column-count errors.
+_CONVERT_ERROR = re.compile(r"could not convert (string .*) at row (\d+), column \d+")
+_COLUMNS_ERROR = re.compile(r"invalid column index \d+ at row (\d+) with (\d+) columns")
+
+
+def _loadtxt_error(exc: ValueError, d: int) -> tuple[int, str]:
+    """(0-based data row, reason) of a loadtxt parse error."""
+    msg = str(exc)
+    if m := _CONVERT_ERROR.search(msg):
+        return int(m.group(2)), f"non-numeric value (could not convert {m.group(1)})"
+    if m := _COLUMNS_ERROR.search(msg):
+        return int(m.group(1)) - 1, f"expected {d} columns, got {m.group(2)}"
+    raise exc
+
+
+def _file_line(path: str, header: bool, row: int) -> int:
+    """1-based file line of 0-based data row ``row``. Like loadtxt, read with
+    universal newlines and skip the header and empty lines."""
+    with open(path) as fh:
+        data = (lineno for lineno, line in enumerate(fh, start=1) if lineno > header and line != "\n")
+        return next(itertools.islice(data, row, None))

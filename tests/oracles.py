@@ -1,5 +1,6 @@
 """Test-only reference implementations, written for clarity rather than speed."""
 
+import csv
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.optimize import linprog
 
 from privgraph.generator import _residual_probs
 from privgraph.graphs import kernel_matrix
-from privgraph.space import pairwise_distances
+from privgraph.space import AttributeDataset, pairwise_distances
 
 
 def coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, rng):
@@ -161,3 +162,31 @@ def residual_cell_sampler(base, common, rng):
     """
     res = _residual_probs(base, common)
     return int(np.searchsorted(np.cumsum(res), rng.random(), side="right"))
+
+
+def load_points_csv_reference(path, d, header=False):
+    """The points CSV read one ``csv.reader`` row at a time: the reference for
+    ``privgraph.space.load_points_csv``. Rows that are empty, or whose fields
+    are all blank, are skipped; errors name the 1-based row (= file line when
+    no quoted field spans lines)."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if header and lineno == 1:
+                continue
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < d:
+                raise ValueError(f"row {lineno}: expected {d} columns, got {len(row)}")
+            try:
+                vals = [float(c) for c in row[:d]]
+            except ValueError as exc:
+                raise ValueError(f"row {lineno}: non-numeric value ({exc})") from None
+            for v in vals:
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"row {lineno}: value {v} outside [0,1]")
+            rows.append(vals)
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
+    return AttributeDataset(points=rows)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import load_points_csv_reference
 from scipy import stats
 
 from privgraph.space import (
@@ -164,3 +168,103 @@ def test_csv_loader(tmp_path):
     bad.write_text("0.1,0.2\n1.5,0.2\n")
     with pytest.raises(ValueError, match="row 2"):
         load_points_csv(str(bad), d=2)
+
+
+# -- the CSV loader against the csv.reader loop it replaced -------------------
+
+_FORMATS = (
+    lambda v: f"{v:.9f}",
+    repr,
+    lambda v: f"{v:.6e}",
+    lambda v: f"{v:.17E}",
+    lambda v: f'"{v!r}"',
+    lambda v: f" {v!r} ",
+)
+# (kind, token) of a bad field; "columns" drops the row's last field instead
+_BAD = st.sampled_from([
+    ("range", "1.5"), ("range", "-0.25"), ("range", "1.0000001"), ("range", "2e0"),
+    ("range", "nan"), ("range", "NaN"), ("range", "inf"), ("range", "-inf"),
+    ("text", "abc"), ("text", "0.5x"), ("text", "1e"), ("text", "--1"), ("columns", None),
+])
+_CSV_SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _points_csv(draw):
+    """(d, header, newline, lines) of a file the reference accepts: points in
+    several float formats, extra columns, blank lines, an optional header."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    lines = [",".join(f"x{j}" for j in range(d))] if draw(st.booleans()) else []
+    header = bool(lines)
+    for _ in range(draw(st.integers(1, 20))):
+        lines.extend([""] * draw(st.integers(0, 2)))
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+        fields = [draw(st.sampled_from(_FORMATS))(v) for v in values]
+        fields += draw(st.lists(st.sampled_from(["0.5", "7", "x", "", "note"]), max_size=2))
+        lines.append(",".join(fields))
+    return d, header, draw(st.sampled_from(["\n", "\r\n"])), lines
+
+
+def _write(path, newline, lines, end):
+    path.write_bytes((newline.join(lines) + end).encode())
+    return str(path)
+
+
+@_CSV_SETTINGS
+@given(_points_csv(), st.booleans())
+def test_csv_loader_matches_reference(tmp_path, case, trailing_newline):
+    d, header, newline, lines = case
+    path = _write(tmp_path / "pts.csv", newline, lines, newline if trailing_newline else "")
+    got, want = load_points_csv(path, d, header), load_points_csv_reference(path, d, header)
+    assert got.points.shape == want.points.shape
+    assert got.points.tobytes() == want.points.tobytes()
+
+
+@_CSV_SETTINGS
+@given(_points_csv(), st.data())
+def test_csv_loader_names_the_reference_line_of_a_bad_row(tmp_path, case, data):
+    d, header, newline, lines = case
+    rows = [i for i, line in enumerate(lines) if line and not (header and i == 0)]
+    for i in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3, unique=True)):
+        kind, token = data.draw(_BAD.filter(lambda b: b[0] != "columns" or d > 1))
+        fields = lines[i].split(",")[:d]  # a bad row has no extra columns
+        if kind == "columns":
+            fields.pop()
+        else:
+            fields[data.draw(st.integers(0, d - 1))] = token
+        lines[i] = ",".join(fields)
+    path = _write(tmp_path / "bad.csv", newline, lines, newline)
+    with pytest.raises(ValueError) as ref:
+        load_points_csv_reference(path, d, header)
+    with pytest.raises(ValueError) as got:
+        load_points_csv(path, d, header)
+    line = re.match(r"row (\d+): ", str(ref.value)).group(1)
+    assert str(got.value).startswith(f"row {line}: ")
+    assert ("outside [0,1]" in str(got.value)) == ("outside [0,1]" in str(ref.value))
+
+
+def test_csv_loader_rejects_rows_the_reference_skipped(tmp_path):
+    """Input classes whose handling changed with the C reader: whitespace-only
+    rows and rows whose fields are all empty were skipped by the csv.reader
+    loop and are now rejected as non-numeric at their line; so are digit
+    underscores, which Python's float() accepted."""
+    path = tmp_path / "pts.csv"
+    for text, line in (
+        ("0.1,0.2\n  \n0.3,0.4\n", 2),
+        ("0.1,0.2\n0.3,0.4\n\t\n", 3),
+        ("0.1,0.2\n,\n0.3,0.4\n", 2),
+        ("\n0.1,0.2\n , \n", 3),
+        ("0.1_5,0.2\n", 1),
+    ):
+        path.write_text(text)
+        assert load_points_csv_reference(str(path), 2).n >= 1
+        with pytest.raises(ValueError, match=f"^row {line}: non-numeric"):
+            load_points_csv(str(path), 2)
+
+
+def test_csv_loader_without_data_rows(tmp_path):
+    path = tmp_path / "pts.csv"
+    for text, header in (("", False), ("\n\n", False), ("x,y\n", True), ("x,y\n\n", True)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no data rows"):
+            load_points_csv(str(path), 2, header=header)
