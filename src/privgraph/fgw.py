@@ -91,9 +91,8 @@ def graph_to_measure(g: AttributedGraph, params: FgwParams) -> GraphMeasure:
     n = g.n_vertices
     if n == 0:
         raise ValueError("cannot build a measure from an empty graph")
-    return GraphMeasure(
-        attributes=g.attributes, weights=np.full(n, 1.0 / n), structure=g.adjacency.astype(float) * params.C
-    )
+    structure = np.multiply(g.adjacency, params.C, dtype=float)  # one N x N float allocation
+    return GraphMeasure(attributes=g.attributes, weights=np.full(n, 1.0 / n), structure=structure)
 
 
 def product_coupling(a: GraphMeasure, b: GraphMeasure) -> np.ndarray:
@@ -168,11 +167,17 @@ class _Engine:
             np.sum(self.q_of(pi) * delta)
         )
         c2 = al * float(np.sum(self.q_of(delta) * delta))
-        cands = [0.0, 1.0]
-        if c2 > 1e-18:
-            cands.append(min(max(-c1 / (2.0 * c2), 0.0), 1.0))
-        vals = [c1 * t + c2 * t * t for t in cands]
-        return cands[int(np.argmin(vals))]
+        return _line_step(c1, c2)
+
+
+def _line_step(c1: float, c2: float) -> float:
+    """Minimizer of c1*t + c2*t^2 over t in [0, 1], taken among 0, 1 and the
+    clipped stationary point -c1 / (2*c2)."""
+    cands = [0.0, 1.0]
+    if c2 > 1e-18:
+        cands.append(min(max(-c1 / (2.0 * c2), 0.0), 1.0))
+    vals = [c1 * t + c2 * t * t for t in cands]
+    return cands[int(np.argmin(vals))]
 
 
 def transport_vertex(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -588,7 +593,9 @@ def fgw_to_reference(
 
     Single-vertex references are exact (forced coupling); otherwise the value
     is the product coupling refined by a fixed number of conditional-gradient
-    steps, so every sample is scored by the same evaluator.
+    steps, so every sample is scored by the same evaluator. Both work from
+    the sample's boolean adjacency and integer degrees: no N x N float copy
+    of the sample is made.
     """
     if sample.n_vertices == 0 or ref.n_vertices == 0:
         if ref.n_vertices == 0 and sample.n_vertices == 0:
@@ -602,10 +609,47 @@ def fgw_to_reference(
         feature = (1.0 - params.alpha) * float(dists.mean())
         quad = params.alpha * params.C * np.count_nonzero(sample.adjacency) / (n * n)
         return feature + quad
-    b = graph_to_measure(sample, params)
-    a = graph_to_measure(ref, params)
-    val, _ = fgw_upper_bound(a, b, params, iterations=refine_iters)
+    val, _ = _reference_descent(graph_to_measure(ref, params), sample, params, refine_iters)
     return val
+
+
+def _reference_descent(
+    a: GraphMeasure, sample: AttributedGraph, params: FgwParams, iterations: int
+) -> tuple[float, np.ndarray]:
+    """:func:`fgw_upper_bound` from the product coupling of ``a`` and the
+    sample's uniform measure, run on the sample's boolean adjacency.
+
+    With S_B = C * adjacency it keeps P = pi S_B (k x N), which starts as
+    w_a (C deg / N)^T from integer degrees. The structural gradient
+    Q(pi) = S_A w_a + S_B w_b - (2/C) S_A P is affine in P, so a step moves
+    Q by t Q(delta) and needs one product, vertex S_B, taken _DIST_ROWS
+    adjacency rows at a time; the cost is <(1-alpha) D + alpha Q, pi>.
+    """
+    n, al, cross = sample.n_vertices, params.alpha, 2.0 / params.C
+    sa, wb = a.structure, np.full(n, 1.0 / n)
+    sb_wb = params.C * sample.degrees() / n  # S_B w_b
+    d = (1.0 - al) * pairwise_distances(a.attributes, sample.attributes, metric=params.metric)
+    pi, p = np.outer(a.weights, wb), np.outer(a.weights, sb_wb)
+    q = (sa @ a.weights)[:, None] + sb_wb[None, :] - cross * (sa @ p)
+    cost = float(np.sum((d + al * q) * pi))
+    for _ in range(iterations):
+        grad = d + 2.0 * al * q
+        vertex = transport_vertex(grad, a.weights, wb)
+        # vertex S_B; the adjacency is symmetric, so column blocks are row blocks
+        rows = [sample.adjacency[i : i + _DIST_ROWS].astype(float) @ vertex.T for i in range(0, n, _DIST_ROWS)]
+        vp = params.C * np.concatenate(rows).T
+        delta = vertex - pi
+        dq = -cross * (sa @ (vp - p))  # Q(delta): delta has zero marginals
+        t = _line_step(float(np.sum(grad * delta)), al * float(np.sum(dq * delta)))
+        if t <= 0.0:
+            break
+        pi, p, q = pi + t * delta, p + t * (vp - p), q + t * dq
+        new_cost = float(np.sum((d + al * q) * pi))
+        if cost - new_cost < 1e-12:
+            cost = min(cost, new_cost)
+            break
+        cost = new_cost
+    return cost, pi
 
 
 def ipm_lower_bound(

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import wasserstein_uniform_exact
 
 from privgraph.fgw import (
@@ -19,7 +22,8 @@ from privgraph.fgw import (
     spawn_streams,
     worst_pair_cost,
 )
-from privgraph.generator import generate_coupled_graphs
+from privgraph.fgw import _reference_descent
+from privgraph.generator import generate_coupled_graphs, sample_graph
 from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel
 from privgraph.measures import PrivateMeasureResult, ProbabilityMeasure, SignedMeasure
 from privgraph.noise import discrete_laplace, zero_noise
@@ -390,6 +394,51 @@ def test_reference_graphs_and_exact_singleton_values():
         graph_to_measure(ref0, params), graph_to_measure(g, params), params
     )
     assert direct == pytest.approx(oracle, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 2),
+    st.booleans(),
+    st.floats(0.0, 1.0),
+    st.sampled_from([-2, -1]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_reference_descent_matches_the_dense_solver(n, d, few_values, edge_p, ref_index, alpha, refine_iters, seed):
+    """The adjacency-only loop against the dense-measure solver and cost."""
+    rng = np.random.default_rng(seed)
+    # attributes from a few values make the two-row fill meet ties
+    attrs = rng.integers(0, 3, size=(n, d)) / 2 if few_values else rng.random((n, d))
+    upper = np.triu(rng.random((n, n)) < edge_p, 1)
+    g = AttributedGraph(attributes=attrs, identifiers=rng.random(n), adjacency=upper | upper.T)
+    ref = reference_graphs(d)[ref_index]
+    params = FgwParams(alpha=alpha)
+    a, b = graph_to_measure(ref, params), graph_to_measure(g, params)
+    value, pi = _reference_descent(a, g, params, refine_iters)
+    assert value == fgw_to_reference(ref, g, params, refine_iters)
+    assert abs(value - fgw_cost(pi, a, b, params)) <= 1e-12
+    if refine_iters:
+        assert value <= _reference_descent(a, g, params, refine_iters - 1)[0]
+    else:
+        assert abs(value - fgw_upper_bound(a, b, params, iterations=0)[0]) <= 1e-12
+
+
+def test_reference_scoring_makes_no_float_copy_of_the_sample():
+    rng = np.random.default_rng(21)
+    g = sample_graph(rng.random((200, 1)), 2000, chung_lu(1), rng)
+    n = g.n_vertices
+    for ref in reference_graphs(1)[-2:]:
+        tracemalloc.start()
+        try:
+            fgw_to_reference(ref, g, FgwParams(), refine_iters=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a quarter of one N x N float64 array
+        assert peak < 2 * n * n
 
 
 def test_ipm_lower_bound_examples():
