@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc, load_config
-from .fgw import FgwParams, fgw_exact_small, fgw_upper_bound, graph_to_measure
+from .fgw import FgwParams, exact_small_search, fgw_upper_bound, graph_to_measure
 from .graphs import graph_from_json
 from .measures import SignedMeasure, tv_project
 from .noise import bounded_power, discrete_laplace, dp_ratio_satisfied, noise_from_json
@@ -221,8 +221,7 @@ def main(argv: list[str] | None = None) -> int:
             ma = graph_to_measure(ga, params)
             mb = graph_to_measure(gb, params)
             if ma.n <= 4 and mb.n <= 4:
-                value = fgw_exact_small(ma, mb, params)
-                _, coupling = fgw_upper_bound(ma, mb, params, iterations=200)
+                value, coupling = exact_small_search(ma, mb, params)
                 mode = "exact_small"
             else:
                 value, coupling = fgw_upper_bound(ma, mb, params, iterations=50)

@@ -9,12 +9,16 @@ structural distances, weight alpha), both at exponent 1:
 
 minimized over couplings pi of the two vertex weight vectors. Structural
 distances are cap-scaled adjacency (entry C if the pair is an edge, else 0),
-which keeps every structural term below C and makes the quadratic evaluable
-with three matrix products.
+so a measure holds its graph's boolean adjacency and C comes from
+:class:`FgwParams`. Every structural term stays below C, and
+|S_A[i,k] - S_B[j,l]| = S_A[i,k] + S_B[j,l] - (2/C) S_A[i,k] S_B[j,l] makes
+the quadratic evaluable from adjacency products.
 
-The module provides: an exact small-instance oracle (multi-start conditional
-gradient over the coupling polytope), a monotone local solver usable from any
-feasible start (its linear steps go to :func:`transport_vertex`), the
+The module provides: one conditional-gradient solver
+(:func:`fgw_upper_bound`, monotone from any feasible start, its linear steps
+going to :func:`transport_vertex`) behind every FGW value it computes: a
+coupling's cost, plan refinement, reference-graph scores and an exact
+small-instance oracle (multi-start over the coupling polytope); the
 matched-pair transport-plan upper bound used for the theoretical-bound
 checks, Monte-Carlo estimation of the expected distance over generator runs
 (through the replicate runner that ``evaluate`` also uses), and
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import CoupledGraphs, generate_coupled_graphs
-from .graphs import AttributedGraph, Kernel
+from .graphs import AttributedGraph, Kernel, _is_symmetric
 from .measures import PrivateMeasureResult
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
@@ -60,26 +64,32 @@ class FgwParams:
 
 @dataclass(frozen=True)
 class GraphMeasure:
-    """Weighted attributed point cloud with a structural distance matrix."""
+    """Weighted attributed point cloud on a boolean adjacency. Its structural
+    distance is C (from :class:`FgwParams`) on an edge and 0 otherwise."""
 
     attributes: np.ndarray
     weights: np.ndarray
-    structure: np.ndarray = field(repr=False)
+    adjacency: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         attrs = np.atleast_2d(np.asarray(self.attributes, dtype=float))
         w = np.asarray(self.weights, dtype=float).ravel()
-        s = np.asarray(self.structure, dtype=float)
+        adj = np.asarray(self.adjacency)
+        if adj.dtype != bool:
+            binary = adj.astype(bool)
+            if not np.array_equal(adj, binary):
+                raise ValueError("adjacency entries must be 0/1 or boolean")
+            adj = binary
         n = w.size
-        if attrs.shape[0] != n or s.shape != (n, n):
+        if attrs.shape[0] != n or adj.shape != (n, n):
             raise ValueError("inconsistent measure arrays")
         if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
             raise ValueError("weights must be a probability vector (1e-12)")
-        if n and (not np.array_equal(s, s.T) or np.any(np.diag(s) != 0)):
-            raise ValueError("structure must be symmetric with zero diagonal")
+        if np.any(np.diag(adj)) or not _is_symmetric(adj):
+            raise ValueError("adjacency must be symmetric with no self-loops")
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "structure", s)
+        object.__setattr__(self, "adjacency", adj)
 
     @property
     def n(self) -> int:
@@ -87,12 +97,16 @@ class GraphMeasure:
 
 
 def graph_to_measure(g: AttributedGraph, params: FgwParams) -> GraphMeasure:
-    """Uniform vertex weights; structural distance C on edges and 0 otherwise."""
+    """Uniform vertex weights on the graph's own adjacency, shared and not
+    copied. The graph checked that adjacency when it was built, so it is not
+    checked again; C comes from the ``params`` given to the solver."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("cannot build a measure from an empty graph")
-    structure = np.multiply(g.adjacency, params.C, dtype=float)  # one N x N float allocation
-    return GraphMeasure(attributes=g.attributes, weights=np.full(n, 1.0 / n), structure=structure)
+    measure = object.__new__(GraphMeasure)
+    for name, value in (("attributes", g.attributes), ("weights", np.full(n, 1.0 / n)), ("adjacency", g.adjacency)):
+        object.__setattr__(measure, name, value)
+    return measure
 
 
 def product_coupling(a: GraphMeasure, b: GraphMeasure) -> np.ndarray:
@@ -112,62 +126,11 @@ def validate_coupling(pi: np.ndarray, a: GraphMeasure, b: GraphMeasure, tol: flo
     return pi
 
 
-def _binary_cap(a: GraphMeasure, b: GraphMeasure) -> float | None:
-    """Common positive value c if both structures take values in {0, c}."""
-    caps = set()
-    for s in (a.structure, b.structure):
-        nnz = np.count_nonzero(s)
-        if nnz:
-            c = float(s.max())
-            if c <= 0 or np.count_nonzero(s == c) != nnz:
-                return None
-            caps.add(c)
-    if len(caps) > 1:
-        return None
-    return caps.pop() if caps else 0.0
-
-
-class _Engine:
-    """Precomputed quantities for repeated cost/gradient evaluations.
-
-    Both structures must take values in {0, c} for one c > 0 (cap-scaled
-    adjacency), so that |S_A[i,k] - S_B[j,l]| = S_A[i,k] + S_B[j,l] -
-    2 S_A[i,k] S_B[j,l] / c and the quadratic term is three matrix products.
-    """
-
-    def __init__(self, a: GraphMeasure, b: GraphMeasure, params: FgwParams):
-        self.a, self.b, self.params = a, b, params
-        cap = _binary_cap(a, b)
-        if cap is None:
-            raise ValueError("structures must take values in {0, c} for one c > 0 (cap-scaled adjacency)")
-        self.D = pairwise_distances(a.attributes, b.attributes, metric=params.metric)
-        self.const = float(a.weights @ a.structure @ a.weights + b.weights @ b.structure @ b.weights)
-        self.cross = 2.0 / cap if cap else 0.0  # both structures are zero when cap is 0
-
-    def q_of(self, pi: np.ndarray) -> np.ndarray:
-        """Q(pi)_ij = sum_kl |S_A[i,k] - S_B[j,l]| pi_kl."""
-        a, b = self.a, self.b
-        base = (a.structure @ pi.sum(axis=1))[:, None] + (b.structure @ pi.sum(axis=0))[None, :]
-        return base - self.cross * (a.structure @ pi @ b.structure)
-
-    def cost(self, pi: np.ndarray) -> float:
-        al = self.params.alpha
-        lin = (1.0 - al) * float(np.sum(self.D * pi))
-        quad = self.const - self.cross * float(np.sum(pi * (self.a.structure @ pi @ self.b.structure)))
-        return lin + al * quad
-
-    def gradient(self, pi: np.ndarray) -> np.ndarray:
-        return (1.0 - self.params.alpha) * self.D + 2.0 * self.params.alpha * self.q_of(pi)
-
-    def line_search(self, pi: np.ndarray, direction: np.ndarray) -> float:
-        """Exact minimizer of the quadratic cost along pi + t*(direction - pi)."""
-        al = self.params.alpha
-        delta = direction - pi
-        c1 = (1.0 - al) * float(np.sum(self.D * delta)) + 2.0 * al * float(
-            np.sum(self.q_of(pi) * delta)
-        )
-        c2 = al * float(np.sum(self.q_of(delta) * delta))
-        return _line_step(c1, c2)
+def _times_adjacency(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """x @ adj for a k x N float x and a symmetric N x N boolean adj, taken
+    _DIST_ROWS adjacency rows at a time (its column blocks are row blocks)."""
+    rows = [adj[i : i + _DIST_ROWS].astype(float) @ x.T for i in range(0, adj.shape[0], _DIST_ROWS)]
+    return np.concatenate(rows).T
 
 
 def _line_step(c1: float, c2: float) -> float:
@@ -244,8 +207,7 @@ def _transport_vertex_highs(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) ->
 
 def fgw_cost(pi, a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> float:
     """Cost of a given feasible coupling (validated within 1e-9)."""
-    pi = validate_coupling(np.asarray(pi, dtype=float), a, b)
-    return _Engine(a, b, params).cost(pi)
+    return fgw_upper_bound(a, b, params, init=pi, iterations=0)[0]
 
 
 def fgw_upper_bound(
@@ -256,25 +218,49 @@ def fgw_upper_bound(
     iterations: int = 50,
     tol: float = 1e-12,
 ) -> tuple[float, np.ndarray]:
-    """Conditional-gradient descent from a feasible start.
+    """Conditional-gradient descent from a feasible start (default: the
+    product coupling), as in Vayer et al. (ICML 2019).
 
     Each step solves the linearized transport problem exactly
     (:func:`transport_vertex`) and takes the exact line-search step, so the
     cost sequence is non-increasing and the returned value is always a valid
     upper bound for the minimum. Among tied optimal vertices the solver's
     choice decides the path, so the value depends on which solver ran.
+
+    With S_A = C * a.adjacency (dense, a is the small side of a reference
+    score) and S_B = C * b.adjacency, the loop keeps P = pi S_B. The
+    structural gradient Q(pi) = S_A w_a + S_B w_b - (2/C) S_A P is affine in
+    P, so a step moves Q by t Q(delta) and needs one product with the B side,
+    vertex S_B, taken _DIST_ROWS boolean rows at a time. S_B w_b comes from
+    integer degrees when w_b is uniform, and the product coupling starts from
+    P = w_a (S_B w_b)^T with no product. The cost is <(1-alpha) D + alpha Q, pi>.
     """
-    pi = product_coupling(a, b) if init is None else np.asarray(init, dtype=float).copy()
-    validate_coupling(pi, a, b)
-    eng = _Engine(a, b, params)
-    cost = eng.cost(pi)
+    al, cap, cross = params.alpha, params.C, 2.0 / params.C
+    wa, wb = a.weights, b.weights
+    sa = np.multiply(a.adjacency, cap, dtype=float)
+    if np.all(wb == wb[0]):
+        sb_wb = cap * b.adjacency.sum(axis=1) / b.n
+    else:
+        sb_wb = cap * _times_adjacency(wb[None, :], b.adjacency)[0]
+    d = (1.0 - al) * pairwise_distances(a.attributes, b.attributes, metric=params.metric)
+    if init is None:
+        pi, p = np.outer(wa, wb), np.outer(wa, sb_wb)
+    else:
+        pi = validate_coupling(np.array(init, dtype=float), a, b)
+        p = cap * _times_adjacency(pi, b.adjacency)
+    q = (sa @ wa)[:, None] + sb_wb[None, :] - cross * (sa @ p)
+    cost = float(np.sum((d + al * q) * pi))
     for _ in range(iterations):
-        vertex = transport_vertex(eng.gradient(pi), a.weights, b.weights)
-        t = eng.line_search(pi, vertex)
+        grad = d + 2.0 * al * q
+        vertex = transport_vertex(grad, wa, wb)
+        vp = cap * _times_adjacency(vertex, b.adjacency)
+        delta = vertex - pi
+        dq = -cross * (sa @ (vp - p))  # Q(delta): delta has zero marginals
+        t = _line_step(float(np.sum(grad * delta)), al * float(np.sum(dq * delta)))
         if t <= 0.0:
             break
-        pi = pi + t * (vertex - pi)
-        new_cost = eng.cost(pi)
+        pi, p, q = pi + t * delta, p + t * (vp - p), q + t * dq
+        new_cost = float(np.sum((d + al * q) * pi))
         if cost - new_cost < tol:
             cost = min(cost, new_cost)
             break
@@ -283,7 +269,7 @@ def fgw_upper_bound(
 
 
 def _canonical_key(g: GraphMeasure) -> tuple:
-    return (g.n, g.attributes.tobytes(), g.structure.tobytes(), g.weights.tobytes())
+    return (g.n, g.attributes.tobytes(), g.adjacency.tobytes(), g.weights.tobytes())
 
 
 def fgw_exact_small(
@@ -291,34 +277,47 @@ def fgw_exact_small(
 ) -> float:
     """Global minimum over the coupling polytope for instances up to 4x4.
 
+    The value of :func:`exact_small_search`, without its coupling.
+    """
+    return exact_small_search(a, b, params, seed=seed, n_starts=n_starts)[0]
+
+
+def exact_small_search(
+    a: GraphMeasure, b: GraphMeasure, params: FgwParams, seed: int = 0, n_starts: int = 60
+) -> tuple[float, np.ndarray]:
+    """(global minimum, a coupling of a and b achieving it) for instances up
+    to 4x4.
+
     The objective is quadratic in the coupling and can attain its optimum off
     the vertex set, so the search runs conditional-gradient descent from a
     battery of starts covering the polytope: the product coupling, the
     diagonal (when feasible), exact vertices for many random linear costs,
     and random interior mixtures. Arguments are canonically ordered first so
-    the value is symmetric by construction.
+    the value is symmetric by construction; the coupling of the best start is
+    transposed back when they were swapped.
     """
     if a.n > 4 or b.n > 4:
         raise ValueError("exact oracle capped at 4 vertices per side")
     if _canonical_key(a) > _canonical_key(b):
-        return fgw_exact_small(b, a, params, seed=seed, n_starts=n_starts)
-    eng = _Engine(a, b, params)
+        value, pi = exact_small_search(b, a, params, seed=seed, n_starts=n_starts)
+        return value, pi.T
     rng = np.random.default_rng(seed)
     starts = [product_coupling(a, b)]
     if a.n == b.n and np.allclose(a.weights, b.weights):
         starts.append(np.diag(a.weights))
-    starts.append(transport_vertex(eng.D, a.weights, b.weights))
+    starts.append(transport_vertex(pairwise_distances(a.attributes, b.attributes, params.metric), a.weights, b.weights))
     vertices = [transport_vertex(rng.standard_normal((a.n, b.n)), a.weights, b.weights) for _ in range(n_starts)]
     starts.extend(vertices)
     for _ in range(n_starts // 3):
         picks = rng.integers(0, len(vertices), size=3)
         lam = rng.dirichlet(np.ones(3))
         starts.append(sum(l * vertices[p] for l, p in zip(lam, picks)))
-    best = np.inf
+    best, best_pi = np.inf, None
     for s in starts:
-        val, _ = fgw_upper_bound(a, b, params, init=s, iterations=200, tol=1e-14)
-        best = min(best, val)
-    return max(float(best), 0.0)
+        val, pi = fgw_upper_bound(a, b, params, init=s, iterations=200, tol=1e-14)
+        if val < best:
+            best, best_pi = val, pi
+    return max(float(best), 0.0), best_pi
 
 
 # -- the matched transport plan of the coupled generator ---------------------
@@ -593,9 +592,9 @@ def fgw_to_reference(
 
     Single-vertex references are exact (forced coupling); otherwise the value
     is the product coupling refined by a fixed number of conditional-gradient
-    steps, so every sample is scored by the same evaluator. Both work from
-    the sample's boolean adjacency and integer degrees: no N x N float copy
-    of the sample is made.
+    steps (:func:`fgw_upper_bound`), so every sample is scored by the same
+    evaluator. Both work from the sample's boolean adjacency and integer
+    degrees: no N x N float copy of the sample is made.
     """
     if sample.n_vertices == 0 or ref.n_vertices == 0:
         if ref.n_vertices == 0 and sample.n_vertices == 0:
@@ -609,47 +608,8 @@ def fgw_to_reference(
         feature = (1.0 - params.alpha) * float(dists.mean())
         quad = params.alpha * params.C * np.count_nonzero(sample.adjacency) / (n * n)
         return feature + quad
-    val, _ = _reference_descent(graph_to_measure(ref, params), sample, params, refine_iters)
+    val, _ = fgw_upper_bound(graph_to_measure(ref, params), graph_to_measure(sample, params), params, iterations=refine_iters)
     return val
-
-
-def _reference_descent(
-    a: GraphMeasure, sample: AttributedGraph, params: FgwParams, iterations: int
-) -> tuple[float, np.ndarray]:
-    """:func:`fgw_upper_bound` from the product coupling of ``a`` and the
-    sample's uniform measure, run on the sample's boolean adjacency.
-
-    With S_B = C * adjacency it keeps P = pi S_B (k x N), which starts as
-    w_a (C deg / N)^T from integer degrees. The structural gradient
-    Q(pi) = S_A w_a + S_B w_b - (2/C) S_A P is affine in P, so a step moves
-    Q by t Q(delta) and needs one product, vertex S_B, taken _DIST_ROWS
-    adjacency rows at a time; the cost is <(1-alpha) D + alpha Q, pi>.
-    """
-    n, al, cross = sample.n_vertices, params.alpha, 2.0 / params.C
-    sa, wb = a.structure, np.full(n, 1.0 / n)
-    sb_wb = params.C * sample.degrees() / n  # S_B w_b
-    d = (1.0 - al) * pairwise_distances(a.attributes, sample.attributes, metric=params.metric)
-    pi, p = np.outer(a.weights, wb), np.outer(a.weights, sb_wb)
-    q = (sa @ a.weights)[:, None] + sb_wb[None, :] - cross * (sa @ p)
-    cost = float(np.sum((d + al * q) * pi))
-    for _ in range(iterations):
-        grad = d + 2.0 * al * q
-        vertex = transport_vertex(grad, a.weights, wb)
-        # vertex S_B; the adjacency is symmetric, so column blocks are row blocks
-        rows = [sample.adjacency[i : i + _DIST_ROWS].astype(float) @ vertex.T for i in range(0, n, _DIST_ROWS)]
-        vp = params.C * np.concatenate(rows).T
-        delta = vertex - pi
-        dq = -cross * (sa @ (vp - p))  # Q(delta): delta has zero marginals
-        t = _line_step(float(np.sum(grad * delta)), al * float(np.sum(dq * delta)))
-        if t <= 0.0:
-            break
-        pi, p, q = pi + t * delta, p + t * (vp - p), q + t * dq
-        new_cost = float(np.sum((d + al * q) * pi))
-        if cost - new_cost < 1e-12:
-            cost = min(cost, new_cost)
-            break
-        cost = new_cost
-    return cost, pi
 
 
 def ipm_lower_bound(

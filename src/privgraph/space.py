@@ -54,6 +54,8 @@ def pairwise_distances(xs: np.ndarray, ys: np.ndarray, metric: str = SUP) -> np.
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    if xs.shape[1] != ys.shape[1]:
+        raise ValueError(f"attribute dimensions differ: {xs.shape[1]} and {ys.shape[1]}")
     out = np.zeros((xs.shape[0], ys.shape[0]))
     diff = np.empty_like(out) if xs.shape[1] > 1 else None
     for j in range(xs.shape[1]):

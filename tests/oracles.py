@@ -58,6 +58,23 @@ def wasserstein_uniform_exact(xs, ys, metric="sup"):
     return float(res.fun)
 
 
+def brute_force_cost(pi, a, b, params):
+    """FGW cost of the coupling pi as the literal quadruple sum over the
+    structural distances C * adjacency: the oracle for the package's solver."""
+    n, m = a.n, b.n
+    sa, sb = params.C * a.adjacency, params.C * b.adjacency
+    total = 0.0
+    for i in range(n):
+        for j in range(m):
+            diff = np.abs(a.attributes[i] - b.attributes[j])
+            d_feat = np.max(diff) if params.metric == "sup" else np.sqrt(np.sum(diff**2))
+            for k in range(n):
+                for l in range(m):
+                    term = (1 - params.alpha) * d_feat + params.alpha * abs(sa[i, k] - sb[j, l])
+                    total += term * pi[i, j] * pi[k, l]
+    return total
+
+
 def dense_transport_lp(cost, wa, wb):
     """The transport LP (row sums wa, column sums wb) in HiGHS, with a dense
     equality matrix; returns scipy's ``OptimizeResult``."""

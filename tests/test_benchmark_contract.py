@@ -33,6 +33,9 @@ def test_tracer_finds_its_functions_and_times_each_replicate(tmp_path, capsys, m
         assert len(tracer.replicates()) == 3
         _, calls = tracing.layer_summary(tracer.spans)
         assert calls["runner"] == 1 and calls["generator"] == 3 and calls["fgw.matched_plan_cost"] == 3
+        # the solver's spans under a reference score count as ipm, not refine:
+        # one refinement per replicate, 7 references x (2 + 2) kept graphs
+        assert calls["fgw.refine"] == 3 and calls["fgw.ipm"] == 28
 
         tracer.spans.clear()
         argv = ["mc", "--recipe", "uniform", "--n", "60", "--m", "4", "--a", "6", "--b", "6", "--seed", "1"]

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from privgraph.cli import main
 from privgraph.experiments import ExperimentConfig, cmd_evaluate, cmd_generate, resolve
-from privgraph.fgw import REFINE_SIZE_CAP
+from privgraph.fgw import REFINE_SIZE_CAP, FgwParams, fgw_cost, graph_to_measure
 from privgraph.generator import DRAW_ORDER
+from privgraph.graphs import graph_from_json
 
 
 def _read_outputs(out_dir: Path) -> dict[str, bytes]:
@@ -233,6 +235,42 @@ def test_dist_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == pytest.approx(0.5)
     assert out["mode"] == "exact_small"
+
+
+def _write_graph(path, attrs, edges):
+    vertices = [{"attr": [float(v) for v in x], "id": (i + 1) / 10} for i, x in enumerate(attrs)]
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    return str(path)
+
+
+def test_dist_coupling_achieves_the_reported_value(tmp_path, capsys):
+    """In exact_small mode the printed coupling is the one the exact search
+    found, so its cost is the printed value."""
+    rng = np.random.default_rng(11)
+    for trial in range(25):
+        paths = []
+        for side in "ab":
+            n = int(rng.integers(1, 5))
+            edges = [[i, j] for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            paths.append(_write_graph(tmp_path / f"{side}{trial}.json", rng.random((n, 1)), edges))
+        alpha = float(rng.random())
+        assert main(["dist", *paths, "--alpha", repr(alpha)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["mode"] == "exact_small"
+        params = FgwParams(alpha=alpha)
+        ma, mb = (graph_to_measure(graph_from_json(Path(p).read_text()), params) for p in paths)
+        assert abs(fgw_cost(np.array(out["coupling"]), ma, mb, params) - out["value"]) <= 1e-9
+
+
+@pytest.mark.parametrize("vertices_b", [1, 6])  # exact_small and upper_bound mode
+def test_dist_rejects_attribute_dimensions_that_differ(tmp_path, capsys, vertices_b):
+    one = _write_graph(tmp_path / "one.json", [[0.2], [0.6]], [[0, 1]])
+    two = _write_graph(tmp_path / "two.json", np.full((vertices_b, 2), 0.5), [])
+    for args in ((one, two), (two, one)):
+        assert main(["dist", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"error: attribute dimensions differ: (1 and 2|2 and 1)$", captured.err.strip())
 
 
 def test_mc_command(tmp_path, capsys):

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import wasserstein_uniform_exact
+from oracles import brute_force_cost, wasserstein_uniform_exact
 
 from privgraph.fgw import (
     FgwParams,
     GraphMeasure,
+    exact_small_search,
     fgw_cost,
     fgw_exact_small,
     fgw_to_reference,
@@ -20,9 +21,9 @@ from privgraph.fgw import (
     product_coupling,
     reference_graphs,
     spawn_streams,
+    validate_coupling,
     worst_pair_cost,
 )
-from privgraph.fgw import _reference_descent
 from privgraph.generator import generate_coupled_graphs, sample_graph
 from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel
 from privgraph.measures import PrivateMeasureResult, ProbabilityMeasure, SignedMeasure
@@ -49,33 +50,18 @@ def _random_measure(rng, n, d=1, edge_p=0.5, params=FgwParams()):
     return graph_to_measure(g, params)
 
 
-def brute_force_cost(pi, a, b, params):
-    """Literal quadruple sum; the independent oracle for the vectorized cost."""
-    n, m = a.n, b.n
-    total = 0.0
-    for i in range(n):
-        for j in range(m):
-            d_feat = np.max(np.abs(a.attributes[i] - b.attributes[j]))
-            for k in range(n):
-                for l in range(m):
-                    term = (1 - params.alpha) * d_feat + params.alpha * abs(
-                        a.structure[i, k] - b.structure[j, l]
-                    )
-                    total += term * pi[i, j] * pi[k, l]
-    return total
-
-
 def test_graph_to_measure_examples():
     params = FgwParams(alpha=0.5, C=1.0)
     single = graph_to_measure(_graph([[0.5]], []), params)
     assert single.weights.tolist() == [1.0]
-    assert single.structure.tolist() == [[0.0]]
-    pair = graph_to_measure(_graph([[0.2], [0.8]], [(0, 1)]), params)
-    assert pair.structure.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    complete = graph_to_measure(
-        _graph([[0.1], [0.2], [0.3]], [(0, 1), (0, 2), (1, 2)]), FgwParams(C=2.0)
-    )
-    off = complete.structure[~np.eye(3, dtype=bool)]
+    assert (params.C * single.adjacency).tolist() == [[0.0]]
+    g = _graph([[0.2], [0.8]], [(0, 1)])
+    pair = graph_to_measure(g, params)
+    assert (params.C * pair.adjacency).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert pair.adjacency is g.adjacency  # shared, not copied
+    cap2 = FgwParams(C=2.0)
+    complete = graph_to_measure(_graph([[0.1], [0.2], [0.3]], [(0, 1), (0, 2), (1, 2)]), cap2)
+    off = (cap2.C * complete.adjacency)[~np.eye(3, dtype=bool)]
     assert np.all(off == 2.0)
     with pytest.raises(ValueError):
         graph_to_measure(
@@ -126,21 +112,19 @@ def test_fgw_cost_matches_brute_force():
 
 
 def test_fgw_rejects_structure_that_is_not_capped_adjacency():
-    # one structural entry off {0, C}: the three-product form does not apply
+    # a structural entry off {0, C} cannot be held: the measure is refused when built
     rng = np.random.default_rng(2)
     params = FgwParams(alpha=0.7, C=1.0)
     a = _random_measure(rng, 3, params=params)
-    s = a.structure.copy()
-    s[0, 1] = s[1, 0] = 0.41
-    a2 = GraphMeasure(attributes=a.attributes, weights=a.weights, structure=s)
-    b = _random_measure(rng, 3, params=params)
-    pi = product_coupling(a2, b)
-    with pytest.raises(ValueError, match="cap-scaled adjacency"):
-        fgw_cost(pi, a2, b, params)
-    with pytest.raises(ValueError, match="cap-scaled adjacency"):
-        fgw_upper_bound(a2, b, params)
-    with pytest.raises(ValueError, match="cap-scaled adjacency"):
-        fgw_exact_small(b, a2, params)
+    for bad in (0.41, -1.0, 2.0, np.nan):
+        s = a.adjacency.astype(float)
+        s[0, 1] = s[1, 0] = bad
+        with pytest.raises(ValueError, match="0/1 or boolean"):
+            GraphMeasure(attributes=a.attributes, weights=a.weights, adjacency=s)
+    s = a.adjacency.astype(np.int64)
+    s[0, 1] = s[1, 0] = 1
+    built = GraphMeasure(attributes=a.attributes, weights=a.weights, adjacency=s)
+    assert built.adjacency.dtype == bool and np.array_equal(built.adjacency, s)
 
 
 def test_exact_small_identity_and_symmetry():
@@ -396,34 +380,52 @@ def test_reference_graphs_and_exact_singleton_values():
     assert direct == pytest.approx(oracle, abs=1e-9)
 
 
-@settings(max_examples=150, deadline=None)
+@st.composite
+def _small_graphs(draw, d, max_n=6):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # attributes from a few values make the transport steps meet ties
+    attrs = rng.integers(0, 3, size=(n, d)) / 2 if draw(st.booleans()) else rng.random((n, d))
+    upper = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1)
+    return AttributedGraph(attributes=attrs, identifiers=rng.random(n), adjacency=upper | upper.T)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 40),
-    st.integers(1, 2),
-    st.booleans(),
+    st.integers(1, 2).flatmap(lambda d: st.tuples(_small_graphs(d), _small_graphs(d))),
     st.floats(0.0, 1.0),
-    st.sampled_from([-2, -1]),
-    st.floats(0.0, 1.0),
-    st.integers(0, 3),
-    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 3.0),
+    st.sampled_from(["sup", "euclidean"]),
 )
-def test_reference_descent_matches_the_dense_solver(n, d, few_values, edge_p, ref_index, alpha, refine_iters, seed):
-    """The adjacency-only loop against the dense-measure solver and cost."""
-    rng = np.random.default_rng(seed)
-    # attributes from a few values make the two-row fill meet ties
-    attrs = rng.integers(0, 3, size=(n, d)) / 2 if few_values else rng.random((n, d))
-    upper = np.triu(rng.random((n, n)) < edge_p, 1)
-    g = AttributedGraph(attributes=attrs, identifiers=rng.random(n), adjacency=upper | upper.T)
-    ref = reference_graphs(d)[ref_index]
-    params = FgwParams(alpha=alpha)
-    a, b = graph_to_measure(ref, params), graph_to_measure(g, params)
-    value, pi = _reference_descent(a, g, params, refine_iters)
-    assert value == fgw_to_reference(ref, g, params, refine_iters)
-    assert abs(value - fgw_cost(pi, a, b, params)) <= 1e-12
-    if refine_iters:
-        assert value <= _reference_descent(a, g, params, refine_iters - 1)[0]
-    else:
-        assert abs(value - fgw_upper_bound(a, b, params, iterations=0)[0]) <= 1e-12
+def test_solver_matches_the_quartic_oracle(graphs, alpha, cap, metric):
+    """The one conditional-gradient loop against the literal quadruple sum:
+    each value is the cost of the coupling returned with it, the coupling is
+    feasible, and more steps never raise the value."""
+    ga, gb = graphs
+    params = FgwParams(alpha=alpha, C=cap, metric=metric)
+    a, b = graph_to_measure(ga, params), graph_to_measure(gb, params)
+    prev = np.inf
+    for iterations in range(5):
+        value, pi = fgw_upper_bound(a, b, params, iterations=iterations)
+        assert abs(value - brute_force_cost(pi, a, b, params)) <= 1e-12
+        validate_coupling(pi, a, b, tol=1e-9)
+        assert value <= prev
+        prev = value
+        if ga.n_vertices > 1:
+            assert fgw_to_reference(ga, gb, params, iterations) == value
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_graphs(1, max_n=4), _small_graphs(1, max_n=4), st.floats(0.0, 1.0), st.floats(0.1, 3.0))
+def test_exact_search_returns_a_coupling_that_achieves_its_value(ga, gb, alpha, cap):
+    """The coupling comes from the best start, transposed back when the
+    search swapped its arguments into canonical order."""
+    params = FgwParams(alpha=alpha, C=cap)
+    a, b = graph_to_measure(ga, params), graph_to_measure(gb, params)
+    for x, y in ((a, b), (b, a)):
+        value, pi = exact_small_search(x, y, params)
+        assert value == fgw_exact_small(x, y, params)
+        assert abs(fgw_cost(pi, x, y, params) - value) <= 1e-9
 
 
 def test_reference_scoring_makes_no_float_copy_of_the_sample():

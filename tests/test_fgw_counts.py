@@ -19,13 +19,15 @@ import privgraph.generator as generator_mod
 from privgraph.fgw import (
     FgwParams,
     GraphMeasure,
-    _binary_cap,
     _transport_vertex_highs,
     evaluate_pair,
     fgw_cost,
+    fgw_upper_bound,
+    graph_to_measure,
     matched_plan_cost,
     plan_cost_exact,
     plan_coupling,
+    transport_vertex,
     worst_pair_cost,
 )
 from privgraph.generator import generate_coupled_graphs
@@ -148,35 +150,45 @@ def test_lp_vertex_matches_dense_constraint_matrix(n, m, seed):
     """The HiGHS transport helper (the shapes with no closed-form solver)
     returns exactly the dense-matrix LP's vertex."""
     rng = np.random.default_rng(seed)
-    a = GraphMeasure(attributes=rng.random((n, 1)), weights=rng.dirichlet(np.ones(n)), structure=np.zeros((n, n)))
-    b = GraphMeasure(attributes=rng.random((m, 1)), weights=rng.dirichlet(np.ones(m)), structure=np.zeros((m, m)))
+    a = GraphMeasure(attributes=rng.random((n, 1)), weights=rng.dirichlet(np.ones(n)), adjacency=np.zeros((n, n), bool))
+    b = GraphMeasure(attributes=rng.random((m, 1)), weights=rng.dirichlet(np.ones(m)), adjacency=np.zeros((m, m), bool))
     cost = rng.standard_normal((n, m))
     dense = dense_transport_lp(cost, a.weights, b.weights)
     assert dense.success
     np.testing.assert_array_equal(_transport_vertex_highs(cost, a.weights, b.weights), dense.x.reshape(n, m))
 
 
+@pytest.mark.parametrize("m", [128, 300])
+def test_solver_past_one_adjacency_row_block_matches_the_quartic_sum(m):
+    """The solver's products with the second adjacency run in blocks of 128
+    rows; its values are the quartic sum over the dense C * adjacency."""
+    rng = np.random.default_rng(m)
+    params = FgwParams(alpha=0.6, C=1.7)
+    graphs = []
+    for n in (5, m):
+        upper = np.triu(rng.random((n, n)) < 0.4, 1)
+        graphs.append(AttributedGraph(attributes=rng.random((n, 2)), identifiers=rng.random(n), adjacency=upper | upper.T))
+    a, b = (graph_to_measure(g, params) for g in graphs)
+    sa, sb = params.C * a.adjacency, params.C * b.adjacency
+    quad = np.abs(sa[:, None, :, None] - sb[None, :, None, :])  # [i, j, k, l]
+    dist = pairwise_distances(a.attributes, b.attributes)
+    vertex = transport_vertex(rng.standard_normal((5, m)), a.weights, b.weights)
+    for init in (None, 0.5 * (np.outer(a.weights, b.weights) + vertex)):
+        for iterations in (0, 2):
+            value, pi = fgw_upper_bound(a, b, params, init=init, iterations=iterations)
+            want = (1 - params.alpha) * np.sum(dist * pi) + params.alpha * np.einsum("ijkl,ij,kl->", quad, pi, pi)
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
 def test_structure_symmetry_is_checked_exactly():
-    s = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
+    # one entry of the upper triangle without its mirror, past the first row block
+    n = 300
+    adj = np.zeros((n, n), dtype=bool)
+    adj[5, 290] = adj[290, 5] = adj[7, 260] = True
     with pytest.raises(ValueError, match="symmetric"):
-        GraphMeasure(attributes=np.zeros((2, 1)), weights=[0.5, 0.5], structure=s)
-    with pytest.raises(ValueError, match="zero diagonal"):
-        GraphMeasure(attributes=np.zeros((2, 1)), weights=[0.5, 0.5], structure=np.diag([0.0, 1e-300]))
-
-
-def test_binary_cap_scans_each_structure():
-    def measure(s):
-        s = np.asarray(s, dtype=float)
-        n = s.shape[0]
-        return GraphMeasure(attributes=np.zeros((n, 1)), weights=np.full(n, 1.0 / n), structure=s)
-
-    zero = measure(np.zeros((3, 3)))
-    edge = measure([[0, 2.0, 0], [2.0, 0, 2.0], [0, 2.0, 0]])
-    assert _binary_cap(zero, zero) == 0.0
-    assert _binary_cap(edge, zero) == 2.0 and _binary_cap(zero, edge) == 2.0
-    assert _binary_cap(edge, measure([[0, 1.0], [1.0, 0]])) is None  # two different caps
-    assert _binary_cap(measure([[0, 2.0, 0.41], [2.0, 0, 2.0], [0.41, 2.0, 0]]), zero) is None
-    assert _binary_cap(measure([[0, -1.0], [-1.0, 0]]), zero) is None
+        GraphMeasure(attributes=np.zeros((n, 1)), weights=np.full(n, 1.0 / n), adjacency=adj)
+    with pytest.raises(ValueError, match="self-loops"):
+        GraphMeasure(attributes=np.zeros((2, 1)), weights=[0.5, 0.5], adjacency=np.diag([False, True]))
 
 
 def _generated_pair(a=40.0, b=30.0, seed=5):
