@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import dense_transport_lp
+from oracles import brute_force_cost, dense_transport_lp
 
 import privgraph.generator as generator_mod
 from privgraph.fgw import (
@@ -178,6 +178,28 @@ def test_solver_past_one_adjacency_row_block_matches_the_quartic_sum(m):
             value, pi = fgw_upper_bound(a, b, params, init=init, iterations=iterations)
             want = (1 - params.alpha) * np.sum(dist * pi) + params.alpha * np.einsum("ijkl,ij,kl->", quad, pi, pi)
             assert value == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_binary_cap_scans_each_structure():
+    # each side's structure is scanned when its measure is built; one cap C
+    # from FgwParams then scales both sides' edges
+    def measure(s):
+        s = np.asarray(s)
+        n = s.shape[0]
+        return GraphMeasure(attributes=np.zeros((n, 1)), weights=np.full(n, 1.0 / n), adjacency=s)
+
+    zero = measure(np.zeros((3, 3)))
+    edge = measure([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]])
+    params = FgwParams(alpha=1.0, C=2.0)
+    assert fgw_cost(np.full((3, 3), 1.0 / 9), zero, zero, params) == 0.0
+    for a, b in ((edge, zero), (zero, edge)):
+        pi = np.full((3, 3), 1.0 / 9)
+        # four of the nine ordered vertex pairs are edges, each charged C = 2
+        assert fgw_cost(pi, a, b, params) == pytest.approx(2.0 * 4 / 9, rel=1e-12)
+        assert fgw_cost(pi, a, b, params) == pytest.approx(brute_force_cost(pi, a, b, params), rel=1e-12)
+    for bad in ([[0, 2.0], [2.0, 0]], [[0, 2.0, 0.41], [2.0, 0, 2.0], [0.41, 2.0, 0]], [[0, -1.0], [-1.0, 0]]):
+        with pytest.raises(ValueError, match="0/1 or boolean"):
+            measure(bad)
 
 
 def test_structure_symmetry_is_checked_exactly():
