@@ -251,8 +251,8 @@ def optimal_params(eps: float, n: int, d: int) -> OptimalParams:
     """Partition size and expected graph size equalizing the bound terms:
     f = eps^(d/(d+1)) n^(-1/(d+1)), m = ceil(f n) realized on the grid,
     a = m^(2/d)."""
-    if eps <= 0 or n < 1 or d < 1:
-        raise ValueError("eps, n, d must be positive")
+    if not 0 < eps < math.inf or n < 1 or d < 1:  # NaN eps fails too
+        raise ValueError(f"eps must be finite and positive and n, d positive, got eps={eps}, n={n}, d={d}")
     f = eps ** (d / (d + 1.0)) * n ** (-1.0 / (d + 1.0))
     m_request = max(1, int(math.ceil(round(f * n, 9))))
     part = build_grid_partition(SpaceConfig(d=d), m_request)

@@ -28,9 +28,12 @@ between graph distributions.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -143,15 +146,40 @@ def _line_step(c1: float, c2: float) -> float:
     return cands[int(np.argmin(vals))]
 
 
+@functools.cache
+def _assignment_solver():
+    """scipy's compiled ``linear_sum_assignment`` (Crouse's shortest
+    augmenting path), loaded from its extension module
+    ``scipy.optimize._lsap`` without running ``scipy/optimize/__init__.py``,
+    whose imports (linalg, special, fft, sparse.linalg) take about 0.6 s. The
+    extension registers itself under its own name, so a later
+    ``import scipy.optimize`` finds it and exports the same function. A scipy
+    with no such extension gets the package's function."""
+    import scipy
+
+    spec = PathFinder.find_spec("scipy.optimize._lsap", [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
+    if spec is not None and isinstance(spec.loader, ExtensionFileLoader):
+        try:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.linear_sum_assignment
+        except (ImportError, AttributeError):
+            pass
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
 def transport_vertex(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Exact minimizing vertex of <cost, pi> over couplings of wa and wb.
 
     Each shape gets an exact solver for its polytope:
     - one row or one column: the forced coupling;
-    - n = m with every weight on both sides equal: an assignment
-      (``linear_sum_assignment``) scaled by that weight, optimal since the
-      polytope's vertices are the scaled permutation matrices
-      (Birkhoff-von Neumann);
+    - n = m with every weight on both sides equal: an assignment scaled by
+      that weight, optimal since the polytope's vertices are the scaled
+      permutation matrices (Birkhoff-von Neumann). scipy's compiled
+      ``linear_sum_assignment`` solves it, loaded on first use without
+      importing ``scipy.optimize`` (:func:`_assignment_solver`);
     - two rows or two columns, any weights: a fractional knapsack, filled
       greedily in stable order of the cost difference between the two;
     - anything else: the transport LP in HiGHS.
@@ -165,9 +193,7 @@ def transport_vertex(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.nda
     if n == 1:
         return wb[None, :].copy()
     if n == m and np.all(wa == wa[0]) and np.all(wb == wa[0]):
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = _assignment_solver()(cost)
         pi = np.zeros((n, m))
         pi[rows, cols] = wa[0]
         return pi
@@ -539,9 +565,15 @@ def mc_expected_fgw(
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     if refine_iters > 0 and a * b <= REFINE_SIZE_CAP:
-        # N*M is about a*b, so refinement can run: load its solvers (about
-        # 0.5 s) now rather than inside the first replicate
-        import scipy.optimize  # noqa: F401
+        # N*M is about a*b, so refinement can run: load its solvers now rather
+        # than inside the first replicate. With a == b both sizes are one
+        # Poisson draw, every step is a square uniform assignment and HiGHS
+        # never runs, so the assignment solver alone is loaded; otherwise
+        # HiGHS can run and scipy.optimize (about 0.6 s) is imported.
+        if a == b:
+            _assignment_solver()
+        else:
+            import scipy.optimize  # noqa: F401
 
     def one(r, rng):
         pair = generate_coupled_graphs(dataset, partition, noise, a, b, kernel, rng, private=private)

@@ -10,6 +10,7 @@ draws its edges with the coupled generator's edge code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,8 @@ class Kernel:
     def __post_init__(self):
         if self.kind == CONSTANT and not 0.0 <= self.p <= 1.0:
             raise ValueError("constant kernel needs p in [0,1]")
-        if self.kind == INVERSE_DISTANCE and self.scale <= 0:
-            raise ValueError("inverse_distance kernel needs scale > 0")
+        if self.kind == INVERSE_DISTANCE and not 0 < self.scale < math.inf:  # NaN fails too
+            raise ValueError(f"inverse_distance kernel needs finite scale > 0, got {self.scale}")
         if self.kind not in (CHUNG_LU, CONSTANT, INVERSE_DISTANCE):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
@@ -180,17 +181,27 @@ def graph_to_dict(g: AttributedGraph) -> dict:
     }
 
 
+def _is_vertex_index(x, n: int) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < n
+
+
 def graph_from_dict(obj: dict) -> AttributedGraph:
+    """The graph of :func:`graph_to_dict`'s form. Each edge must be a pair of
+    distinct integer vertex indices in [0, n); any other edge is refused."""
     verts = obj.get("vertices", [])
     n = len(verts)
+    adj = np.zeros((n, n), dtype=bool)
+    for edge in obj.get("edges", []):
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(_is_vertex_index(x, n) for x in edge)):
+            raise ValueError(f"edge {edge!r} is not a pair of integer vertex indices in [0, {n})")
+        i, j = edge
+        if i == j:
+            raise ValueError(f"edge {edge!r} is a self-loop")
+        adj[i, j] = adj[j, i] = True
     if n == 0:
         return empty_graph(1)
     attrs = np.array([v["attr"] for v in verts], dtype=float)
     ids = np.array([v["id"] for v in verts], dtype=float)
-    adj = np.zeros((n, n), dtype=bool)
-    for i, j in obj.get("edges", []):
-        adj[i, j] = adj[j, i] = True
-    np.fill_diagonal(adj, False)
     return AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
 
 

@@ -37,11 +37,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind == DISCRETE_LAPLACE:
-            if self.eps is None or not self.eps > 0:
-                raise ValueError("discrete_laplace requires eps > 0")
+            if self.eps is None or not 0 < self.eps < math.inf:  # NaN fails both
+                raise ValueError(f"discrete_laplace requires finite eps > 0, got {self.eps}")
         elif self.kind == BOUNDED_POWER:
-            if self.eps is None or not self.eps > 0:
-                raise ValueError("bounded_power requires eps > 0")
+            if self.eps is None or not 0 < self.eps < math.inf:  # NaN fails both
+                raise ValueError(f"bounded_power requires finite eps > 0, got {self.eps}")
             if self.A is None or self.A < 1:
                 raise ValueError("bounded_power requires integer A >= 1")
         elif self.kind == CUSTOM:

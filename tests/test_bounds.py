@@ -141,6 +141,12 @@ def test_distribution_grid_examples():
     assert alpha1["cell"] == 0.0
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0])
+def test_optimal_params_rejects_eps_that_is_not_finite_and_positive(eps):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        optimal_params(eps, 1000, 1)
+
+
 def test_optimal_params_examples():
     opt1 = optimal_params(1.0, 1000, 1)
     assert opt1.f_n == pytest.approx(1000 ** -0.5)

@@ -426,3 +426,45 @@ def test_too_few_replicates_or_ipm_samples_are_refused(tmp_path, capsys):
     assert "ipm_samples must be an integer >= 1, got 0" in capsys.readouterr().err
     with pytest.raises(ValueError, match="ipm_samples"):
         cmd_evaluate(ExperimentConfig(seed=1, recipe="uniform", out_dir=str(tmp_path)), ipm_samples=-1)
+
+
+_MC_ARGV = ["mc", "--recipe", "uniform", "--n", "200", "--d", "1", "--seed", "5", "--reps", "3"]
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("m", [[], ["--m", "4"]])  # auto sizes read eps first; a fixed m goes to the noise
+def test_mc_refuses_a_non_finite_eps(capsys, eps, m):
+    assert main([*_MC_ARGV, f"--eps={eps}", *m]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"error: .*finite( and positive| eps > 0)", captured.err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_mc_refuses_a_non_finite_kernel_scale(capsys, value):
+    assert main([*_MC_ARGV, "--eps", "1", "--kernel", "inverse-distance", "--kernel-param", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: inverse_distance kernel needs finite scale > 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ([0, 5], "not a pair of integer vertex indices in [0, 2)"),
+        ([-1, 0], "not a pair of integer vertex indices in [0, 2)"),
+        ([0, 1.0], "not a pair of integer vertex indices"),
+        ([0, True], "not a pair of integer vertex indices"),
+        ([0, 1, 1], "not a pair of integer vertex indices"),
+        ([1, 1], "is a self-loop"),
+    ],
+)
+def test_dist_refuses_edges_that_are_not_vertex_pairs(tmp_path, capsys, edge, message):
+    good = _write_graph(tmp_path / "good.json", [[0.2], [0.6]], [[0, 1]])
+    bad = _write_graph(tmp_path / "bad.json", [[0.2], [0.6]], [[0, 1], edge])
+    for args in ((good, bad), (bad, good)):
+        assert main(["dist", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: edge {edge!r} ")
+        assert message in captured.err

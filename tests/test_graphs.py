@@ -41,6 +41,13 @@ def test_kernel_symmetry_range_lipschitz_probes():
             assert lhs <= kern.lipschitz_constant * np.max(np.abs(x - x2)) + 1e-12
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_inverse_distance_refuses_a_scale_that_is_not_finite_and_positive(scale):
+    # a NaN scale made every edge probability NaN, so no edge was ever drawn
+    with pytest.raises(ValueError, match="finite scale > 0"):
+        inverse_distance(scale)
+
+
 def test_kernel_matrix_of_one_array_with_itself():
     # the Chung-Lu weights of xs are computed once when ys is xs
     xs = np.random.default_rng(2).random((9, 3))

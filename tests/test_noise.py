@@ -165,3 +165,12 @@ def test_nan_parameters_rejected():
         custom({-1: 0.5, 1: 0.5, 0: float("nan")})
     with pytest.raises(ValueError):
         custom({0: float("nan")})
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+def test_non_finite_eps_rejected(eps):
+    # an infinite eps would sample p = exp(-eps) = 0: every draw 0, no privacy
+    with pytest.raises(ValueError, match="finite eps > 0"):
+        discrete_laplace(eps)
+    with pytest.raises(ValueError, match="finite eps > 0"):
+        bounded_power(eps, 2)

@@ -36,8 +36,8 @@ def test_import_loads_no_solver_module():
     assert loaded == []
 
 
-@pytest.mark.parametrize("a", [10.0, 100.0])
-def test_kernel_loads_the_solvers_before_its_replicates_only_when_refinement_can_run(a):
+@pytest.mark.parametrize("a, b", [(10.0, 10.0), (10.0, 12.0), (100.0, 100.0)])
+def test_kernel_loads_the_solvers_before_its_replicates_only_when_refinement_can_run(a, b):
     code = f"""
 import json, sys
 import numpy as np
@@ -50,7 +50,7 @@ at_start, imported = [], []
 run = fgw.run_replicates
 
 def recording(fn, n, seed):
-    at_start.append("scipy.optimize" in sys.modules)
+    at_start.append(["scipy.optimize" in sys.modules, fgw._assignment_solver.cache_info().currsize])
 
     def replicate(r, rng):
         before = set(sys.modules)
@@ -63,18 +63,37 @@ def recording(fn, n, seed):
 fgw.run_replicates = recording
 data = AttributeDataset(points=np.random.default_rng(0).random((200, 1)))
 part = build_grid_partition(SpaceConfig(d=1), 8)
-res = fgw.mc_expected_fgw(data, part, discrete_laplace(1.0), {a}, {a}, chung_lu(1), fgw.FgwParams(),
+res = fgw.mc_expected_fgw(data, part, discrete_laplace(1.0), {a}, {b}, chung_lu(1), fgw.FgwParams(),
                           replicates=2, seed=3)
 print(json.dumps([at_start, "scipy.optimize" in sys.modules, list(res.evaluators), imported]))
 """
     at_start, loaded_after, evaluators, imported = _run_fresh(code)
     assert imported == []  # no replicate imports a module (numpy.ma from np.unique, say)
-    if a * a <= REFINE_SIZE_CAP:
-        assert at_start == [True] and loaded_after
-        assert "refine" in evaluators
-    else:
-        assert at_start == [False] and not loaded_after
+    if a * b > REFINE_SIZE_CAP:
+        assert at_start == [[False, 0]] and not loaded_after
         assert evaluators == ["exact", "exact"]
+        return
+    assert "refine" in evaluators
+    if a == b:  # every step is a square uniform assignment: only its solver loads
+        assert at_start == [[False, 1]] and not loaded_after
+    else:  # HiGHS can run
+        assert at_start[0][0] and loaded_after
+
+
+def test_small_square_evaluate_never_imports_scipy_optimize(tmp_path):
+    code = f"""
+import json, sys
+from privgraph.experiments import ExperimentConfig, cmd_evaluate
+cfg = ExperimentConfig(seed=2, recipe="uniform", d=2, eps=0.1, n=300, replicates=4, ipm_samples=2,
+                       out_dir={str(tmp_path)!r})
+cmd_evaluate(cfg)
+print(json.dumps("scipy.optimize" in sys.modules))
+"""
+    assert _run_fresh(code) is False
+    manifest = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert manifest["resolved_a"] == manifest["resolved_b"]
+    assert manifest["resolved_a"] ** 2 <= REFINE_SIZE_CAP
+    assert "refine" in (tmp_path / "evaluate.csv").read_text().splitlines()[-1]
 
 
 def test_transport_vertex_solvers_load_on_first_use():

@@ -1,16 +1,21 @@
 """The conditional-gradient transport step against a dense-matrix LP.
 
-``transport_vertex`` solves equal-size uniform problems as an assignment,
+``transport_vertex`` solves equal-size uniform problems as an assignment
+(scipy's compiled solver, loaded without importing ``scipy.optimize``),
 two-row and two-column problems by a sorted fill, forced one-row and
 one-column couplings directly, and everything else in HiGHS. Each path must
 return a feasible vertex whose objective equals the dense LP optimum, also
 when ties leave several optimal vertices.
 """
 
+from importlib.machinery import ModuleSpec, SourceFileLoader
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from oracles import dense_transport_lp
+from scipy.optimize import linear_sum_assignment
 
 import privgraph.fgw as fgw_mod
 from privgraph.fgw import FgwParams, fgw_cost, fgw_upper_bound, plan_coupling, transport_vertex
@@ -89,6 +94,52 @@ def test_only_unequal_or_nonuniform_wide_shapes_reach_highs(monkeypatch):
     for n, m, uniform in [(3, 4, True), (4, 4, False)]:
         _check_vertex(rng.standard_normal((n, m)), _weights(rng, n, uniform), _weights(rng, m, uniform))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_assignment_solver_matches_scipy_optimize(ties):
+    solver = fgw_mod._assignment_solver()
+    assert fgw_mod._assignment_solver() is solver  # loaded once
+    rng = np.random.default_rng(7)
+    for n in range(1, 65):
+        cost = _cost(rng, n, n, ties)
+        rows, cols = solver(cost)
+        expected = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(rows, expected[0])
+        np.testing.assert_array_equal(cols, expected[1])
+
+
+@pytest.fixture
+def fresh_solver():
+    fgw_mod._assignment_solver.cache_clear()
+    yield
+    fgw_mod._assignment_solver.cache_clear()
+
+
+@pytest.mark.parametrize("found", [None, "source"])
+def test_assignment_falls_back_to_scipy_optimize_without_the_extension(monkeypatch, fresh_solver, found):
+    rng = np.random.default_rng(11)
+    w = np.full(9, 1.0 / 9)
+    costs = [_cost(rng, 9, 9, ties) for ties in (False, True)]
+    expected = [transport_vertex(cost, w, w) for cost in costs]
+    fgw_mod._assignment_solver.cache_clear()
+    lookups = []
+
+    class NoExtension:
+        @staticmethod
+        def find_spec(name, path):
+            lookups.append(name)
+            if found is None:
+                return None
+            return ModuleSpec(name, SourceFileLoader(name, "_lsap.py"))
+
+    monkeypatch.setattr(fgw_mod, "PathFinder", NoExtension)
+    calls = []
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", lambda c: calls.append(c) or linear_sum_assignment(c))
+    for cost, pi in zip(costs, expected):
+        np.testing.assert_array_equal(transport_vertex(cost, w, w), pi)
+    assert lookups == ["scipy.optimize._lsap"]
+    assert len(calls) == 2  # both solved through scipy.optimize's name
 
 
 def test_two_row_fill_breaks_ties_in_column_order():
