@@ -73,9 +73,10 @@ class BoundInputs:
     expected_abs_noise: float | None = None
 
     def __post_init__(self):
-        positive = all(x > 0 for x in (self.a, self.b, self.eps))  # False for NaN
-        if not (positive and all(x >= 1 for x in (self.n, self.m, self.d))):
-            raise ValueError("sizes, eps, n, m, d must be positive (and not NaN)")
+        if not 0 < self.eps < math.inf:  # NaN fails too; an infinite eps means no noise at all
+            raise ValueError(f"bounds require finite eps > 0, got {self.eps}")
+        if not (self.a > 0 and self.b > 0 and all(x >= 1 for x in (self.n, self.m, self.d))):  # False for NaN
+            raise ValueError("sizes, n, m, d must be positive (and not NaN)")
         if not (0.0 <= self.alpha <= 1.0 and self.C > 0 and self.L_kappa >= 0):
             raise ValueError("invalid FGW/kernel parameters")
         if self.max_cell_diam is None:

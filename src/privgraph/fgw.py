@@ -38,7 +38,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .generator import CoupledGraphs, generate_coupled_graphs
-from .graphs import AttributedGraph, Kernel, _is_symmetric
+from .graphs import AttributedGraph, Kernel, _is_symmetric, _unchecked
 from .measures import PrivateMeasureResult
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
@@ -52,7 +52,7 @@ REFINE_SIZE_CAP = 4096
 
 @dataclass(frozen=True)
 class FgwParams:
-    """Trade-off alpha in [0,1], single-edge cost cap C > 0, feature metric."""
+    """Trade-off alpha in [0,1], finite single-edge cost cap C > 0, feature metric."""
 
     alpha: float = 0.5
     C: float = 1.0
@@ -61,8 +61,8 @@ class FgwParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0,1]")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
+        if not 0 < self.C < np.inf:  # NaN fails too; an infinite C makes every cost inf or NaN
+            raise ValueError(f"C must be finite and positive, got {self.C}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,7 @@ def graph_to_measure(g: AttributedGraph, params: FgwParams) -> GraphMeasure:
     n = g.n_vertices
     if n == 0:
         raise ValueError("cannot build a measure from an empty graph")
-    measure = object.__new__(GraphMeasure)
-    for name, value in (("attributes", g.attributes), ("weights", np.full(n, 1.0 / n)), ("adjacency", g.adjacency)):
-        object.__setattr__(measure, name, value)
-    return measure
+    return _unchecked(GraphMeasure, attributes=g.attributes, weights=np.full(n, 1.0 / n), adjacency=g.adjacency)
 
 
 def product_coupling(a: GraphMeasure, b: GraphMeasure) -> np.ndarray:
@@ -431,7 +428,7 @@ def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
     The plan is matched mass w = 1/max(N, M) on vertex s of both graphs for
     s < Z, plus the product completion u v^T / (1 - Z w) with
     u = 1/N - w 1_[:Z] (v likewise on the synthetic side). Every structural
-    term comes from integer degrees and :attr:`~CoupledGraphs.edge_counts`:
+    term comes from :attr:`~CoupledGraphs.edge_counts`: integer degrees,
     edges inside the matched blocks, and edges the blocks share. The
     feature term u^T D v sums v over each distinct synthetic attribute row
     first, so its float work is N x (distinct rows), in row blocks.
@@ -445,8 +442,7 @@ def plan_cost_exact(pair: CoupledGraphs, params: FgwParams) -> float:
     z = pair.match_count
     rest = (n0 - z) / n0
     counts = pair.edge_counts
-    # int32 degrees; a graph whose vertices are all matched is its own matched block
-    deg = [r if r.size == g.n_vertices else g.adjacency.sum(axis=1, dtype=np.int32) for g, r in zip((tg, sg), counts.row)]
+    deg = counts.deg
     feature = w * _matched_distance_sum(pair, params.metric)
     # <pi, S_A pi S_B> / C^2 from the matched part and the product completion
     bilinear = w * w * counts.both

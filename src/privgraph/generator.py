@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import AttributedGraph, Kernel, _distinct_uniform_ids, graph_to_dict, kernel_matrix
+from .graphs import CHUNG_LU, AttributedGraph, Kernel, _distinct_uniform_ids, _unchecked, graph_to_dict, kernel_matrix
 from .measures import PrivateMeasureResult, ProbabilityMeasure, run_private_measure
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition
@@ -75,8 +75,13 @@ def _categorical(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.n
 
 def _kernel_blocks(kernel: Kernel, attrs: np.ndarray):
     """``probs(r0, r1, c0, c1)``, the kernel values of rows r0:r1 by columns
-    c0:c1. A graph of at most EDGE_BLOCK_ROWS vertices is evaluated once,
-    whole, and every call takes a view of it."""
+    c0:c1. The Chung-Lu weights are formed once per graph and each block is
+    their outer product, the same products :func:`kernel_matrix` forms. For
+    other kernels a graph of at most EDGE_BLOCK_ROWS vertices is evaluated
+    once, whole, and every call takes a view of it."""
+    if kernel.kind == CHUNG_LU:
+        w = attrs.prod(axis=1)
+        return lambda r0, r1, c0, c1: np.outer(w[r0:r1], w[c0:c1])
     if len(attrs) <= EDGE_BLOCK_ROWS:
         whole = kernel_matrix(kernel, attrs, attrs)
         return lambda r0, r1, c0, c1: whole[r0:r1, c0:c1]
@@ -151,31 +156,34 @@ def sample_graph(
         idx = rng.choice(support.shape[0], size=n, p=attr_measure.weights / attr_measure.weights.sum())
         attrs = support[idx]
     else:
-        pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.atleast_2d(attr_measure)
+        pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.array(attr_measure, float, ndmin=2)
         attrs = pts[rng.integers(0, pts.shape[0], size=n)]
     ids = _distinct_uniform_ids(n, rng)
     adj = _coupled_edges(kernel, attrs, attrs[:0], 0, rng)[0]
-    return AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
+    return _unchecked(AttributedGraph, attributes=attrs, identifiers=ids, adjacency=adj)
 
 
 class EdgeCounts(NamedTuple):
-    """Integer edge counts of the matched blocks ``adj[:z, :z]`` of a coupled
-    pair whose first z vertices are matched.
+    """Integer edge counts of a coupled pair whose first z vertices are
+    matched, so that its matched blocks are ``adj[:z, :z]``.
 
     ``row`` holds, for the true and then the synthetic graph, each matched
-    vertex's edges into its matched block (int32 arrays); ``xor`` and
-    ``both`` count the ordered pairs of the blocks that are an edge in
-    exactly one graph or in both.
+    vertex's edges into its matched block, and ``deg`` every vertex's degree
+    (int32 arrays); ``xor`` and ``both`` count the ordered pairs of the
+    blocks that are an edge in exactly one graph or in both.
     """
 
     row: tuple[np.ndarray, np.ndarray]
+    deg: tuple[np.ndarray, np.ndarray]
     xor: int
     both: int
 
 
 def count_edges(adj_true: np.ndarray, adj_syn: np.ndarray, z: int) -> EdgeCounts:
-    """:class:`EdgeCounts` from the two boolean adjacencies, read through
-    contiguous views EDGE_BLOCK_ROWS rows at a time (no N x N temporary)."""
+    """:class:`EdgeCounts` from contiguous views of the two boolean
+    adjacencies (no N x N temporary). The row sums take each adjacency once:
+    ``adj[:z, :z]`` gives the matched-block counts, adding those of
+    ``adj[:z, z:]`` gives ``deg[:z]``, and ``adj[z:]`` gives ``deg[z:]``."""
     blocks = adj_true[:z, :z], adj_syn[:z, :z]
     both = sum(
         int(np.count_nonzero(blocks[0][r0 : r0 + EDGE_BLOCK_ROWS] & blocks[1][r0 : r0 + EDGE_BLOCK_ROWS]))
@@ -183,8 +191,12 @@ def count_edges(adj_true: np.ndarray, adj_syn: np.ndarray, z: int) -> EdgeCounts
     )
     # an int32 sum over booleans is about twice as fast as count_nonzero(axis=1)
     row = tuple(b.sum(axis=1, dtype=np.int32) for b in blocks)
+    deg = tuple(np.empty(len(adj), dtype=np.int32) for adj in (adj_true, adj_syn))
+    for r, d, adj in zip(row, deg, (adj_true, adj_syn)):
+        np.add(r, adj[:z, z:].sum(axis=1, dtype=np.int32), out=d[:z])
+        adj[z:].sum(axis=1, dtype=np.int32, out=d[z:])
     # |A xor B| = |A| + |B| - 2 |A and B|
-    return EdgeCounts(row, int(row[0].sum() + row[1].sum()) - 2 * both, both)
+    return EdgeCounts(row, deg, int(row[0].sum() + row[1].sum()) - 2 * both, both)
 
 
 @dataclass(frozen=True)
@@ -231,7 +243,9 @@ class CoupledGraphs:
         graphs, matches = [], self.matches.copy()
         for col, g in ((1, self.true_graph), (2, self.synthetic_graph)):
             order = np.argsort(g.identifiers)
-            graphs.append(AttributedGraph(g.attributes[order], g.identifiers[order], g.adjacency[np.ix_(order, order)]))
+            attrs, ids = g.attributes[order], g.identifiers[order]
+            adj = g.adjacency[np.ix_(order, order)]  # a permutation keeps the symmetry and the empty diagonal
+            graphs.append(_unchecked(AttributedGraph, attributes=attrs, identifiers=ids, adjacency=adj))
             matches[:, col] = np.argsort(order)[matches[:, col]]
         return (*graphs, matches)
 
@@ -331,8 +345,8 @@ def generate_coupled_graphs(
 
     adj_true, adj_syn = _coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
     return CoupledGraphs(
-        true_graph=AttributedGraph(attributes=true_attrs, identifiers=true_ids, adjacency=adj_true),
-        synthetic_graph=AttributedGraph(attributes=syn_attrs, identifiers=syn_ids, adjacency=adj_syn),
+        true_graph=_unchecked(AttributedGraph, attributes=true_attrs, identifiers=true_ids, adjacency=adj_true),
+        synthetic_graph=_unchecked(AttributedGraph, attributes=syn_attrs, identifiers=syn_ids, adjacency=adj_syn),
         shared_count=shared,
         extra_true_count=extra_true,
         extra_synthetic_count=extra_syn,

@@ -108,12 +108,26 @@ def _is_symmetric(adj: np.ndarray) -> bool:
     return True
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    without running its ``__post_init__`` checks: for arrays their maker
+    already built to the class's invariants, such as the generator's
+    adjacencies, which are symmetric with an empty diagonal by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class AttributedGraph:
     """Vertices = (attribute, identifier) pairs; undirected simple edges.
 
     ``adjacency`` is a symmetric boolean matrix with zero diagonal; the edge
-    list view enumerates index pairs i < j.
+    list view enumerates index pairs i < j. The constructor checks both
+    exactly; the generator, whose adjacencies are built that way, makes its
+    graphs through :func:`_unchecked`, from the arrays this constructor would
+    make (2-D float64 attributes, 1-D float64 identifiers).
     """
 
     attributes: np.ndarray
@@ -139,7 +153,8 @@ class AttributedGraph:
 
     @property
     def n_edges(self) -> int:
-        # the adjacency is symmetric with an empty diagonal (checked in __post_init__)
+        # the adjacency is symmetric with an empty diagonal (checked in __post_init__,
+        # or built so by the generator)
         return int(np.count_nonzero(self.adjacency)) // 2
 
     def edge_list(self) -> list[tuple[int, int]]:

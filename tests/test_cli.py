@@ -468,3 +468,23 @@ def test_dist_refuses_edges_that_are_not_vertex_pairs(tmp_path, capsys, edge, me
         assert captured.out == ""
         assert captured.err.startswith(f"error: edge {edge!r} ")
         assert message in captured.err
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "0"])
+@pytest.mark.parametrize("cap", ["inf", "nan", "0"])
+def test_mc_refuses_a_cap_that_is_not_finite_and_positive(capsys, alpha, cap):
+    # at alpha = 0 the cap carries no weight, but 0 * inf would still make every cost NaN
+    assert main([*_MC_ARGV, "--eps", "1", "--alpha", alpha, "--C", cap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: C must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("eps", ["Infinity", "NaN", "0", "-1"])
+def test_bounds_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, capsys, eps):
+    inp = tmp_path / "inputs.json"
+    inp.write_text(f'{{"a": 16, "b": 16, "n": 100, "m": 4, "eps": {eps}, "d": 1}}')
+    assert main(["bounds", "--json", str(inp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite eps > 0" in captured.err

@@ -248,3 +248,26 @@ def test_evaluate_pair_counts_edges_once(monkeypatch, refine_iters, evaluator):
     pair = _generated_pair(*((90.0, 70.0) if evaluator == "exact" else (8.0, 8.0)))
     assert evaluate_pair(pair, FgwParams(), refine_iters)[2] == evaluator
     assert calls == [pair.match_count]
+
+
+def _random_adjacency(n, rng, p=0.4):
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    return upper | upper.T
+
+
+@pytest.mark.parametrize("n, m", [(9, 9), (7, 12), (12, 7), (300, 260)])
+def test_edge_counts_are_row_sums_of_the_adjacencies(n, m):
+    rng = np.random.default_rng(n * m)
+    adjs = _random_adjacency(n, rng), _random_adjacency(m, rng)
+    for z in (0, min(n, m) // 2, min(n, m)):
+        counts = generator_mod.count_edges(*adjs, z)
+        for adj, row, deg in zip(adjs, counts.row, counts.deg):
+            assert row.dtype == deg.dtype == np.int32
+            assert np.array_equal(row, adj[:z, :z].sum(axis=1))
+            assert np.array_equal(deg, adj.sum(axis=1))
+        both = np.count_nonzero(adjs[0][:z, :z] & adjs[1][:z, :z])
+        assert (counts.both, counts.xor) == (both, np.count_nonzero(adjs[0][:z, :z] ^ adjs[1][:z, :z]))
+    pair = _generated_pair()
+    counts = pair.edge_counts
+    for g, deg in zip((pair.true_graph, pair.synthetic_graph), counts.deg):
+        assert np.array_equal(deg, g.degrees())

@@ -13,8 +13,9 @@ from oracles import (
 from scipy import stats
 
 import privgraph.generator as generator_mod
-from privgraph.generator import generate_coupled_graphs
-from privgraph.graphs import chung_lu, constant_kernel, graph_from_dict, inverse_distance
+import privgraph.graphs as graphs_mod
+from privgraph.generator import generate_coupled_graphs, sample_graph
+from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel, graph_from_dict, inverse_distance
 from privgraph.measures import (
     PrivateMeasureResult,
     ProbabilityMeasure,
@@ -425,3 +426,54 @@ def test_non_finite_or_non_positive_sizes_rejected(name, value):
         generate_coupled_graphs(
             data, part, discrete_laplace(1.0), sizes["a"], sizes["b"], chung_lu(1), np.random.default_rng(0)
         )
+
+
+def _assert_as_checked(g):
+    """``g`` passes every check of the ``AttributedGraph`` constructor, which
+    the generator skips, and holds the arrays that constructor would make."""
+    adj, n = g.adjacency, g.n_vertices
+    assert adj.dtype == bool and adj.shape == (n, n)
+    assert graphs_mod._is_symmetric(adj) and np.array_equal(adj, adj.T)
+    assert not np.diag(adj).any()
+    assert g.attributes.dtype == np.float64 and g.attributes.ndim == 2 and g.attributes.shape[0] == n
+    assert g.identifiers.dtype == np.float64 and g.identifiers.shape == (n,)
+    checked = AttributedGraph(g.attributes, g.identifiers, adj)
+    for name in ("attributes", "identifiers", "adjacency"):
+        assert getattr(checked, name).dtype == getattr(g, name).dtype
+        assert np.array_equal(getattr(checked, name), getattr(g, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    kernel_kind=st.sampled_from(["chung_lu", "constant", "inverse_distance"]),
+    a=st.floats(0.5, 40.0),
+    b=st.floats(0.5, 40.0),
+    m=st.sampled_from([1, 4, 9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_generated_graph_is_one_the_checked_constructor_accepts(d, kernel_kind, a, b, m, seed):
+    kernel = {"chung_lu": chung_lu(d), "constant": constant_kernel(0.5), "inverse_distance": inverse_distance(0.3)}
+    kernel = kernel[kernel_kind]
+    rng = np.random.default_rng(seed)
+    data = AttributeDataset(points=rng.random((30, d)))
+    part = build_grid_partition(SpaceConfig(d=d), m)
+    pair = generate_coupled_graphs(data, part, discrete_laplace(1.0), a, b, kernel, rng)
+    tg, sg, _ = pair.written
+    for g in (pair.true_graph, pair.synthetic_graph, tg, sg):
+        _assert_as_checked(g)
+    support = ProbabilityMeasure(support=data.points[:3], weights=np.full(3, 1 / 3))
+    grid_ints = (np.arange(4)[:, None] % 2).repeat(d, axis=1)  # integer points become float64 attributes
+    for source in (data, support, data.points, grid_ints):
+        _assert_as_checked(sample_graph(source, a, kernel, rng))
+
+
+def test_a_large_generated_pair_is_one_the_checked_constructor_accepts():
+    data = AttributeDataset(points=np.random.default_rng(0).random((1000, 1)))
+    part = build_grid_partition(SpaceConfig(d=1), 64)
+    pair = generate_coupled_graphs(
+        data, part, discrete_laplace(1.0), 4000.0, 4000.0, chung_lu(1), np.random.default_rng(8)
+    )
+    assert min(pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices) > 3800
+    for g in (pair.true_graph, pair.synthetic_graph, *pair.written[:2]):
+        _assert_as_checked(g)
