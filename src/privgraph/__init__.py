@@ -77,7 +77,6 @@ from .bounds import (
     distribution_bound_grid,
     optimal_params,
     rate_bounds,
-    grid_bounds_unrounded,
     bound_table,
     bound_report,
 )

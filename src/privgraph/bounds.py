@@ -282,30 +282,6 @@ def rate_bounds(
     return RateValues(coupling=coupling, stein=stein)
 
 
-def grid_bounds_unrounded(
-    eps: float, n: int, d: int, alpha: float = 0.5, C: float = 1.0, L_kappa: float = 1.0
-) -> tuple[float, float]:
-    """Grid-form bounds evaluated at the exact (un-rounded) optimal m = f n.
-
-    Rounding m to an integer grid makes the bound/rate ratio wobble with n;
-    this evaluation keeps the ratio exactly constant, which is what the rate
-    consistency checks verify.
-    """
-    r = cost_rates(alpha, C, L_kappa, diam=1.0)
-    f = eps ** (d / (d + 1.0)) * n ** (-1.0 / (d + 1.0))
-    m = f * n
-    g = laplace_noise_factor(eps)
-    coupling = r.matched_rate * m ** (-1.0 / d) + 4.0 * r.worst_cost * f * g
-    a = m ** (2.0 / d)
-    c_alpha = (1.0 - alpha) + alpha * C
-    stein = (
-        2.0 * (1.0 - alpha) * m ** (-1.0 / d)
-        + (2.0 * (1.0 + log_plus(a)) / (eps * n)) * c_alpha * eps * g
-        + 4.0 * alpha * C * L_kappa * m ** (-3.0 / d) * a
-    )
-    return coupling, stein
-
-
 DEFAULT_TABLE_EPS = (2.0, 1.0, 0.1, 0.01)
 DEFAULT_TABLE_N = (100, 1000, 10000)
 

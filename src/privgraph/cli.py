@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,24 +29,20 @@ def _int_list(text: str) -> list[int]:
 
 
 def _config_from_args(args) -> tuple[ExperimentConfig, list[float] | None]:
-    """The config of --config and the flags, and the levels a --config manifest records."""
-    levels = None
-    if args.config:
-        cfg, levels = load_config(args.config, seed=args.seed)
-    else:
-        if args.seed is None:
-            raise SystemExit("--seed is mandatory (or provide --config)")
-        cfg = ExperimentConfig(seed=args.seed)
+    """The config of --config and the flags, built once so that both pass
+    :class:`ExperimentConfig`'s check, and the levels a --config manifest records."""
     # a flag left unset reads None (False for a switch) and keeps the config's value
-    for name in ExperimentConfig.__dataclass_fields__:
-        val = getattr(args, name, None)
-        if val is not None and val is not False:
-            setattr(cfg, name, val)
-    for name in ("m", "a", "b"):  # a flag or a JSON string other than "auto" is a number
-        val = getattr(cfg, name)
-        if isinstance(val, str) and val != "auto":
-            setattr(cfg, name, float(val) if name != "m" else int(float(val)))
-    return cfg, levels
+    flags = {
+        name: val
+        for name in ExperimentConfig.__dataclass_fields__
+        if (val := getattr(args, name, None)) is not None and val is not False
+    }
+    if getattr(args, "emit", None) == "dot":
+        flags["emit_dot"] = True
+    if not args.config:
+        return ExperimentConfig.from_dict(flags), None
+    cfg, levels = load_config(args.config, seed=args.seed)
+    return replace(cfg, **flags), levels
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser):
@@ -129,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "generate":
             cfg, levels = _config_from_args(args)
-            if args.emit == "dot":
-                cfg.emit_dot = True
             eps_list = args.eps_list
             if eps_list is None and args.eps is None:
                 eps_list = levels

@@ -1,16 +1,18 @@
 """Experiment configuration, manifests, and the generate/evaluate/mc commands behind the CLI.
 
 A config fully determines an experiment: dataset (file or synthetic recipe),
-space, partition request (or "auto" via the optimal parameter rule), noise,
-privacy level, expected sizes (or "auto"), kernel, FGW parameters, replicate
-count, and a mandatory master seed. Replicate r always draws from
-``default_rng(SeedSequence(seed).spawn()[r])``, so outputs are bit-identical
-no matter how the replicate pool is scheduled.
+space, partition request (or "auto" via the optimal parameter rule), privacy
+level, expected sizes (or "auto"), kernel, FGW parameters, replicate count,
+and a mandatory master seed. The noise is not a setting: every experiment
+adds discrete-Laplace noise, the one noise here whose release is ε-DP.
+Replicate r always draws from ``default_rng(SeedSequence(seed).spawn()[r])``,
+so outputs are bit-identical no matter how the replicate pool is scheduled.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from dataclasses import asdict, dataclass, replace
@@ -36,10 +38,35 @@ from .fgw import (
 from .fgw import run_replicates  # noqa: F401
 from .generator import DRAW_ORDER, generate_coupled_graphs
 from .graphs import Kernel, chung_lu, constant_kernel, graph_to_dot, inverse_distance
-from .noise import NoiseSpec, bounded_power, custom, discrete_laplace
+from .noise import NoiseSpec, discrete_laplace
 from .space import AttributeDataset, Partition, SpaceConfig, build_grid_partition, load_points_csv
 
 VERSION = "0.1.0"
+
+_NOISE_IS_FIXED = "finite-support noise is not ε-DP"
+# Keys that used to be settings, each with the one value it now holds and the
+# reason no other value replays. Configs and manifests may carry them.
+_FORMER_SETTINGS = {
+    "refine_size_cap": (REFINE_SIZE_CAP, "replaying it would pick different evaluators"),
+    "noise_kind": ("discrete_laplace", _NOISE_IS_FIXED),
+    "noise_A": (2, _NOISE_IS_FIXED),
+    "noise_pmf": (None, _NOISE_IS_FIXED),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _spelt(value):
+    """The number a string such as "12" or "2.5" spells (flags arrive as
+    text), with an integral float as an int; any other value as it is."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            return value
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass
@@ -54,9 +81,6 @@ class ExperimentConfig:
     m: int | str = "auto"
     a: float | str = "auto"
     b: float | str = "auto"
-    noise_kind: str = "discrete_laplace"
-    noise_A: int = 2
-    noise_pmf: dict | None = None
     kernel: str = "chung-lu"
     kernel_param: float = 0.5
     alpha: float = 0.5
@@ -70,14 +94,29 @@ class ExperimentConfig:
     csv_sep: str = ","
     out_dir: str = "."
 
+    def __post_init__(self):
+        """The one check of a config, however it was made: from flags, a JSON
+        file, a manifest or :func:`dataclasses.replace`. A numeral for ``m``,
+        ``a`` or ``b`` becomes the number it spells."""
+        m, a, b = (_spelt(v) for v in (self.m, self.a, self.b))
+        for name, value, low in (("seed", self.seed, 0), ("n", self.n, 1), ("m", m, 1),
+                                 ("refine_iters", self.refine_iters, 0), ("ipm_samples", self.ipm_samples, 1)):
+            if not (_is_int(value) and value >= low or name == "m" and value == "auto"):
+                rule = ('"auto" or ' if name == "m" else "") + f"an integer >= {low}"
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for name, value in (("a", a), ("b", b)):
+            if not (value == "auto" or (_is_int(value) or isinstance(value, float)) and 0 < value < math.inf):
+                raise ValueError(f'{name} must be "auto" or finite and > 0, got {getattr(self, name)!r}')
+        self.m = m if m == "auto" else int(m)
+        self.a, self.b = (v if v == "auto" else float(v) for v in (a, b))
+
     @classmethod
     def from_dict(cls, obj: dict, seed: int | None = None) -> "ExperimentConfig":
         """Config from a dict or a manifest; a misspelt key (say "epsilon") is an error.
 
         ``seed``, when given, replaces the seed of ``obj``. A manifest replays
-        only under the draw order it was written with. Configs and manifests
-        written while the refine size was a setting carry ``refine_size_cap``;
-        it is accepted only at :data:`privgraph.fgw.REFINE_SIZE_CAP`.
+        only under the draw order it was written with. A key of
+        :data:`_FORMER_SETTINGS` is accepted only at the value it is fixed at.
         """
         if "config" in obj:  # a manifest: its config plus the resolved_* values it records
             order = obj.get("draw_order")
@@ -88,20 +127,17 @@ class ExperimentConfig:
                     f"draw order {DRAW_ORDER}; it would replay into different graphs"
                 )
             obj = {k: v for k, v in obj["config"].items() if not k.startswith("resolved_")}
-        cap = obj.get("refine_size_cap", REFINE_SIZE_CAP)
-        if cap != REFINE_SIZE_CAP:
-            raise ValueError(
-                f"refine_size_cap is {cap!r}, but this privgraph fixes it at {REFINE_SIZE_CAP}; "
-                "replaying it would pick different evaluators"
-            )
-        obj = {k: v for k, v in obj.items() if k != "refine_size_cap"}
+        for key, (fixed, reason) in _FORMER_SETTINGS.items():
+            if key in obj and obj[key] != fixed:
+                raise ValueError(f"{key} is {obj[key]!r}, but this privgraph fixes it at {fixed!r}; {reason}")
+        obj = {k: v for k, v in obj.items() if k not in _FORMER_SETTINGS}
         if seed is not None:
             obj = {**obj, "seed": seed}
         unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if obj.get("seed") is None:
-            raise ValueError('seed is mandatory in experiment mode: the config has no "seed"')
+            raise ValueError('seed is mandatory in experiment mode: give --seed or a "seed" in the config')
         return cls(**obj)
 
 
@@ -132,18 +168,6 @@ def make_kernel(name: str, param: float, d: int, metric: str) -> Kernel:
     if name in ("inverse-distance", "inverse_distance"):
         return inverse_distance(param, metric=metric)
     raise ValueError(f"unknown kernel {name!r}")
-
-
-def make_noise(cfg: ExperimentConfig) -> NoiseSpec:
-    if cfg.noise_kind == "discrete_laplace":
-        return discrete_laplace(cfg.eps)
-    if cfg.noise_kind == "bounded_power":
-        return bounded_power(cfg.eps, cfg.noise_A)
-    if cfg.noise_kind == "custom":
-        if not cfg.noise_pmf:
-            raise ValueError("custom noise requires noise_pmf")
-        return custom({int(k): float(v) for k, v in cfg.noise_pmf.items()})
-    raise ValueError(f"unknown noise kind {cfg.noise_kind!r}")
 
 
 @dataclass
@@ -178,26 +202,24 @@ class ResolvedExperiment:
 
 
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
-    if cfg.seed is None:
-        raise ValueError("seed is mandatory in experiment mode")
     if cfg.data:
         dataset = load_points_csv(cfg.data, cfg.d)
     elif cfg.recipe:
         dataset = make_recipe_dataset(cfg.recipe, cfg.n, cfg.d, cfg.seed)
     else:
         raise ValueError("config needs either a data path or a recipe")
-    m_request = bnd.optimal_params(cfg.eps, dataset.n, cfg.d).m_request if cfg.m == "auto" else int(cfg.m)
+    m_request = bnd.optimal_params(cfg.eps, dataset.n, cfg.d).m_request if cfg.m == "auto" else cfg.m
     partition = build_grid_partition(SpaceConfig(d=cfg.d, metric=cfg.metric), m_request)
     auto_a = float(partition.m) ** (2.0 / cfg.d)  # a = m^(2/d), as in bounds.optimal_params
     return ResolvedExperiment(
         config=cfg,
         dataset=dataset,
         partition=partition,
-        noise=make_noise(cfg),
+        noise=discrete_laplace(cfg.eps),
         kernel=make_kernel(cfg.kernel, cfg.kernel_param, cfg.d, cfg.metric),
         params=FgwParams(alpha=cfg.alpha, C=cfg.C, metric=cfg.metric),
-        a=auto_a if cfg.a == "auto" else float(cfg.a),
-        b=auto_a if cfg.b == "auto" else float(cfg.b),
+        a=auto_a if cfg.a == "auto" else cfg.a,
+        b=auto_a if cfg.b == "auto" else cfg.b,
     )
 
 
@@ -285,8 +307,6 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int | None = None) -> dict:
     t0 = time.time()
     if ipm_samples is not None:
         cfg = replace(cfg, ipm_samples=ipm_samples)
-    if not isinstance(cfg.ipm_samples, int) or cfg.ipm_samples < 1:
-        raise ValueError(f"ipm_samples must be an integer >= 1, got {cfg.ipm_samples!r}")
     resolved = resolve(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,7 +323,7 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int | None = None) -> dict:
     )
     coupling_total = bnd.expected_fgw_bound(inp).total
     grid_total = None
-    if resolved.a == resolved.b and resolved.noise.kind == "discrete_laplace":
+    if resolved.a == resolved.b:
         try:
             grid_total = bnd.expected_fgw_bound_grid(inp).total
         except ValueError:

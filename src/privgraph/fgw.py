@@ -38,7 +38,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .generator import CoupledGraphs, generate_coupled_graphs
-from .graphs import AttributedGraph, Kernel, _is_symmetric, _unchecked
+from .graphs import AttributedGraph, Kernel, _checked_adjacency, _unchecked
 from .measures import PrivateMeasureResult
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
@@ -77,19 +77,11 @@ class GraphMeasure:
     def __post_init__(self):
         attrs = np.atleast_2d(np.asarray(self.attributes, dtype=float))
         w = np.asarray(self.weights, dtype=float).ravel()
-        adj = np.asarray(self.adjacency)
-        if adj.dtype != bool:
-            binary = adj.astype(bool)
-            if not np.array_equal(adj, binary):
-                raise ValueError("adjacency entries must be 0/1 or boolean")
-            adj = binary
-        n = w.size
-        if attrs.shape[0] != n or adj.shape != (n, n):
+        if attrs.shape[0] != w.size:
             raise ValueError("inconsistent measure arrays")
         if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
             raise ValueError("weights must be a probability vector (1e-12)")
-        if np.any(np.diag(adj)) or not _is_symmetric(adj):
-            raise ValueError("adjacency must be symmetric with no self-loops")
+        adj = _checked_adjacency(self.adjacency, w.size)
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "adjacency", adj)
@@ -591,22 +583,21 @@ def mc_expected_fgw(
 # -- reference-graph test functions ------------------------------------------
 
 
-def reference_graphs(d: int, count: int = 7) -> list[AttributedGraph]:
-    """Small deterministic reference graphs spread over the attribute cube.
+def reference_graphs(d: int) -> list[AttributedGraph]:
+    """Seven small deterministic reference graphs spread over the attribute
+    cube: five single vertices, then two vertices with and without an edge.
 
     Single-vertex references dominate the list because their FGW value
     against any graph is closed-form exact (the coupling is forced).
     """
     refs = [
         AttributedGraph(attributes=np.full((1, d), t), identifiers=[0.5], adjacency=np.zeros((1, 1), dtype=bool))
-        for t in np.linspace(0.1, 0.9, max(count - 2, 1))
+        for t in np.linspace(0.1, 0.9, 5)
     ]
     two = np.array([np.full(d, 0.25), np.full(d, 0.75)])
-    if count >= 2:  # one edge
-        refs.append(AttributedGraph(attributes=two, identifiers=[0.25, 0.75], adjacency=~np.eye(2, dtype=bool)))
-    if count >= 3:  # no edge
-        refs.append(AttributedGraph(attributes=two, identifiers=[0.3, 0.7], adjacency=np.zeros((2, 2), dtype=bool)))
-    return refs[:count]
+    refs.append(AttributedGraph(attributes=two, identifiers=[0.25, 0.75], adjacency=~np.eye(2, dtype=bool)))
+    refs.append(AttributedGraph(attributes=two, identifiers=[0.3, 0.7], adjacency=np.zeros((2, 2), dtype=bool)))
+    return refs
 
 
 def fgw_to_reference(

@@ -76,21 +76,11 @@ def _categorical(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.n
 def _kernel_blocks(kernel: Kernel, attrs: np.ndarray):
     """``probs(r0, r1, c0, c1)``, the kernel values of rows r0:r1 by columns
     c0:c1. The Chung-Lu weights are formed once per graph and each block is
-    their outer product, the same products :func:`kernel_matrix` forms. For
-    other kernels a graph of at most EDGE_BLOCK_ROWS vertices is evaluated
-    once, whole, and every call takes a view of it."""
+    their outer product, the same products :func:`kernel_matrix` forms."""
     if kernel.kind == CHUNG_LU:
         w = attrs.prod(axis=1)
         return lambda r0, r1, c0, c1: np.outer(w[r0:r1], w[c0:c1])
-    if len(attrs) <= EDGE_BLOCK_ROWS:
-        whole = kernel_matrix(kernel, attrs, attrs)
-        return lambda r0, r1, c0, c1: whole[r0:r1, c0:c1]
-
-    def probs(r0, r1, c0, c1):
-        rows = attrs[r0:r1]  # a diagonal block passes one array twice, which kernel_matrix evaluates once
-        return kernel_matrix(kernel, rows, rows if (c0, c1) == (r0, r1) else attrs[c0:c1])
-
-    return probs
+    return lambda r0, r1, c0, c1: kernel_matrix(kernel, attrs[r0:r1], attrs[c0:c1])
 
 
 def _coupled_edges(

@@ -74,8 +74,7 @@ def kernel_matrix(kernel: Kernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if kernel.kind == CHUNG_LU:
-        weights = xs.prod(axis=1)
-        return np.outer(weights, weights if ys is xs else ys.prod(axis=1))
+        return np.outer(xs.prod(axis=1), ys.prod(axis=1))
     if kernel.kind == CONSTANT:
         return np.full((xs.shape[0], ys.shape[0]), kernel.p)
     dist = pairwise_distances(xs, ys, metric=kernel.metric)
@@ -108,6 +107,22 @@ def _is_symmetric(adj: np.ndarray) -> bool:
     return True
 
 
+def _checked_adjacency(adjacency, n: int) -> np.ndarray:
+    """``adjacency`` as an n x n boolean matrix. Entries other than 0/1 (or
+    boolean), another shape, an asymmetric pair or a self-loop are refused."""
+    adj = np.asarray(adjacency)
+    if adj.shape != (n, n):
+        raise ValueError(f"adjacency must be {n} x {n}, one row per vertex, got shape {adj.shape}")
+    if adj.dtype != bool:
+        binary = adj.astype(bool)
+        if not np.array_equal(adj, binary):
+            raise ValueError("adjacency entries must be 0/1 or boolean")
+        adj = binary
+    if n and (np.any(np.diag(adj)) or not _is_symmetric(adj)):
+        raise ValueError("adjacency must be symmetric with no self-loops")
+    return adj
+
+
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
     without running its ``__post_init__`` checks: for arrays their maker
@@ -124,8 +139,9 @@ class AttributedGraph:
     """Vertices = (attribute, identifier) pairs; undirected simple edges.
 
     ``adjacency`` is a symmetric boolean matrix with zero diagonal; the edge
-    list view enumerates index pairs i < j. The constructor checks both
-    exactly; the generator, whose adjacencies are built that way, makes its
+    list view enumerates index pairs i < j. The constructor takes 0/1 or
+    boolean entries and checks all of this exactly (:func:`_checked_adjacency`);
+    the generator, whose adjacencies are built that way, makes its
     graphs through :func:`_unchecked`, from the arrays this constructor would
     make (2-D float64 attributes, 1-D float64 identifiers).
     """
@@ -137,12 +153,9 @@ class AttributedGraph:
     def __post_init__(self):
         attrs = np.atleast_2d(np.asarray(self.attributes, dtype=float))
         ids = np.asarray(self.identifiers, dtype=float).ravel()
-        adj = np.asarray(self.adjacency, dtype=bool)
-        n = ids.size
-        if attrs.shape[0] != n or adj.shape != (n, n):
+        if attrs.shape[0] != ids.size:
             raise ValueError("inconsistent vertex arrays")
-        if n and (np.any(np.diag(adj)) or not _is_symmetric(adj)):
-            raise ValueError("adjacency must be symmetric with no self-loops")
+        adj = _checked_adjacency(self.adjacency, ids.size)
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "identifiers", ids)
         object.__setattr__(self, "adjacency", adj)

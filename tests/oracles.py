@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from privgraph.bounds import BoundInputs, distribution_bound_grid, expected_fgw_bound_grid
 from privgraph.generator import _residual_probs
 from privgraph.graphs import kernel_matrix
 from privgraph.space import AttributeDataset, pairwise_distances
@@ -40,6 +41,17 @@ def coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, rng):
                     continue
                 adj[i, j] = adj[j, i] = rng.random() < probs[i, j]
     return adj_true, adj_syn
+
+
+def grid_bounds_unrounded(eps, n, d, alpha=0.5, C=1.0, L_kappa=1.0):
+    """Both grid-form bound totals at the exact, un-rounded optimal partition
+    size m = f n, f = eps^(d/(d+1)) n^(-1/(d+1)), with a = b = m^(2/d).
+    Rounding m to a grid makes the bound/rate ratio wobble with n; here it
+    is constant."""
+    m = eps ** (d / (d + 1.0)) * n ** (-1.0 / (d + 1.0)) * n
+    a = m ** (2.0 / d)
+    inp = BoundInputs(a=a, b=a, n=n, m=m, eps=eps, d=d, alpha=alpha, C=C, L_kappa=L_kappa)
+    return expected_fgw_bound_grid(inp).total, distribution_bound_grid(inp).total
 
 
 def wasserstein_uniform_exact(xs, ys, metric="sup"):

@@ -6,7 +6,7 @@ import math
 import time
 
 import numpy as np
-from oracles import tv_project_bruteforce, tv_project_lp, wasserstein_uniform_exact
+from oracles import grid_bounds_unrounded, tv_project_bruteforce, tv_project_lp, wasserstein_uniform_exact
 from scipy import stats
 
 from privgraph.bounds import (
@@ -14,7 +14,6 @@ from privgraph.bounds import (
     bound_table,
     expected_fgw_bound,
     expected_fgw_bound_grid,
-    grid_bounds_unrounded,
     laplace_noise_factor,
     optimal_params,
     rate_bounds,

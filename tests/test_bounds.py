@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import grid_bounds_unrounded
 
 from privgraph.bounds import (
     BoundInputs,
@@ -12,7 +13,6 @@ from privgraph.bounds import (
     distribution_bound_grid,
     expected_fgw_bound,
     expected_fgw_bound_grid,
-    grid_bounds_unrounded,
     laplace_noise_factor,
     log_plus,
     optimal_params,

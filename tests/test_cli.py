@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -488,3 +489,77 @@ def test_bounds_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite eps > 0" in captured.err
+
+
+_NOISE_CONFIG = {"recipe": "uniform", "n": 80, "d": 1, "m": 4, "a": 10, "b": 10, "replicates": 4, "ipm_samples": 2}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("noise_kind", "bounded_power"), ("noise_kind", "custom"), ("noise_A", 3),
+     ("noise_pmf", {"-1": 0.25, "0": 0.5, "1": 0.25})],
+)
+def test_former_noise_settings_are_refused(tmp_path, capsys, key, value):
+    # the noise is discrete Laplace: a config or manifest asking for other noise writes nothing
+    cfg = {**_NOISE_CONFIG, "seed": 3, key: value}
+    for name, obj in (("config", cfg), ("manifest", {"draw_order": DRAW_ORDER, "config": cfg})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        for command in ("generate", "evaluate", "mc"):
+            out = tmp_path / f"{name}_{command}"
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {key} is {value!r}")
+            assert not out.exists()
+    with pytest.raises(ValueError, match="finite-support noise is not ε-DP"):
+        ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_manifest_with_the_former_noise_defaults_replays(tmp_path, capsys, command):
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    argv = [command, "--recipe", "uniform", "--n", "80", "--d", "1", "--m", "4", "--a", "10", "--b", "10", "--seed", "3"]
+    assert main([*argv, *(["--replicates", "6", "--ipm-samples", "2"] if command == "evaluate" else []),
+                 "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert not {"noise_kind", "noise_A", "noise_pmf"} & set(manifest["config"])
+    manifest["config"].update(noise_kind="discrete_laplace", noise_A=2, noise_pmf=None)  # as older manifests record
+    path = tmp_path / "old_manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main([command, "--config", str(path), "--out", str(replay)]) == 0
+    assert _read_outputs(replay) == _read_outputs(run)
+
+
+@pytest.mark.parametrize(
+    "key, text", [("m", "2.5"), ("refine_iters", "-1"), ("n", "-5"), ("seed", "-1"), ("a", "abc")]
+)
+def test_bad_config_values_are_refused_as_flags_and_in_a_config(tmp_path, capsys, key, text):
+    base = {"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8, "seed": 3}
+    flags = [arg for k, v in {**base, key: text}.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, key: text if key == "a" else json.loads(text)}))
+    for source in (flags, ["--config", str(path)]):
+        for command in ("generate", "evaluate", "mc"):
+            out = tmp_path / command
+            assert main([command, *source, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {key} must be ")
+            assert not out.exists()
+
+
+def test_m_as_a_numeral_or_auto_still_runs(tmp_path, capsys):
+    argv = ["mc", "--recipe", "uniform", "--n", "60", "--a", "8", "--b", "8", "--seed", "3", "--reps", "4"]
+    for m, same in (("12", ["12", 12]), ("auto", ["auto"])):
+        assert main([*argv, "--m", m]) == 0
+        by_flag = capsys.readouterr().out
+        for value in same:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"recipe": "uniform", "n": 60, "a": 8, "b": 8, "m": value}))
+            assert main(["mc", "--config", str(path), "--seed", "3", "--reps", "4"]) == 0
+            assert capsys.readouterr().out == by_flag
+    cfg = ExperimentConfig(seed=1, m="12", a="2.5", b=3)
+    assert (cfg.m, cfg.a, cfg.b) == (12, 2.5, 3.0)
+    with pytest.raises(ValueError, match="refine_iters must be an integer >= 0, got -1"):
+        replace(cfg, refine_iters=-1)  # a replaced field passes the same check

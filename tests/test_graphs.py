@@ -49,7 +49,7 @@ def test_inverse_distance_refuses_a_scale_that_is_not_finite_and_positive(scale)
 
 
 def test_kernel_matrix_of_one_array_with_itself():
-    # the Chung-Lu weights of xs are computed once when ys is xs
+    # a kernel of an array with itself or its copy, whole or in blocks, is the same matrix
     xs = np.random.default_rng(2).random((9, 3))
     for kern in (chung_lu(3), constant_kernel(0.4), inverse_distance(0.7)):
         same = kernel_matrix(kern, xs, xs)
@@ -187,6 +187,21 @@ def test_graph_validation():
             identifiers=np.array([0.5]),
             adjacency=np.array([[True]]),
         )
+
+
+@pytest.mark.parametrize("bad", [0.41, 2, -1, np.nan])
+def test_graph_refuses_adjacency_entries_other_than_0_1(bad):
+    # each of these once became one edge without a word
+    attrs, ids = np.zeros((3, 1)), np.array([0.2, 0.5, 0.8])
+    adj = np.zeros((3, 3), dtype=type(bad))
+    adj[0, 1] = adj[1, 0] = bad
+    with pytest.raises(ValueError, match="0/1 or boolean"):
+        AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
+    for dtype in (np.int64, float):
+        adj = np.zeros((3, 3), dtype=dtype)
+        adj[0, 1] = adj[1, 0] = 1
+        g = AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
+        assert g.adjacency.dtype == bool and g.n_edges == 1 and g.edge_list() == [(0, 1)]
 
 
 @pytest.mark.parametrize("i, j", [(1, 0), (0, 300), (300, 129), (298, 299), (130, 2)])
