@@ -8,7 +8,7 @@ coupling form wins once the privacy level is large.
 from privgraph import bound_table, optimal_params, rate_bounds
 
 table = bound_table()  # d=2, alpha=1/2, C=L=1, eps rows x n in {100, 1000, 10000}
-print(table.to_csv(sep=";"))
+print(table.to_csv())
 
 print("optimal parameters at eps=1:")
 for d in (1, 2):

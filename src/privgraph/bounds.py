@@ -292,14 +292,14 @@ class BoundTable:
     n_list: tuple
     rows: list  # one row per eps: [eps, coupling(n0), stein(n0), coupling(n1), ...]
 
-    def to_csv(self, sep: str = ";") -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         header = ["eps"]
         for n in self.n_list:
             header += [f"coupling_n{n}", f"distribution_n{n}"]
-        buf.write(sep.join(header) + "\n")
+        buf.write(";".join(header) + "\n")
         for row in self.rows:
-            buf.write(sep.join(f"{v:.6g}" for v in row) + "\n")
+            buf.write(";".join(f"{v:.6g}" for v in row) + "\n")
         return buf.getvalue()
 
 

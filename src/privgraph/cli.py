@@ -64,7 +64,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser):
     p.add_argument("--replicates", type=int)
     p.add_argument("--refine-iters", dest="refine_iters", type=int)
     p.add_argument("--out", dest="out_dir")
-    p.add_argument("--csv-sep", dest="csv_sep")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     p_table.add_argument("--eps", type=_float_list, default=list(bnd.DEFAULT_TABLE_EPS))
     p_table.add_argument("--n", type=_int_list, default=list(bnd.DEFAULT_TABLE_N))
     p_table.add_argument("--out", help="write CSV here (default stdout)")
-    p_table.add_argument("--sep", default=";")
 
     p_proj = sub.add_parser("project", help="TV-project a signed measure onto the simplex")
     p_proj.add_argument("measure", help='JSON file: {"weights": [...], "support": [[...]]?}')
@@ -160,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             table = bnd.bound_table(
                 eps_list=args.eps, n_list=args.n, d=args.d, alpha=args.alpha, C=args.C, L_kappa=args.Lk
             )
-            csv_text = table.to_csv(sep=args.sep)
+            csv_text = table.to_csv()
             monotone = all(
                 row[1 + 2 * j] > row[3 + 2 * j] and row[2 + 2 * j] > row[4 + 2 * j]
                 for row in table.rows
@@ -231,8 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mc":
             cfg = _config_from_args(args)[0]
             res = cmd_mc(cfg)
-            print(cfg.csv_sep.join(["mean", "stderr", "plan_mean", "plan_stderr"]))
-            print(cfg.csv_sep.join(f"{v:.9g}" for v in (res.mean, res.stderr, res.plan_mean, res.plan_stderr)))
+            print("mean,stderr,plan_mean,plan_stderr")
+            print(",".join(f"{v:.9g}" for v in (res.mean, res.stderr, res.plan_mean, res.plan_stderr)))
             return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,7 @@ space, partition request (or "auto" via the optimal parameter rule), privacy
 level, expected sizes (or "auto"), kernel, FGW parameters, replicate count,
 and a mandatory master seed. The noise is not a setting: every experiment
 adds discrete-Laplace noise, the one noise here whose release is ε-DP.
-Replicate r always draws from ``default_rng(SeedSequence(seed).spawn()[r])``,
-so outputs are bit-identical no matter how the replicate pool is scheduled.
+Replicate r always draws from ``default_rng(SeedSequence(seed).spawn()[r])``.
 """
 
 from __future__ import annotations
@@ -51,11 +50,16 @@ _FORMER_SETTINGS = {
     "noise_kind": ("discrete_laplace", _NOISE_IS_FIXED),
     "noise_A": (2, _NOISE_IS_FIXED),
     "noise_pmf": (None, _NOISE_IS_FIXED),
+    "csv_sep": (",", "evaluate.csv and mc output are comma-separated"),
 }
 
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def _spelt(value):
@@ -69,7 +73,7 @@ def _spelt(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     eps: float = 1.0
@@ -91,7 +95,6 @@ class ExperimentConfig:
     private_only: bool = False
     redact_counts: bool = False
     emit_dot: bool = False
-    csv_sep: str = ","
     out_dir: str = "."
 
     def __post_init__(self):
@@ -99,16 +102,21 @@ class ExperimentConfig:
         file, a manifest or :func:`dataclasses.replace`. A numeral for ``m``,
         ``a`` or ``b`` becomes the number it spells."""
         m, a, b = (_spelt(v) for v in (self.m, self.a, self.b))
-        for name, value, low in (("seed", self.seed, 0), ("n", self.n, 1), ("m", m, 1),
-                                 ("refine_iters", self.refine_iters, 0), ("ipm_samples", self.ipm_samples, 1)):
+        for name, value, low in (("seed", self.seed, 0), ("d", self.d, 1), ("n", self.n, 1), ("m", m, 1),
+                                 ("replicates", self.replicates, 1), ("refine_iters", self.refine_iters, 0),
+                                 ("ipm_samples", self.ipm_samples, 1)):
             if not (_is_int(value) and value >= low or name == "m" and value == "auto"):
                 rule = ('"auto" or ' if name == "m" else "") + f"an integer >= {low}"
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for name in ("eps", "kernel_param", "alpha", "C"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         for name, value in (("a", a), ("b", b)):
-            if not (value == "auto" or (_is_int(value) or isinstance(value, float)) and 0 < value < math.inf):
+            if not (value == "auto" or _is_real(value) and 0 < value < math.inf):
                 raise ValueError(f'{name} must be "auto" or finite and > 0, got {getattr(self, name)!r}')
-        self.m = m if m == "auto" else int(m)
-        self.a, self.b = (v if v == "auto" else float(v) for v in (a, b))
+        object.__setattr__(self, "m", m if m == "auto" else int(m))
+        object.__setattr__(self, "a", a if a == "auto" else float(a))
+        object.__setattr__(self, "b", b if b == "auto" else float(b))
 
     @classmethod
     def from_dict(cls, obj: dict, seed: int | None = None) -> "ExperimentConfig":
@@ -202,6 +210,12 @@ class ResolvedExperiment:
 
 
 def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
+    """The config's objects. Those that check a setting are built before the
+    dataset is read, so a bad setting fails before any file is opened."""
+    space = SpaceConfig(d=cfg.d, metric=cfg.metric)
+    kernel = make_kernel(cfg.kernel, cfg.kernel_param, cfg.d, cfg.metric)
+    params = FgwParams(alpha=cfg.alpha, C=cfg.C, metric=cfg.metric)
+    noise = discrete_laplace(cfg.eps)
     if cfg.data:
         dataset = load_points_csv(cfg.data, cfg.d)
     elif cfg.recipe:
@@ -209,15 +223,15 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
     else:
         raise ValueError("config needs either a data path or a recipe")
     m_request = bnd.optimal_params(cfg.eps, dataset.n, cfg.d).m_request if cfg.m == "auto" else cfg.m
-    partition = build_grid_partition(SpaceConfig(d=cfg.d, metric=cfg.metric), m_request)
+    partition = build_grid_partition(space, m_request)
     auto_a = float(partition.m) ** (2.0 / cfg.d)  # a = m^(2/d), as in bounds.optimal_params
     return ResolvedExperiment(
         config=cfg,
         dataset=dataset,
         partition=partition,
-        noise=discrete_laplace(cfg.eps),
-        kernel=make_kernel(cfg.kernel, cfg.kernel_param, cfg.d, cfg.metric),
-        params=FgwParams(alpha=cfg.alpha, C=cfg.C, metric=cfg.metric),
+        noise=noise,
+        kernel=kernel,
+        params=params,
         a=auto_a if cfg.a == "auto" else cfg.a,
         b=auto_a if cfg.b == "auto" else cfg.b,
     )
@@ -282,10 +296,10 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
         if cfg.emit_dot:
             if idx == 0 and not cfg.private_only:
                 p = out_dir / "true.dot"
-                p.write_text(graph_to_dot(pair.written[0], name="true_graph"))
+                p.write_text(graph_to_dot(pair.true_graph, name="true_graph"))
                 outputs.append(str(p))
             p = out_dir / f"synthetic_{tag}.dot"
-            p.write_text(graph_to_dot(pair.written[1], name="synthetic_graph"))
+            p.write_text(graph_to_dot(pair.synthetic_graph, name="synthetic_graph"))
             outputs.append(str(p))
     write_manifest(out_dir / "manifest.json", "generate", resolved, outputs, t0, eps_list=eps_values)
     return outputs
@@ -371,7 +385,7 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int | None = None) -> dict:
          fmt(grid_total), fmt(ipm), "+".join(sorted(set(res.evaluators)))]
     )
     csv_path = out_dir / "evaluate.csv"
-    csv_path.write_text("".join(cfg.csv_sep.join(row) + "\n" for row in rows))
+    csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_manifest(out_dir / "manifest.json", "evaluate", resolved, [str(csv_path)], t0)
     return summary

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import module_from_spec
@@ -48,6 +47,7 @@ _DIST_ROWS = 128  # rows of an N x M feature-distance matrix held at once
 # Largest N*M scored by conditional-gradient refinement; larger pairs get the
 # matched plan's exact cost (see evaluate_pair).
 REFINE_SIZE_CAP = 4096
+_EXACT_STARTS = 60  # random vertex starts of the exact small-instance search
 
 
 @dataclass(frozen=True)
@@ -287,43 +287,39 @@ def _canonical_key(g: GraphMeasure) -> tuple:
     return (g.n, g.attributes.tobytes(), g.adjacency.tobytes(), g.weights.tobytes())
 
 
-def fgw_exact_small(
-    a: GraphMeasure, b: GraphMeasure, params: FgwParams, seed: int = 0, n_starts: int = 60
-) -> float:
+def fgw_exact_small(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> float:
     """Global minimum over the coupling polytope for instances up to 4x4.
 
     The value of :func:`exact_small_search`, without its coupling.
     """
-    return exact_small_search(a, b, params, seed=seed, n_starts=n_starts)[0]
+    return exact_small_search(a, b, params)[0]
 
 
-def exact_small_search(
-    a: GraphMeasure, b: GraphMeasure, params: FgwParams, seed: int = 0, n_starts: int = 60
-) -> tuple[float, np.ndarray]:
+def exact_small_search(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> tuple[float, np.ndarray]:
     """(global minimum, a coupling of a and b achieving it) for instances up
     to 4x4.
 
     The objective is quadratic in the coupling and can attain its optimum off
     the vertex set, so the search runs conditional-gradient descent from a
     battery of starts covering the polytope: the product coupling, the
-    diagonal (when feasible), exact vertices for many random linear costs,
-    and random interior mixtures. Arguments are canonically ordered first so
-    the value is symmetric by construction; the coupling of the best start is
-    transposed back when they were swapped.
+    diagonal (when feasible), exact vertices for _EXACT_STARTS random linear
+    costs, and random interior mixtures, all drawn from seed 0. Arguments
+    are canonically ordered first so the value is symmetric by construction;
+    the coupling of the best start is transposed back when they were swapped.
     """
     if a.n > 4 or b.n > 4:
         raise ValueError("exact oracle capped at 4 vertices per side")
     if _canonical_key(a) > _canonical_key(b):
-        value, pi = exact_small_search(b, a, params, seed=seed, n_starts=n_starts)
+        value, pi = exact_small_search(b, a, params)
         return value, pi.T
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [product_coupling(a, b)]
     if a.n == b.n and np.allclose(a.weights, b.weights):
         starts.append(np.diag(a.weights))
     starts.append(transport_vertex(pairwise_distances(a.attributes, b.attributes, params.metric), a.weights, b.weights))
-    vertices = [transport_vertex(rng.standard_normal((a.n, b.n)), a.weights, b.weights) for _ in range(n_starts)]
+    vertices = [transport_vertex(rng.standard_normal((a.n, b.n)), a.weights, b.weights) for _ in range(_EXACT_STARTS)]
     starts.extend(vertices)
-    for _ in range(n_starts // 3):
+    for _ in range(_EXACT_STARTS // 3):
         picks = rng.integers(0, len(vertices), size=3)
         lam = rng.dirichlet(np.ones(3))
         starts.append(sum(l * vertices[p] for l, p in zip(lam, picks)))
@@ -481,33 +477,16 @@ class McFgwResult:
 def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
     """Replicate RNG streams: stream r is default_rng(SeedSequence(seed).spawn()[r]).
 
-    This is the package-wide seeding contract; it is deterministic and safe to
-    evaluate in parallel.
+    This is the package-wide seeding contract.
     """
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _pool_size() -> int:
-    raw = os.environ.get("PRIVGRAPH_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"PRIVGRAPH_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def run_replicates(fn, n: int, seed: int) -> list:
-    """Run fn(r, rng_r) for r in range(n); ordered by index regardless of the
-    pool schedule. PRIVGRAPH_THREADS caps the pool (default serial)."""
+    """[fn(r, rng_r) for r in range(n)], in index order, rng_r being stream r
+    of :func:`spawn_streams`."""
     streams = spawn_streams(seed, n)
-    workers = _pool_size()
-    if workers == 1:
-        return [fn(r, streams[r]) for r in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, r, streams[r]) for r in range(n)]
-        return [f.result() for f in futures]
+    return [fn(r, streams[r]) for r in range(n)]
 
 
 def evaluate_pair(pair: CoupledGraphs, params: FgwParams, refine_iters: int) -> tuple[float, float, str]:

@@ -16,8 +16,8 @@ which every manifest records; a manifest written under another order (1 or
 2) is refused rather than replayed into different graphs. Under draw order 3
 the matched vertices come first: matched pair s is vertex s of both graphs
 for s < Z, so every matched block is the contiguous view ``adj[:Z, :Z]``.
-That layout reflects the true data, so written files list each graph's
-vertices in identifier order instead (:attr:`CoupledGraphs.written`).
+That layout reflects the true data, so the writers list each graph's
+vertices in identifier order instead (:func:`privgraph.graphs._written_order`).
 Each vertex pair that can carry an edge takes exactly one uniform, drawn in
 row blocks straight into the boolean adjacencies: beyond the two adjacencies
 (N^2 + M^2 bytes) the generator holds O(EDGE_BLOCK_ROWS * N) floats, never
@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import CHUNG_LU, AttributedGraph, Kernel, _distinct_uniform_ids, _unchecked, graph_to_dict, kernel_matrix
+from .graphs import (CHUNG_LU, AttributedGraph, Kernel, _distinct_uniform_ids, _unchecked, _written_order,
+                     graph_to_dict, kernel_matrix)
 from .measures import PrivateMeasureResult, ProbabilityMeasure, run_private_measure
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition
@@ -224,31 +225,20 @@ class CoupledGraphs:
         matched-plan evaluators."""
         return count_edges(self.true_graph.adjacency, self.synthetic_graph.adjacency, self.match_count)
 
-    @cached_property
-    def written(self) -> tuple[AttributedGraph, AttributedGraph, np.ndarray]:
-        """Both graphs with their vertices sorted by identifier, and the matches
-        renumbered to that order: the layout of every file written. The
-        identifiers are iid, so unlike the matched-first layout this order
-        does not depend on the true data."""
-        graphs, matches = [], self.matches.copy()
-        for col, g in ((1, self.true_graph), (2, self.synthetic_graph)):
-            order = np.argsort(g.identifiers)
-            attrs, ids = g.attributes[order], g.identifiers[order]
-            adj = g.adjacency[np.ix_(order, order)]  # a permutation keeps the symmetry and the empty diagonal
-            graphs.append(_unchecked(AttributedGraph, attributes=attrs, identifiers=ids, adjacency=adj))
-            matches[:, col] = np.argsort(order)[matches[:, col]]
-        return (*graphs, matches)
-
     def to_dict(self, redact_counts: bool = False, private_only: bool = False) -> dict:
-        tg, sg, matches = self.written
+        """Both graphs as :func:`~privgraph.graphs.graph_to_dict` writes them,
+        vertices in identifier order, with the matches renumbered to it."""
         out = {
             "a": self.a,
             "b": self.b,
-            "synthetic_graph": graph_to_dict(sg),
+            "synthetic_graph": graph_to_dict(self.synthetic_graph),
             "private_measure": self.private.to_dict(redact_counts=redact_counts),
         }
         if not private_only:
-            out["true_graph"] = graph_to_dict(tg)
+            matches = self.matches.copy()
+            for col, g in ((1, self.true_graph), (2, self.synthetic_graph)):
+                matches[:, col] = np.argsort(_written_order(g))[matches[:, col]]
+            out["true_graph"] = graph_to_dict(self.true_graph)
             out["coupling"] = {
                 "shared_count": self.shared_count,
                 "extra_true_count": self.extra_true_count,

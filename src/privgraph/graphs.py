@@ -86,11 +86,14 @@ def kernel_eval(kernel: Kernel, x, y) -> float:
     return float(kernel_matrix(kernel, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
-def _edge_blocks(adj: np.ndarray):
+def _edge_blocks(adj: np.ndarray, order: np.ndarray | None = None):
     """(i, j) index arrays of the edges i < j in row-major order, _SYMMETRY_ROWS
-    rows at a time, so no N x N temporary is made."""
+    rows at a time, so no N x N temporary is made. With ``order``, vertex k
+    is the stored vertex ``order[k]``, and each block of rows is permuted on
+    its own."""
     for r0 in range(0, adj.shape[0], _SYMMETRY_ROWS):
-        i, j = np.nonzero(adj[r0 : r0 + _SYMMETRY_ROWS])
+        rows = slice(r0, r0 + _SYMMETRY_ROWS)
+        i, j = np.nonzero(adj[rows] if order is None else adj[np.ix_(order[rows], order)])
         upper = j > i + r0
         yield i[upper] + r0, j[upper]
 
@@ -199,13 +202,19 @@ def _distinct_uniform_ids(n: int, rng: np.random.Generator) -> np.ndarray:
 # -- serialization -----------------------------------------------------------
 
 
+def _written_order(g: AttributedGraph) -> np.ndarray:
+    """The vertices sorted by identifier: the order every writer lists them
+    in. The identifiers are iid uniform, so unlike the generator's
+    matched-first layout this order does not depend on the true data."""
+    return np.argsort(g.identifiers, kind="stable")
+
+
 def graph_to_dict(g: AttributedGraph) -> dict:
+    """The graph with its vertices in :func:`_written_order`, numbered from 0."""
+    order = _written_order(g)
     return {
-        "vertices": [
-            {"attr": g.attributes[i].tolist(), "id": float(g.identifiers[i])}
-            for i in range(g.n_vertices)
-        ],
-        "edges": [e for i, j in _edge_blocks(g.adjacency) for e in np.column_stack((i, j)).tolist()],
+        "vertices": [{"attr": g.attributes[i].tolist(), "id": float(g.identifiers[i])} for i in order],
+        "edges": [e for i, j in _edge_blocks(g.adjacency, order) for e in np.column_stack((i, j)).tolist()],
     }
 
 
@@ -241,23 +250,27 @@ def graph_from_json(text: str) -> AttributedGraph:
     return graph_from_dict(json.loads(text))
 
 
-def _edge_lines(g: AttributedGraph, line: str) -> str:
-    """``line % (i, j)`` for each edge i < j in row-major order, formatted one
-    block of rows at a time from :func:`_edge_blocks`."""
+def _edge_lines(g: AttributedGraph, order: np.ndarray, line: str) -> str:
+    """``line % (i, j)`` for each edge i < j in row-major order of the
+    vertices taken in ``order``, formatted one block of rows at a time from
+    :func:`_edge_blocks`."""
     return "".join(
-        (line * i.size) % tuple(np.column_stack((i, j)).ravel().tolist()) for i, j in _edge_blocks(g.adjacency)
+        (line * i.size) % tuple(np.column_stack((i, j)).ravel().tolist()) for i, j in _edge_blocks(g.adjacency, order)
     )
 
 
 def graph_to_dot(g: AttributedGraph, name: str = "G") -> str:
-    """DOT export with grayscale vertices; small attributes render dark."""
+    """DOT export with grayscale vertices, listed in :func:`_written_order`;
+    small attributes render dark."""
+    order = _written_order(g)
     lines = [f"graph {name} {{", "  node [shape=circle style=filled label=\"\"];"]
-    for i in range(g.n_vertices):
+    for k, i in enumerate(order):
         shade = float(np.mean(g.attributes[i]))
         shade = min(max(shade, 0.0), 1.0)
-        lines.append(f'  {i} [fillcolor="0.000 0.000 {shade:.3f}"];')
-    return "".join(f"{line}\n" for line in lines) + _edge_lines(g, "  %d -- %d;\n") + "}\n"
+        lines.append(f'  {k} [fillcolor="0.000 0.000 {shade:.3f}"];')
+    return "".join(f"{line}\n" for line in lines) + _edge_lines(g, order, "  %d -- %d;\n") + "}\n"
 
 
 def graph_to_edge_list_text(g: AttributedGraph) -> str:
-    return _edge_lines(g, "%d %d\n")
+    """One "i j" line per edge, the vertices numbered in :func:`_written_order`."""
+    return _edge_lines(g, _written_order(g), "%d %d\n")

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +66,9 @@ def test_generate_deterministic_and_manifest_replay(tmp_path):
     # a manifest is itself a valid config and replays bit-exactly
     manifest = json.loads((out1 / "manifest.json").read_text())
     cfg = ExperimentConfig.from_dict(manifest)
-    cfg.out_dir = str(out3)
-    cmd_generate(cfg)
+    with pytest.raises(FrozenInstanceError):
+        cfg.out_dir = str(out3)  # a config is changed only through replace, which checks it again
+    cmd_generate(replace(cfg, out_dir=str(out3)))
     assert _read_outputs(out1) == _read_outputs(out3)
 
 
@@ -328,18 +329,6 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys: epsilon" in capsys.readouterr().err
 
 
-def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
-    cfg = dict(
-        recipe="uniform", n=60, d=1, eps=1.0, m=4, a=8.0, b=8.0, replicates=12, seed=4
-    )
-    out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-    s1 = cmd_evaluate(ExperimentConfig(out_dir=str(out1), **cfg), ipm_samples=5)
-    monkeypatch.setenv("PRIVGRAPH_THREADS", "4")
-    s2 = cmd_evaluate(ExperimentConfig(out_dir=str(out2), **cfg), ipm_samples=5)
-    assert s1 == s2
-    assert (out1 / "evaluate.csv").read_bytes() == (out2 / "evaluate.csv").read_bytes()
-
-
 def test_config_without_seed_fails_cleanly(tmp_path, capsys):
     with pytest.raises(ValueError, match="seed is mandatory"):
         ExperimentConfig.from_dict({"recipe": "uniform", "n": 50})
@@ -362,18 +351,6 @@ def test_seed_flag_completes_a_seedless_config(tmp_path, capsys):
     assert ExperimentConfig.from_dict(json.loads(cfg_path.read_text()), seed=3).seed == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_bad_threads_env_is_rejected(tmp_path, monkeypatch, capsys, value):
-    from privgraph.fgw import _pool_size
-
-    monkeypatch.setenv("PRIVGRAPH_THREADS", value)
-    with pytest.raises(ValueError, match="PRIVGRAPH_THREADS"):
-        _pool_size()
-    argv = ["mc", "--recipe", "uniform", "--n", "40", "--m", "4", "--a", "6", "--b", "6", "--seed", "1", "--reps", "2"]
-    assert main(argv) == 1
-    assert "PRIVGRAPH_THREADS" in capsys.readouterr().err
-
-
 def test_mc_runs_through_the_replicate_runner(monkeypatch, capsys):
     import privgraph.fgw as fgw_mod
 
@@ -382,11 +359,7 @@ def test_mc_runs_through_the_replicate_runner(monkeypatch, capsys):
     monkeypatch.setattr(fgw_mod, "run_replicates", lambda fn, n, seed: calls.append(n) or runner(fn, n, seed))
     argv = ["mc", "--recipe", "uniform", "--n", "60", "--m", "4", "--a", "8", "--b", "8", "--seed", "3", "--reps", "12"]
     assert main(argv) == 0
-    serial = capsys.readouterr().out
     assert calls == [12]
-    monkeypatch.setenv("PRIVGRAPH_THREADS", "3")
-    assert main(argv) == 0
-    assert capsys.readouterr().out == serial
 
 
 _SMALL_EVALUATE = ["--recipe", "uniform", "--n", "80", "--d", "1", "--m", "4", "--a", "10", "--b", "10"]
@@ -405,15 +378,16 @@ def test_manifest_refine_size_cap_replays_only_at_the_constant(tmp_path, capsys)
     run = tmp_path / "run"
     assert main(["evaluate", *_SMALL_EVALUATE, "--replicates", "12", "--seed", "3", "--out", str(run)]) == 0
     manifest = json.loads((run / "manifest.json").read_text())
-    assert "refine_size_cap" not in manifest["config"]
-    for cap, rc in ((REFINE_SIZE_CAP, 0), (100, 1)):
-        manifest["config"]["refine_size_cap"] = cap  # as manifests written before the constant record it
-        path = tmp_path / f"manifest_{cap}.json"
-        path.write_text(json.dumps(manifest))
-        assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / f"replay_{cap}")]) == rc
-    assert _read_outputs(tmp_path / f"replay_{REFINE_SIZE_CAP}") == _read_outputs(run)
-    assert "refine_size_cap is 100" in capsys.readouterr().err
-    assert not (tmp_path / "replay_100").exists()
+    path = tmp_path / "manifest.json"
+    for key, fixed, other in (("refine_size_cap", REFINE_SIZE_CAP, 100), ("csv_sep", ",", ";")):
+        assert key not in manifest["config"]
+        for value, rc in ((fixed, 0), (other, 1)):
+            # as manifests written while the key was a setting record it
+            path.write_text(json.dumps({**manifest, "config": {**manifest["config"], key: value}}))
+            assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / f"{key}_{rc}")]) == rc
+        assert _read_outputs(tmp_path / f"{key}_0") == _read_outputs(run)
+        assert f"{key} is {other!r}" in capsys.readouterr().err
+        assert not (tmp_path / f"{key}_1").exists()
 
 
 def test_too_few_replicates_or_ipm_samples_are_refused(tmp_path, capsys):
@@ -532,7 +506,9 @@ def test_manifest_with_the_former_noise_defaults_replays(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize(
-    "key, text", [("m", "2.5"), ("refine_iters", "-1"), ("n", "-5"), ("seed", "-1"), ("a", "abc")]
+    "key, text",
+    [("m", "2.5"), ("refine_iters", "-1"), ("n", "-5"), ("seed", "-1"), ("a", "abc"), ("d", "-1"), ("d", "0"),
+     ("replicates", "0")],
 )
 def test_bad_config_values_are_refused_as_flags_and_in_a_config(tmp_path, capsys, key, text):
     base = {"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8, "seed": 3}
@@ -547,6 +523,21 @@ def test_bad_config_values_are_refused_as_flags_and_in_a_config(tmp_path, capsys
             assert captured.out == ""
             assert captured.err.startswith(f"error: {key} must be ")
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("d", 1.5), ("replicates", "3"), ("eps", "abc"), ("alpha", "0.5"), ("C", None), ("kernel_param", True)]
+)
+def test_config_values_of_the_wrong_type_are_refused(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8, "seed": 3, key: value}))
+    for command in ("generate", "evaluate", "mc"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be ")
+        assert not out.exists()
 
 
 def test_m_as_a_numeral_or_auto_still_runs(tmp_path, capsys):

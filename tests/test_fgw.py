@@ -8,6 +8,7 @@ from oracles import brute_force_cost, wasserstein_uniform_exact
 from privgraph.fgw import (
     FgwParams,
     GraphMeasure,
+    evaluate_pair,
     exact_small_search,
     fgw_cost,
     fgw_exact_small,
@@ -17,6 +18,7 @@ from privgraph.fgw import (
     ipm_lower_bound,
     matched_plan_cost,
     mc_expected_fgw,
+    plan_cost_exact,
     plan_coupling,
     product_coupling,
     reference_graphs,
@@ -25,7 +27,7 @@ from privgraph.fgw import (
     worst_pair_cost,
 )
 from privgraph.generator import generate_coupled_graphs, sample_graph
-from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel
+from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel, inverse_distance
 from privgraph.measures import PrivateMeasureResult, ProbabilityMeasure, SignedMeasure
 from privgraph.noise import discrete_laplace, zero_noise
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
@@ -269,13 +271,43 @@ def test_plan_dominance_chain_on_small_pairs():
     assert checked >= 10
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    metric=st.sampled_from(["sup", "euclidean"]),
+    scale_frac=st.one_of(st.none(), st.floats(0.02, 1.0)),  # None: Chung-Lu
+    alpha=st.floats(0.0, 1.0),
+    cap=st.floats(0.1, 5.0),
+    eps=st.floats(0.1, 3.0),
+    a=st.floats(1.0, 70.0),
+    b=st.floats(1.0, 70.0),
+    m=st.sampled_from([1, 4, 9]),
+    refine_iters=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dominance_chain_on_generated_pairs(d, metric, scale_frac, alpha, cap, eps, a, b, m, refine_iters, seed):
+    # plan value <= the matched plan's exact cost <= its charge, for kernels with
+    # 2*L*diam >= 1: Chung-Lu (L = d) and inverse distance of scale <= 2*diam.
+    # The constant kernel (L = 0) is left out, since the charge does not cover it.
+    part = build_grid_partition(SpaceConfig(d=d, metric=metric), m)
+    diam = part.space.diameter
+    kernel = chung_lu(d) if scale_frac is None else inverse_distance(scale_frac * 2.0 * diam, metric=metric)
+    assert 2.0 * kernel.lipschitz_constant * diam >= 1.0 - 1e-12
+    rng = np.random.default_rng(seed)
+    data = AttributeDataset(points=rng.random((40, d)))
+    pair = generate_coupled_graphs(data, part, discrete_laplace(eps), a, b, kernel, rng)
+    params = FgwParams(alpha=alpha, C=cap, metric=metric)
+    value = evaluate_pair(pair, params, refine_iters)[1]
+    exact = plan_cost_exact(pair, params)
+    assert value <= exact + 1e-9
+    assert exact <= matched_plan_cost(pair, params) + 1e-9
+
+
 def test_plan_cost_exact_matches_dense_evaluation():
     rng = np.random.default_rng(14)
     part = build_grid_partition(SpaceConfig(d=1), 4)
     data = AttributeDataset(points=rng.random((40, 1)))
     params = FgwParams(alpha=0.5)
-    from privgraph.fgw import plan_cost_exact
-
     for seed in range(8):
         pair = generate_coupled_graphs(
             data, part, discrete_laplace(1.0), 12, 9, chung_lu(1), np.random.default_rng(seed)

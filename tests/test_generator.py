@@ -15,7 +15,16 @@ from scipy import stats
 import privgraph.generator as generator_mod
 import privgraph.graphs as graphs_mod
 from privgraph.generator import generate_coupled_graphs, sample_graph
-from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel, graph_from_dict, inverse_distance
+from privgraph.graphs import (
+    AttributedGraph,
+    chung_lu,
+    constant_kernel,
+    graph_from_dict,
+    graph_to_dict,
+    graph_to_dot,
+    graph_to_edge_list_text,
+    inverse_distance,
+)
 from privgraph.measures import (
     PrivateMeasureResult,
     ProbabilityMeasure,
@@ -212,6 +221,11 @@ def test_written_pair_is_in_identifier_order():
         order = np.argsort(g.identifiers)
         assert np.array_equal(w.identifiers, g.identifiers[order]) and np.array_equal(w.attributes, g.attributes[order])
         assert np.array_equal(w.adjacency, g.adjacency[np.ix_(order, order)])
+        # every writer lists the in-memory graph as it lists w, whose identifiers are sorted
+        assert not np.array_equal(order, np.arange(g.n_vertices))
+        assert graph_to_dict(g) == out[key]
+        assert graph_to_dot(g) == graph_to_dot(w)
+        assert graph_to_edge_list_text(g) == "".join(f"{i} {j}\n" for i, j in w.edge_list())
         written.append(w)
     matches = np.array(out["coupling"]["matches"])
     z = pair.match_count
@@ -459,8 +473,7 @@ def test_every_generated_graph_is_one_the_checked_constructor_accepts(d, kernel_
     data = AttributeDataset(points=rng.random((30, d)))
     part = build_grid_partition(SpaceConfig(d=d), m)
     pair = generate_coupled_graphs(data, part, discrete_laplace(1.0), a, b, kernel, rng)
-    tg, sg, _ = pair.written
-    for g in (pair.true_graph, pair.synthetic_graph, tg, sg):
+    for g in (pair.true_graph, pair.synthetic_graph):
         _assert_as_checked(g)
     support = ProbabilityMeasure(support=data.points[:3], weights=np.full(3, 1 / 3))
     grid_ints = (np.arange(4)[:, None] % 2).repeat(d, axis=1)  # integer points become float64 attributes
@@ -475,5 +488,5 @@ def test_a_large_generated_pair_is_one_the_checked_constructor_accepts():
         data, part, discrete_laplace(1.0), 4000.0, 4000.0, chung_lu(1), np.random.default_rng(8)
     )
     assert min(pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices) > 3800
-    for g in (pair.true_graph, pair.synthetic_graph, *pair.written[:2]):
+    for g in (pair.true_graph, pair.synthetic_graph):
         _assert_as_checked(g)

@@ -254,20 +254,33 @@ def test_dot_and_edge_list_text_bytes():
         identifiers=np.array([0.4, 0.1, 0.7, 0.2]),
         adjacency=adj,
     )
+    # the writers list vertices by identifier: stored vertices 1, 3, 0, 2 become 0, 1, 2, 3
     assert graph_to_dot(g, name="pair") == (
         "graph pair {\n"
         '  node [shape=circle style=filled label=""];\n'
-        '  0 [fillcolor="0.000 0.000 0.200"];\n'
-        '  1 [fillcolor="0.000 0.000 0.950"];\n'
-        '  2 [fillcolor="0.000 0.000 0.500"];\n'
-        '  3 [fillcolor="0.000 0.000 0.125"];\n'
-        "  0 -- 1;\n  0 -- 3;\n  1 -- 2;\n  2 -- 3;\n"
+        '  0 [fillcolor="0.000 0.000 0.950"];\n'
+        '  1 [fillcolor="0.000 0.000 0.125"];\n'
+        '  2 [fillcolor="0.000 0.000 0.200"];\n'
+        '  3 [fillcolor="0.000 0.000 0.500"];\n'
+        "  0 -- 2;\n  0 -- 3;\n  1 -- 2;\n  1 -- 3;\n"
         "}\n"
     )
-    assert graph_to_edge_list_text(g) == "0 1\n0 3\n1 2\n2 3\n"
+    assert graph_to_edge_list_text(g) == "0 2\n0 3\n1 2\n1 3\n"
+    assert graph_to_dict(g) == {
+        "vertices": [{"attr": [0.9, 1.0], "id": 0.1}, {"attr": [0.0, 0.25], "id": 0.2},
+                     {"attr": [0.1, 0.3], "id": 0.4}, {"attr": [0.5, 0.5], "id": 0.7}],
+        "edges": [[0, 2], [0, 3], [1, 2], [1, 3]],
+    }
+    assert g.edge_list() == [(0, 1), (0, 3), (1, 2), (2, 3)]  # the in-memory order stays
     rng = np.random.default_rng(8)
     for n in (0, 1, 300):  # 300 vertices span three blocks of rows
         adj = np.triu(rng.random((n, n)) < 0.3, 1)
         g = AttributedGraph(attributes=rng.random((n, 1)), identifiers=np.linspace(0.0, 1.0, n), adjacency=adj | adj.T)
         assert graph_to_dot(g, name="G") == _dot_formatted_whole(g, "G")
         assert graph_to_edge_list_text(g) == "".join(f"{i} {j}\n" for i, j in g.edge_list())
+        # stored in a shuffled order, the same graph is written the same way
+        perm = rng.permutation(n)
+        shuffled = AttributedGraph(g.attributes[perm], g.identifiers[perm], g.adjacency[np.ix_(perm, perm)])
+        assert graph_to_dot(shuffled, name="G") == graph_to_dot(g, name="G")
+        assert graph_to_edge_list_text(shuffled) == graph_to_edge_list_text(g)
+        assert graph_to_dict(shuffled) == graph_to_dict(g)
