@@ -155,14 +155,20 @@ def expected_fgw_bound(inp: BoundInputs) -> BoundTerms:
     )
 
 
-def expected_fgw_bound_grid(inp: BoundInputs) -> BoundTerms:
-    """Simplified two-term form: grid partition of the unit cube, equal sizes,
-    discrete Laplace noise. Preconditions are enforced."""
+def _grid_cell_diam(inp: BoundInputs) -> float:
+    """m^(-1/d), the cell diameter of both grid forms; refuses inputs they do not cover."""
     if inp.a != inp.b:
         raise ValueError("grid form requires equal expected sizes a = b")
     md = inp.m ** (-1.0 / inp.d)
     if abs(inp.max_cell_diam - md) > 1e-9:
         raise ValueError("grid form requires max cell diameter m^(-1/d)")
+    return md
+
+
+def expected_fgw_bound_grid(inp: BoundInputs) -> BoundTerms:
+    """Simplified two-term form: grid partition of the unit cube, equal sizes,
+    discrete Laplace noise. Preconditions are enforced."""
+    md = _grid_cell_diam(inp)
     r = inp.rates
     return BoundTerms(
         name="expected_fgw_grid",
@@ -221,10 +227,8 @@ def distribution_bound(inp: BoundInputs) -> BoundTerms:
 
 def distribution_bound_grid(inp: BoundInputs) -> BoundTerms:
     """Simplified three-term form of :func:`distribution_bound` on the unit
-    cube with discrete Laplace noise and equal sizes."""
-    if inp.a != inp.b:
-        raise ValueError("grid form requires equal expected sizes a = b")
-    md = inp.m ** (-1.0 / inp.d)
+    cube with discrete Laplace noise and equal sizes. Preconditions are enforced."""
+    md = _grid_cell_diam(inp)
     c_alpha = (1.0 - inp.alpha) * inp.diam_omega + inp.alpha * inp.C
     return BoundTerms(
         name="distribution_grid",
@@ -336,7 +340,9 @@ def bound_report(inp: BoundInputs) -> dict:
         "distribution": distribution_bound(inp),
         "rates": rate_bounds(inp.eps, inp.n, inp.d, inp.alpha, inp.C, inp.L_kappa),
     }
-    if inp.a == inp.b and abs(inp.max_cell_diam - inp.m ** (-1.0 / inp.d)) <= 1e-9:
+    try:
         report["expected_fgw_grid"] = expected_fgw_bound_grid(inp)
         report["distribution_grid"] = distribution_bound_grid(inp)
+    except ValueError:  # the grid forms do not cover these inputs
+        pass
     return report

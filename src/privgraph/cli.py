@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,29 @@ def _float_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
+
+
+def _read_object(path: str, required, allowed=None) -> dict:
+    """The JSON object in ``path``, refused naming the first key of
+    ``required`` it lacks or, when ``allowed`` is given, the keys outside it."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{path}: missing key {missing[0]!r}")
+    unknown = [] if allowed is None else sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{path}: unknown keys: {', '.join(unknown)}")
+    return obj
+
+
+def _emit(text: str, out: str | None) -> None:
+    """``text`` to the file ``out``, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _config_from_args(args) -> tuple[ExperimentConfig, list[float] | None]:
@@ -138,20 +161,14 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if ok else 3
 
         if args.command == "bounds":
-            obj = json.loads(Path(args.json).read_text())
-            inp = bnd.BoundInputs(**obj)
-            report = bnd.bound_report(inp)
-            payload = {}
-            for key, val in report.items():
-                if isinstance(val, bnd.BoundTerms):
-                    payload[key] = {"terms": val.terms, "total": val.total}
-                else:
-                    payload[key] = {"coupling": val.coupling, "stein": val.stein}
-            text = json.dumps(payload, indent=2, sort_keys=True)
-            if args.out:
-                Path(args.out).write_text(text + "\n")
-            else:
-                print(text)
+            names = [f.name for f in fields(bnd.BoundInputs)]
+            required = [f.name for f in fields(bnd.BoundInputs) if f.default is MISSING]
+            obj = _read_object(args.json, required, allowed=names)
+            payload = {
+                key: {"terms": val.terms, "total": val.total} if isinstance(val, bnd.BoundTerms) else asdict(val)
+                for key, val in bnd.bound_report(bnd.BoundInputs(**obj)).items()
+            }
+            _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
             return 0
 
         if args.command == "table":
@@ -164,15 +181,11 @@ def main(argv: list[str] | None = None) -> int:
                 for row in table.rows
                 for j in range(len(args.n) - 1)
             )
-            footer = f"# entries decrease in n at fixed eps: {monotone}\n"
-            if args.out:
-                Path(args.out).write_text(csv_text + footer)
-            else:
-                sys.stdout.write(csv_text + footer)
+            _emit(f"{csv_text}# entries decrease in n at fixed eps: {monotone}\n", args.out)
             return 0
 
         if args.command == "project":
-            obj = json.loads(Path(args.measure).read_text())
+            obj = _read_object(args.measure, ["weights"])
             weights = np.asarray(obj["weights"], dtype=float)
             support = np.asarray(
                 obj.get("support", [[float(i)] for i in range(weights.size)]), dtype=float
@@ -193,18 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                 spec = noise_from_json(args.pmf)
             level = args.level if args.level is not None else args.eps
             report = dp_ratio_satisfied(spec, level)
-            print(
-                json.dumps(
-                    {
-                        "satisfied": report.satisfied,
-                        "pure_dp": report.pure_dp,
-                        "worst_ratio": report.worst_ratio,
-                        "worst_k": report.worst_k,
-                        "worst_shift": report.worst_shift,
-                        "bound": float(np.exp(level)),
-                    }
-                )
-            )
+            print(json.dumps({**asdict(report), "bound": float(np.exp(level))}))
             return 0 if report.satisfied else 2
 
         if args.command == "dist":
@@ -219,11 +221,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 value, coupling = fgw_upper_bound(ma, mb, params, iterations=50)
                 mode = "upper_bound"
-            text = json.dumps({"value": value, "mode": mode, "coupling": coupling.tolist()})
-            if args.out:
-                Path(args.out).write_text(text + "\n")
-            else:
-                print(text)
+            _emit(json.dumps({"value": value, "mode": mode, "coupling": coupling.tolist()}) + "\n", args.out)
             return 0
 
         if args.command == "mc":

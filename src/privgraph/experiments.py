@@ -5,7 +5,8 @@ space, partition request (or "auto" via the optimal parameter rule), privacy
 level, expected sizes (or "auto"), kernel, FGW parameters, replicate count,
 and a mandatory master seed. The noise is not a setting: every experiment
 adds discrete-Laplace noise, the one noise here whose release is ε-DP.
-Replicate r always draws from ``default_rng(SeedSequence(seed).spawn()[r])``.
+Replicate r always draws from ``default_rng(SeedSequence(seed).spawn()[r])``,
+and the "uniform" recipe from ``default_rng(SeedSequence(seed))``.
 """
 
 from __future__ import annotations
@@ -157,13 +158,14 @@ def load_config(path: str, seed: int | None = None) -> tuple[ExperimentConfig, l
 
 def make_recipe_dataset(recipe: str, n: int, d: int, seed: int) -> AttributeDataset:
     """Synthetic datasets: "half_zero_one" (half attrs 0, half 1, any d) or
-    "uniform" (iid uniform on the cube)."""
+    "uniform" (iid uniform on the cube, drawn from the root ``SeedSequence(seed)``,
+    which no replicate stream of :func:`spawn_streams` shares)."""
     if recipe == "half_zero_one":
         pts = np.zeros((n, d))
         pts[n // 2 :] = 1.0
         return AttributeDataset(points=pts)
     if recipe == "uniform":
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         return AttributeDataset(points=rng.random((n, d)))
     raise ValueError(f"unknown recipe {recipe!r}")
 
@@ -337,11 +339,10 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int | None = None) -> dict:
     )
     coupling_total = bnd.expected_fgw_bound(inp).total
     grid_total = None
-    if resolved.a == resolved.b:
-        try:
-            grid_total = bnd.expected_fgw_bound_grid(inp).total
-        except ValueError:
-            grid_total = None
+    try:
+        grid_total = bnd.expected_fgw_bound_grid(inp).total
+    except ValueError:  # the grid form does not cover these inputs
+        pass
 
     res = resolved.monte_carlo(keep_graphs=cfg.ipm_samples)
     trues, syns = zip(*res.graphs)

@@ -11,9 +11,9 @@ independent Bernoulli edges) while sharing as much randomness as possible:
 * edges between two matched vertex pairs are drawn from the maximal coupling
   of their Bernoulli laws, so they disagree with probability |p - q|.
 
-The stream is consumed in a fixed, versioned order, ``DRAW_ORDER`` (now 3),
-which every manifest records; a manifest written under another order (1 or
-2) is refused rather than replayed into different graphs. Under draw order 3
+The stream is consumed in a fixed, versioned order, ``DRAW_ORDER`` (now 4),
+which every manifest records; a manifest written under another order (1 to
+3) is refused rather than replayed into different graphs. Since draw order 3
 the matched vertices come first: matched pair s is vertex s of both graphs
 for s < Z, so every matched block is the contiguous view ``adj[:Z, :Z]``.
 That layout reflects the true data, so the writers list each graph's
@@ -42,9 +42,11 @@ from .space import AttributeDataset, Partition
 
 _RESIDUAL_TOL = 1e-12
 
-# Version of the order in which the generator consumes its random stream;
-# manifests record it and a manifest written under another order is refused.
-DRAW_ORDER = 3
+# Version of the order in which the generator consumes its random stream, and
+# of the stream the "uniform" recipe draws its points from (draw order 4 gave
+# the recipe the root SeedSequence(seed), which no replicate uses); manifests
+# record it and a manifest written under another order is refused.
+DRAW_ORDER = 4
 # Rows of the upper triangle whose edges are drawn together; the stream does
 # not depend on it, only the size of the per-block float arrays does.
 EDGE_BLOCK_ROWS = 128
@@ -87,7 +89,7 @@ def _kernel_blocks(kernel: Kernel, attrs: np.ndarray):
 def _coupled_edges(
     kernel: Kernel, true_attrs: np.ndarray, syn_attrs: np.ndarray, z: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both boolean adjacencies under draw order 3; vertex s < z is matched
+    """Both boolean adjacencies under draw orders 3 and 4; vertex s < z is matched
     pair s of both graphs.
 
     Three runs draw one uniform u per vertex pair i < j, row-major: the
@@ -263,7 +265,7 @@ def generate_coupled_graphs(
     ``private`` may carry a precomputed mechanism result to hold the noisy
     measure fixed across replicates; otherwise the mechanism runs first with
     the same rng. The draw order is fixed, so output is bit-reproducible for
-    a given generator state. Draw order 3 (``DRAW_ORDER``): sizes,
+    a given generator state. Draw orders 3 and 4 (``DRAW_ORDER``): sizes,
     indicators, residual cells, extra cells, attribute picks, identifiers,
     then the edge uniforms in the three runs of :func:`_coupled_edges`,
     C(N,2) + C(M,2) - C(Z,2) uniforms for Z matched vertices. The vertex

@@ -224,9 +224,16 @@ def _is_vertex_index(x, n: int) -> bool:
 
 def graph_from_dict(obj: dict) -> AttributedGraph:
     """The graph of :func:`graph_to_dict`'s form. Each edge must be a pair of
-    distinct integer vertex indices in [0, n); any other edge is refused."""
+    distinct integer vertex indices in [0, n); any other edge, and a vertex
+    without an "attr" or an "id", is refused."""
+    if not isinstance(obj, dict):
+        raise ValueError("a graph must be a JSON object")
     verts = obj.get("vertices", [])
     n = len(verts)
+    for i, v in enumerate(verts):
+        for key in ("attr", "id"):
+            if not (isinstance(v, dict) and key in v):
+                raise ValueError(f"vertex {i} has no {key!r}")
     adj = np.zeros((n, n), dtype=bool)
     for edge in obj.get("edges", []):
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(_is_vertex_index(x, n) for x in edge)):

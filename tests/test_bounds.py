@@ -62,12 +62,17 @@ def test_grid_bound_examples():
 
 
 def test_grid_bound_preconditions():
-    with pytest.raises(ValueError):
-        expected_fgw_bound_grid(BoundInputs(a=2, b=3, n=100, m=4, eps=1.0, d=1))
-    with pytest.raises(ValueError):
-        expected_fgw_bound_grid(
-            BoundInputs(a=2, b=2, n=100, m=4, eps=1.0, d=1, max_cell_diam=0.4)
-        )
+    for grid_form in (expected_fgw_bound_grid, distribution_bound_grid):
+        with pytest.raises(ValueError, match="a = b"):
+            grid_form(BoundInputs(a=2, b=3, n=100, m=4, eps=1.0, d=1))
+        with pytest.raises(ValueError, match="m\\^\\(-1/d\\)"):
+            grid_form(BoundInputs(a=2, b=2, n=100, m=4, eps=1.0, d=1, max_cell_diam=0.4))
+        # a euclidean grid: cells sqrt(2)/10 wide, not the printed 0.1
+        with pytest.raises(ValueError, match="m\\^\\(-1/d\\)"):
+            grid_form(BoundInputs(a=100, b=100, n=1000, m=100, eps=1.0, d=2, max_cell_diam=math.sqrt(2) / 10))
+    report = bound_report(BoundInputs(a=100, b=100, n=1000, m=100, eps=1.0, d=2, max_cell_diam=math.sqrt(2) / 10))
+    assert set(report) == {"expected_fgw", "distribution", "rates"}
+    assert {"expected_fgw_grid", "distribution_grid"} < set(bound_report(BoundInputs(a=100, b=100, n=1000, m=100, eps=1.0, d=2)))
 
 
 def test_grid_vs_general_relationship():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from privgraph.cli import main
-from privgraph.experiments import ExperimentConfig, cmd_evaluate, cmd_generate, resolve
-from privgraph.fgw import REFINE_SIZE_CAP, FgwParams, fgw_cost, graph_to_measure
+from privgraph.experiments import ExperimentConfig, cmd_evaluate, cmd_generate, make_recipe_dataset, resolve
+from privgraph.fgw import REFINE_SIZE_CAP, FgwParams, fgw_cost, graph_to_measure, spawn_streams
 from privgraph.generator import DRAW_ORDER
 from privgraph.graphs import graph_from_json
 
@@ -77,16 +77,16 @@ def test_manifest_from_another_draw_order_is_refused(tmp_path, capsys):
                            out_dir=str(tmp_path / "run"))
     cmd_generate(cfg)
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["draw_order"] == DRAW_ORDER == 3
+    assert manifest["draw_order"] == DRAW_ORDER == 4
     assert set(manifest["environment"]) == {"python", "numpy", "scipy"}
-    for order in (None, 1, 2):
+    for order in (None, 1, 2, 3):
         old = dict(manifest)
         if order is None:
             del old["draw_order"]
         else:
             old["draw_order"] = order
         recorded = f"draw order {order or 1}"
-        with pytest.raises(ValueError, match=f"{recorded}.*draw order 3"):
+        with pytest.raises(ValueError, match=f"{recorded}.*draw order 4"):
             ExperimentConfig.from_dict(old)
         path = tmp_path / f"old_manifest_{order}.json"
         path.write_text(json.dumps(old))
@@ -94,6 +94,19 @@ def test_manifest_from_another_draw_order_is_refused(tmp_path, capsys):
         assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
         assert recorded in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_recipe_points_share_no_stream_with_a_replicate(d):
+    # the "uniform" recipe draws from the root SeedSequence(seed); replicate r
+    # (and generate's level r) from its child r, so no replicate's draws repeat
+    # the dataset's points
+    for seed in (0, 3, 12345):
+        points = make_recipe_dataset("uniform", 40, d, seed).points.ravel()
+        assert np.array_equal(points, np.random.default_rng(seed).random(40 * d))
+        for r, rng in enumerate(spawn_streams(seed, 8)):
+            draws = rng.random(points.size)
+            assert not np.isin(points[:4], draws).any(), (seed, r)
 
 
 def test_generate_private_only_and_redaction(tmp_path):
@@ -216,6 +229,18 @@ def test_noisecheck_command(capsys):
     assert main(["noisecheck", "--kind", "discrete-laplace", "--eps", "1", "--level", "0.5"]) == 2
 
 
+def test_noisecheck_reads_its_pmf_from_a_file(tmp_path, monkeypatch, capsys):
+    # --pmf names a file, even one whose name is valid JSON text
+    monkeypatch.chdir(tmp_path)
+    Path("1").write_text(json.dumps({"pmf": {"-1": 0.25, "0": 0.5, "1": 0.25}}))
+    assert main(["noisecheck", "--kind", "custom", "--pmf", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["worst_ratio"] == 2.0 and (report["worst_k"], report["worst_shift"]) == (-1, 1)
+    Path("1").write_text(json.dumps({"pmf": [0.5, 0.5]}))
+    assert main(["noisecheck", "--kind", "custom", "--pmf", "1"]) == 1
+    assert 'expected a top-level "pmf" object' in capsys.readouterr().err
+
+
 def test_bounds_command(tmp_path, capsys):
     inp = tmp_path / "inputs.json"
     inp.write_text(json.dumps({"a": 100, "b": 100, "n": 1000, "m": 100, "eps": 1.0, "d": 2}))
@@ -224,6 +249,34 @@ def test_bounds_command(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["expected_fgw_grid"]["total"] == pytest.approx(0.3202, abs=1e-4)
     assert "terms" in report["distribution"]
+
+
+_BOUND_INPUTS = {"a": 100, "b": 100, "n": 1000, "m": 100, "eps": 1.0, "d": 2}
+_VERTEX = {"attr": [0.5], "id": 0.25}
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("bounds", {**_BOUND_INPUTS, "epsilon": 1.0}, "unknown keys: epsilon"),
+        ("bounds", {k: v for k, v in _BOUND_INPUTS.items() if k != "n"}, "missing key 'n'"),
+        ("bounds", [1, 2], "expected a JSON object"),
+        ("project", {"support": [[0.0], [1.0]]}, "missing key 'weights'"),
+        ("dist", {"vertices": [_VERTEX, {"id": 0.5}], "edges": []}, "vertex 1 has no 'attr'"),
+        ("dist", {"vertices": [{"attr": [0.1]}, _VERTEX], "edges": []}, "vertex 0 has no 'id'"),
+        ("dist", [_VERTEX], "a graph must be a JSON object"),
+    ],
+)
+def test_malformed_json_inputs_are_refused_naming_the_key(tmp_path, capsys, command, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"vertices": [_VERTEX], "edges": []}))
+    argv = {"bounds": ["bounds", "--json", str(path)], "project": ["project", str(path)],
+            "dist": ["dist", str(good), str(path)]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_dist_command(tmp_path, capsys):

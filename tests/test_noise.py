@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from privgraph.noise import (
+    NoiseSpec,
     abs_variance,
     bounded_power,
     custom,
@@ -140,13 +142,37 @@ def test_dp_ratio_violation_detected():
 
 
 def test_noise_from_json(tmp_path):
-    spec = noise_from_json('{"pmf": {"-1": 0.25, "0": 0.5, "1": 0.25}}')
-    assert pmf(spec, -1) == 0.25
     path = tmp_path / "pmf.json"
     path.write_text(json.dumps({"pmf": {"0": 1.0}}))
     assert pmf(noise_from_json(str(path)), 0) == 1.0
+    path.write_text(json.dumps({"nope": {}}))
     with pytest.raises(ValueError):
-        noise_from_json('{"nope": {}}')
+        noise_from_json(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1", '"pmf" object'), ("[0.5, 0.5]", '"pmf" object'), ('{"pmf": 1}', '"pmf" object'),
+     ('{"pmf": [0.5, 0.5]}', '"pmf" object'), ('{"pmf": {"0": [1.0]}}', "map integers to probabilities"),
+     ('{"pmf": {"zero": 1.0}}', "invalid literal")],
+)
+def test_malformed_pmf_files_are_refused(tmp_path, text, message):
+    # the argument is always a path: a file named "1" holds a pmf, not the JSON text 1
+    path = tmp_path / "1"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        noise_from_json(str(path))
+    path.write_text(json.dumps({"pmf": {"-1": 0.25, "0": 0.5, "1": 0.25}}))
+    assert pmf(noise_from_json(str(path)), -1) == 0.25
+
+
+def test_a_spec_is_laplace_or_a_table():
+    assert discrete_laplace(0.5) == NoiseSpec(eps=0.5)
+    assert zero_noise() == NoiseSpec(table={0: 1.0})
+    with pytest.raises(ValueError, match="not both"):
+        NoiseSpec(eps=0.5, table={0: 1.0})
+    with pytest.raises(ValueError, match="finite eps > 0"):
+        NoiseSpec()
 
 
 def test_custom_table_validation():
@@ -174,3 +200,61 @@ def test_non_finite_eps_rejected(eps):
         discrete_laplace(eps)
     with pytest.raises(ValueError, match="finite eps > 0"):
         bounded_power(eps, 2)
+
+
+def _parent_bounded_power_pmf(eps, A, k):
+    # the closed form every bounded-power pmf value is computed by
+    return abs(k) ** eps / (2 * sum(j**eps for j in range(1, A + 1))) if 1 <= abs(k) <= A else 0.0
+
+
+@st.composite
+def finite_specs(draw):
+    """A random finite table (zeros allowed, one positive mass at least), or bounded_power(eps, A <= 50)."""
+    if draw(st.booleans()):
+        return bounded_power(draw(st.floats(0.01, 5.0)), draw(st.integers(1, 50)))
+    keys = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=15, unique=True))
+    weights = [draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3))) for _ in keys]
+    weights[0] = weights[0] or 1.0
+    total = math.fsum(weights)
+    return custom({k: w / total for k, w in zip(keys, weights)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=finite_specs(), seed=st.integers(0, 2**32 - 1))
+def test_finite_specs_against_direct_computation(spec, seed):
+    support = spec.finite_support.tolist()
+    assert math.fsum(pmf(spec, k) for k in support) == pytest.approx(1.0, abs=1e-12)
+    assert all(pmf(spec, k) == 0.0 for k in range(min(support) - 2, max(support) + 3) if k not in support)
+    draws = sample(spec, np.random.default_rng(seed), size=300)
+    assert draws.dtype == np.int64 and draws.shape == (300,) and np.isin(draws, support).all()
+    # the scan's worst ratio is the brute-force max over support points and unit shifts
+    report = dp_ratio_satisfied(spec, 1.0)
+    brute = max(pmf(spec, k + a) / pmf(spec, k) for k in support for a in (-1, 1))
+    assert report.worst_ratio == brute
+    assert pmf(spec, report.worst_k + report.worst_shift) / pmf(spec, report.worst_k) == brute
+    assert report.satisfied == (brute <= math.e * (1 + 1e-12)) and not report.pure_dp
+    assert expected_abs(spec) == pytest.approx(math.fsum(abs(k) * pmf(spec, k) for k in support), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(eps=st.floats(0.01, 5.0), A=st.integers(1, 50))
+def test_bounded_power_values_are_the_closed_form(eps, A):
+    spec = bounded_power(eps, A)
+    for k in range(-A - 2, A + 3):
+        assert pmf(spec, k) == _parent_bounded_power_pmf(eps, A, k)
+
+
+def test_bounded_power_table_at_a_large_A():
+    # a million weights summed left to right: the table must still pass the pmf check
+    A = 10**6
+    spec = bounded_power(2, A)
+    assert spec.finite_support.size == 2 * A
+    norm = 2 * sum(j**2.0 for j in range(1, A + 1))
+    assert pmf(spec, -A) == pmf(spec, A) == A**2.0 / norm
+    assert pmf(spec, 1) == 1 / norm
+
+
+@pytest.mark.parametrize("eps, A", [(300.0, 11), (1023.9, 2)])
+def test_bounded_power_weights_that_overflow_are_refused(eps, A):
+    with pytest.raises(ValueError, match="overflow"):
+        bounded_power(eps, A)
