@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,14 @@ from .fgw import FgwParams, worst_pair_cost
 from .graphs import Kernel
 from .noise import NoiseSpec, expected_abs
 from .space import Partition, SpaceConfig, build_grid_partition
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def log_plus(x: float) -> float:
@@ -73,6 +81,12 @@ class BoundInputs:
     expected_abs_noise: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):  # every input is a number; the two that default to None may be None
+            value = getattr(self, f.name)
+            if f.name in ("n", "m", "d") and not _is_int(value):
+                raise ValueError(f"bound input {f.name} must be an integer, got {value!r}")
+            if not (_is_real(value) or value is None and f.default is None):
+                raise ValueError(f"bound input {f.name} must be a real number, got {value!r}")
         if not 0 < self.eps < math.inf:  # NaN fails too; an infinite eps means no noise at all
             raise ValueError(f"bounds require finite eps > 0, got {self.eps}")
         if not (self.a > 0 and self.b > 0 and all(x >= 1 for x in (self.n, self.m, self.d))):  # False for NaN

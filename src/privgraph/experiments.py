@@ -22,6 +22,7 @@ import numpy as np
 import scipy
 
 from . import bounds as bnd
+from .bounds import _is_int, _is_real
 from .fgw import (
     REFINE_SIZE_CAP,
     FgwParams,
@@ -53,14 +54,6 @@ _FORMER_SETTINGS = {
     "noise_pmf": (None, _NOISE_IS_FIXED),
     "csv_sep": (",", "evaluate.csv and mc output are comma-separated"),
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def _spelt(value):

@@ -19,10 +19,11 @@ for s < Z, so every matched block is the contiguous view ``adj[:Z, :Z]``.
 That layout reflects the true data, so the writers list each graph's
 vertices in identifier order instead (:func:`privgraph.graphs._written_order`).
 Each vertex pair that can carry an edge takes exactly one uniform, drawn in
-row blocks straight into the boolean adjacencies: beyond the two adjacencies
-(N^2 + M^2 bytes) the generator holds O(EDGE_BLOCK_ROWS * N) floats, never
-an N x N float array. :func:`sample_graph`, one graph of the model on its
-own, draws its edges with the same code.
+row blocks and compared straight into the boolean adjacencies: beyond the two
+adjacencies (N^2 + M^2 bytes) the generator holds two float buffers of
+EDGE_BLOCK_ROWS * max(N, M) entries, one for a block's uniforms and one for
+its kernel values, never an N x N float array. :func:`sample_graph`, one
+graph of the model on its own, draws its edges with the same code.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ _RESIDUAL_TOL = 1e-12
 # record it and a manifest written under another order is refused.
 DRAW_ORDER = 4
 # Rows of the upper triangle whose edges are drawn together; the stream does
-# not depend on it, only the size of the per-block float arrays does.
-EDGE_BLOCK_ROWS = 128
+# not depend on it, only the size of the two per-call float buffers does.
+EDGE_BLOCK_ROWS = 64
 
 
 def _residual_probs(base: np.ndarray, common: np.ndarray) -> np.ndarray:
@@ -77,13 +78,15 @@ def _categorical(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.n
 
 
 def _kernel_blocks(kernel: Kernel, attrs: np.ndarray):
-    """``probs(r0, r1, c0, c1)``, the kernel values of rows r0:r1 by columns
-    c0:c1. The Chung-Lu weights are formed once per graph and each block is
-    their outer product, the same products :func:`kernel_matrix` forms."""
+    """``probs(r0, r1, c0, c1, out)``, the kernel values of rows r0:r1 by
+    columns c0:c1. The Chung-Lu weights are formed once per graph and each
+    block is their outer product, the same products :func:`kernel_matrix`
+    forms, written by ``np.einsum`` into ``out``, a reused buffer of the
+    block's shape; other kernels return a new :func:`kernel_matrix` block."""
     if kernel.kind == CHUNG_LU:
         w = attrs.prod(axis=1)
-        return lambda r0, r1, c0, c1: np.outer(w[r0:r1], w[c0:c1])
-    return lambda r0, r1, c0, c1: kernel_matrix(kernel, attrs[r0:r1], attrs[c0:c1])
+        return lambda r0, r1, c0, c1, out: np.einsum("i,j->ij", w[r0:r1], w[c0:c1], out=out)
+    return lambda r0, r1, c0, c1, out: kernel_matrix(kernel, attrs[r0:r1], attrs[c0:c1])
 
 
 def _coupled_edges(
@@ -97,12 +100,15 @@ def _coupled_edges(
     is below that graph's kernel value: the maximal coupling), then for the
     true and then the synthetic graph alone the rectangle [0, z) x [z, n)
     followed by the upper triangle of [z, n)^2. Rows go EDGE_BLOCK_ROWS at a
-    time, so besides the two adjacencies the memory is
-    O(EDGE_BLOCK_ROWS * max(N, M)). The upper triangles are then mirrored
-    one block of rows at a time, faster on large graphs than ``adj |= adj.T``.
+    time; each block's uniforms and kernel values are written into two float
+    buffers of EDGE_BLOCK_ROWS * max(N, M) entries, allocated once per call,
+    so besides the two adjacencies no memory grows faster than that. The
+    upper triangles are then mirrored one block of rows at a time, faster on
+    large graphs than ``adj |= adj.T``.
     """
-    cols = np.arange(max(len(true_attrs), len(syn_attrs)))
-    upper = cols > cols[:EDGE_BLOCK_ROWS, None]
+    width = max(len(true_attrs), len(syn_attrs))
+    upper = np.arange(width) > np.arange(EDGE_BLOCK_ROWS)[:, None]
+    u_buf, p_buf = np.empty(EDGE_BLOCK_ROWS * width), np.empty(EDGE_BLOCK_ROWS * width)
     sides = [(_kernel_blocks(kernel, x), np.zeros((len(x), len(x)), dtype=bool)) for x in (true_attrs, syn_attrs)]
     runs = [(sides, 0, z, 0, z)]  # (sides, rows r0:r1, columns c0:c1)
     for side in sides:
@@ -111,15 +117,19 @@ def _coupled_edges(
     for run_sides, r0, r1, c0, c1 in runs:
         for b0 in range(r0, r1, EDGE_BLOCK_ROWS):
             b1, lo = min(b0 + EDGE_BLOCK_ROWS, r1), max(c0, b0)
+            rows, cols = b1 - b0, c1 - lo
+            u, p = (buf[: rows * cols].reshape(rows, cols) for buf in (u_buf, p_buf))
             if lo == b0:  # a triangle block: columns b0 on, pairs j > i only
-                take = upper[: b1 - b0, : c1 - b0]
-                u = np.empty(take.shape)
-                u.fill(1.0)  # no probability exceeds 1, so an untaken pair gets no edge
-                u[take] = rng.random(np.count_nonzero(take))
+                take = upper[:rows, :cols]
+                # the untaken pairs all lie in the leading rows x rows square;
+                # no probability exceeds 1, so a 1.0 there gives no edge
+                u[:, :rows].fill(1.0)
+                # the kernel buffer is free until the comparison below
+                u[take] = rng.random(out=p_buf[: np.count_nonzero(take)])
             else:  # a rectangle block: every pair
-                u = rng.random((b1 - b0, c1 - lo))
+                rng.random(out=u)
             for probs, adj in run_sides:  # each pair i < j is written by one run only
-                np.less(u, probs(b0, b1, lo, c1), out=adj[b0:b1, lo:c1])
+                np.less(u, probs(b0, b1, lo, c1, p), out=adj[b0:b1, lo:c1])
     for _, adj in sides:
         for r0 in range(0, len(adj), EDGE_BLOCK_ROWS):
             adj[r0:, r0 : r0 + EDGE_BLOCK_ROWS] |= adj[r0 : r0 + EDGE_BLOCK_ROWS, r0:].T

@@ -50,7 +50,11 @@ def grid_bounds_unrounded(eps, n, d, alpha=0.5, C=1.0, L_kappa=1.0):
     is constant."""
     m = eps ** (d / (d + 1.0)) * n ** (-1.0 / (d + 1.0)) * n
     a = m ** (2.0 / d)
-    inp = BoundInputs(a=a, b=a, n=n, m=m, eps=eps, d=d, alpha=alpha, C=C, L_kappa=L_kappa)
+    # BoundInputs takes a whole number of cells; the grid forms are the same
+    # closed forms at a real m, which is set after the checks
+    inp = BoundInputs(a=a, b=a, n=n, m=1, eps=eps, d=d, alpha=alpha, C=C, L_kappa=L_kappa,
+                      max_cell_diam=m ** (-1.0 / d))
+    object.__setattr__(inp, "m", m)
     return expected_fgw_bound_grid(inp).total, distribution_bound_grid(inp).total
 
 

@@ -518,6 +518,28 @@ def test_bounds_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, capsys,
     assert "finite eps > 0" in captured.err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("a", "x", "bound input a must be a real number, got 'x'"),
+        ("eps", [1], "bound input eps must be a real number, got [1]"),
+        ("alpha", None, "bound input alpha must be a real number, got None"),
+        ("leb_omega", "1", "bound input leb_omega must be a real number, got '1'"),
+        ("max_cell_diam", "0.5", "bound input max_cell_diam must be a real number, got '0.5'"),
+        ("n", 100.5, "bound input n must be an integer, got 100.5"),
+        ("m", True, "bound input m must be an integer, got True"),
+        ("d", "1", "bound input d must be an integer, got '1'"),
+    ],
+)
+def test_bounds_refuses_a_value_of_the_wrong_type_naming_the_field(tmp_path, capsys, key, value, message):
+    inp = tmp_path / "inputs.json"
+    inp.write_text(json.dumps({"a": 16, "b": 16, "n": 100, "m": 4, "eps": 1.0, "d": 1, key: value}))
+    assert main(["bounds", "--json", str(inp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 _NOISE_CONFIG = {"recipe": "uniform", "n": 80, "d": 1, "m": 4, "a": 10, "b": 10, "replicates": 4, "ipm_samples": 2}
 
 

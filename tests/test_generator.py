@@ -382,6 +382,23 @@ def test_edges_match_draw_order_3_reference(block, case):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("kernel", [chung_lu(2), inverse_distance(0.3)])
+def test_edges_at_the_default_block_size_match_the_reference(kernel):
+    # past two full blocks of rows on each side, so every run has a second
+    # block and a partial last one, and a matched prefix that ends mid-block
+    rows = generator_mod.EDGE_BLOCK_ROWS
+    n_true, n_syn, z = 2 * rows + 13, 2 * rows + 40, rows + 9
+    points = np.random.default_rng(17)
+    true_attrs, syn_attrs = points.random((n_true, 2)), points.random((n_syn, 2))
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    adj_true, adj_syn = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
+    ref_true, ref_syn = coupled_edges_reference(kernel, true_attrs, syn_attrs, np.arange(n_true) < z, ref_rng)
+    assert np.array_equal(adj_true, ref_true) and np.array_equal(adj_syn, ref_syn)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for adj in (adj_true, adj_syn):
+        assert 0 < np.count_nonzero(adj) < adj.size - len(adj)
+
+
 def test_generator_draws_edges_in_draw_order_3(monkeypatch):
     # the full generator hands the reference the same attributes, matched
     # prefix and stream position, and leaves the stream where it ends
