@@ -1,6 +1,8 @@
 """privgraph: differentially private synthetic attributed graphs with
 fused Gromov-Wasserstein utility guarantees."""
 
+__version__ = "0.1.0"  # the manifest's "version"; defined before the submodules load
+
 from .space import (
     SpaceConfig,
     Partition,
@@ -80,5 +82,3 @@ from .bounds import (
     bound_table,
     bound_report,
 )
-
-__version__ = "0.1.0"

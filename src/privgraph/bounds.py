@@ -22,20 +22,10 @@ import io
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .fgw import FgwParams, worst_pair_cost
 from .graphs import Kernel
 from .noise import NoiseSpec, expected_abs
-from .space import Partition, SpaceConfig, build_grid_partition
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, (float, np.floating))
+from .space import Partition, SpaceConfig, _is_int, _is_real, build_grid_partition
 
 
 def log_plus(x: float) -> float:
@@ -144,6 +134,15 @@ class BoundTerms:
         return self.terms[key]
 
 
+def _size_mismatch(inp: BoundInputs) -> tuple[float, float]:
+    """(1 / (1 + lo/c), worst cost * (1 - 1/(1 + lo/c)^2)) for the size gap
+    c = |a - b| and lo = min(a, b); (1, 0) when the expected sizes agree."""
+    lo, c = min(inp.a, inp.b), abs(inp.a - inp.b)
+    if c == 0:
+        return 1.0, 0.0
+    return 1.0 / (1.0 + lo / c), inp.rates.worst_cost * (1.0 - 1.0 / (1.0 + lo / c) ** 2)
+
+
 def expected_fgw_bound(inp: BoundInputs) -> BoundTerms:
     """General bound on the expected FGW distance of the generated pair.
 
@@ -151,14 +150,7 @@ def expected_fgw_bound(inp: BoundInputs) -> BoundTerms:
     vanishes when the expected sizes agree.
     """
     r = inp.rates
-    lo = min(inp.a, inp.b)
-    c = abs(inp.a - inp.b)
-    if c > 0:
-        mismatch = 1.0 / (1.0 + lo / c)
-        size_term = r.worst_cost * (1.0 - 1.0 / (1.0 + lo / c) ** 2)
-    else:
-        mismatch = 1.0
-        size_term = 0.0
+    mismatch, size_term = _size_mismatch(inp)
     return BoundTerms(
         name="expected_fgw",
         terms={
@@ -214,20 +206,13 @@ def distribution_bound(inp: BoundInputs) -> BoundTerms:
     """General bound on the integral probability metric between the two graph
     distributions: resampling, size-mismatch, vertex-intensity and
     edge-probability terms."""
-    r = inp.rates
     lo = min(inp.a, inp.b)
-    c = abs(inp.a - inp.b)
     sc = stein_constants(lo, inp)
-    if c > 0:
-        resample_factor = 1.0 + 1.0 / (1.0 + lo / c)
-        size_term = r.worst_cost * (1.0 - 1.0 / (1.0 + lo / c) ** 2)
-    else:
-        resample_factor = 2.0
-        size_term = 0.0
+    ratio, size_term = _size_mismatch(inp)
     return BoundTerms(
         name="distribution",
         terms={
-            "resample": resample_factor * (1.0 - inp.alpha) * inp.max_cell_diam,
+            "resample": (1.0 + ratio) * (1.0 - inp.alpha) * inp.max_cell_diam,
             "size_mismatch": size_term,
             "vertex_intensity": 2.0
             * sc.c_v

@@ -21,18 +21,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from . import bounds as bnd
-from .bounds import _is_int, _is_real
-from .fgw import (
-    REFINE_SIZE_CAP,
-    FgwParams,
-    McFgwResult,
-    ipm_lower_bound,
-    mc_expected_fgw,
-    reference_graphs,
-    spawn_streams,
-    worst_pair_cost,
-)
+from .fgw import (REFINE_SIZE_CAP, FgwParams, McFgwResult, ipm_lower_bound, mc_expected_fgw, reference_graphs,
+                  spawn_streams)
 
 # Re-exported, not called here: benchmarks/tracing.py times each replicate by
 # wrapping the runner it finds as privgraph.experiments.run_replicates.
@@ -40,13 +32,12 @@ from .fgw import run_replicates  # noqa: F401
 from .generator import DRAW_ORDER, generate_coupled_graphs
 from .graphs import Kernel, chung_lu, constant_kernel, graph_to_dot, inverse_distance
 from .noise import NoiseSpec, discrete_laplace
-from .space import AttributeDataset, Partition, SpaceConfig, build_grid_partition, load_points_csv
-
-VERSION = "0.1.0"
+from .space import AttributeDataset, Partition, SpaceConfig, _is_int, _is_real, build_grid_partition, load_points_csv
 
 _NOISE_IS_FIXED = "finite-support noise is not ε-DP"
 # Keys that used to be settings, each with the one value it now holds and the
-# reason no other value replays. Configs and manifests may carry them.
+# reason no other value replays. Only plain JSON configs reach this table: each
+# key left before draw order 4, so every manifest written with one is refused first.
 _FORMER_SETTINGS = {
     "refine_size_cap": (REFINE_SIZE_CAP, "replaying it would pick different evaluators"),
     "noise_kind": ("discrete_laplace", _NOISE_IS_FIXED),
@@ -108,6 +99,8 @@ class ExperimentConfig:
         for name, value in (("a", a), ("b", b)):
             if not (value == "auto" or _is_real(value) and 0 < value < math.inf):
                 raise ValueError(f'{name} must be "auto" or finite and > 0, got {getattr(self, name)!r}')
+        if self.data and self.recipe:
+            raise ValueError(f"data ({self.data!r}) and recipe ({self.recipe!r}) are both set; give one of them")
         object.__setattr__(self, "m", m if m == "auto" else int(m))
         object.__setattr__(self, "a", a if a == "auto" else float(a))
         object.__setattr__(self, "b", b if b == "auto" else float(b))
@@ -238,7 +231,7 @@ def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outpu
     streams = resolved.config.replicates if eps_list is None else len(eps_list)
     manifest = {
         "tool": "privgraph",
-        "version": VERSION,
+        "version": __version__,
         "command": command,
         "draw_order": DRAW_ORDER,
         "environment": {
@@ -339,16 +332,13 @@ def cmd_evaluate(cfg: ExperimentConfig, ipm_samples: int | None = None) -> dict:
 
     res = resolved.monte_carlo(keep_graphs=cfg.ipm_samples)
     trues, syns = zip(*res.graphs)
-    worst = worst_pair_cost(
-        resolved.params, resolved.partition.space.diameter, resolved.kernel.lipschitz_constant
-    )
     ipm = ipm_lower_bound(
         trues,
         syns,
         reference_graphs(cfg.d),
         resolved.params,
         refine_iters=max(cfg.refine_iters, 1),
-        empty_value=worst,
+        empty_value=inp.rates.worst_cost,
     )
 
     summary = {

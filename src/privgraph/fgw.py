@@ -67,28 +67,27 @@ class FgwParams:
 
 @dataclass(frozen=True)
 class GraphMeasure:
-    """Weighted attributed point cloud on a boolean adjacency. Its structural
-    distance is C (from :class:`FgwParams`) on an edge and 0 otherwise."""
+    """Attributed point cloud with uniform vertex weights on a boolean
+    adjacency. Its structural distance is C (from :class:`FgwParams`) on an
+    edge and 0 otherwise."""
 
     attributes: np.ndarray
-    weights: np.ndarray
     adjacency: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         attrs = np.atleast_2d(np.asarray(self.attributes, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if attrs.shape[0] != w.size:
-            raise ValueError("inconsistent measure arrays")
-        if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
-            raise ValueError("weights must be a probability vector (1e-12)")
-        adj = _checked_adjacency(self.adjacency, w.size)
+        if attrs.shape[0] == 0:  # uniform weights need a vertex
+            raise ValueError("cannot build a measure from an empty graph")
         object.__setattr__(self, "attributes", attrs)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "adjacency", _checked_adjacency(self.adjacency, attrs.shape[0]))
 
     @property
     def n(self) -> int:
-        return self.weights.size
+        return self.attributes.shape[0]
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return np.full(self.n, 1.0 / self.n)
 
 
 def graph_to_measure(g: AttributedGraph, params: FgwParams) -> GraphMeasure:
@@ -98,7 +97,7 @@ def graph_to_measure(g: AttributedGraph, params: FgwParams) -> GraphMeasure:
     n = g.n_vertices
     if n == 0:
         raise ValueError("cannot build a measure from an empty graph")
-    return _unchecked(GraphMeasure, attributes=g.attributes, weights=np.full(n, 1.0 / n), adjacency=g.adjacency)
+    return _unchecked(GraphMeasure, attributes=g.attributes, adjacency=g.adjacency)
 
 
 def product_coupling(a: GraphMeasure, b: GraphMeasure) -> np.ndarray:
@@ -247,16 +246,13 @@ def fgw_upper_bound(
     structural gradient Q(pi) = S_A w_a + S_B w_b - (2/C) S_A P is affine in
     P, so a step moves Q by t Q(delta) and needs one product with the B side,
     vertex S_B, taken _DIST_ROWS boolean rows at a time. S_B w_b comes from
-    integer degrees when w_b is uniform, and the product coupling starts from
-    P = w_a (S_B w_b)^T with no product. The cost is <(1-alpha) D + alpha Q, pi>.
+    integer degrees, and the product coupling starts from P = w_a (S_B w_b)^T
+    with no product. The cost is <(1-alpha) D + alpha Q, pi>.
     """
     al, cap, cross = params.alpha, params.C, 2.0 / params.C
     wa, wb = a.weights, b.weights
     sa = np.multiply(a.adjacency, cap, dtype=float)
-    if np.all(wb == wb[0]):
-        sb_wb = cap * b.adjacency.sum(axis=1) / b.n
-    else:
-        sb_wb = cap * _times_adjacency(wb[None, :], b.adjacency)[0]
+    sb_wb = cap * b.adjacency.sum(axis=1) / b.n
     d = (1.0 - al) * pairwise_distances(a.attributes, b.attributes, metric=params.metric)
     if init is None:
         pi, p = np.outer(wa, wb), np.outer(wa, sb_wb)
@@ -284,7 +280,7 @@ def fgw_upper_bound(
 
 
 def _canonical_key(g: GraphMeasure) -> tuple:
-    return (g.n, g.attributes.tobytes(), g.adjacency.tobytes(), g.weights.tobytes())
+    return (g.n, g.attributes.tobytes(), g.adjacency.tobytes())
 
 
 def fgw_exact_small(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> float:
@@ -314,7 +310,7 @@ def exact_small_search(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> t
         return value, pi.T
     rng = np.random.default_rng(0)
     starts = [product_coupling(a, b)]
-    if a.n == b.n and np.allclose(a.weights, b.weights):
+    if a.n == b.n:
         starts.append(np.diag(a.weights))
     starts.append(transport_vertex(pairwise_distances(a.attributes, b.attributes, params.metric), a.weights, b.weights))
     vertices = [transport_vertex(rng.standard_normal((a.n, b.n)), a.weights, b.weights) for _ in range(_EXACT_STARTS)]
@@ -458,12 +454,18 @@ class McFgwResult:
     """Per-replicate plan values, matched-plan charges and evaluators, with the
     ``(true, synthetic)`` graphs of the first ``keep_graphs`` replicates."""
 
-    mean: float
-    stderr: float
     values: np.ndarray = field(repr=False)
     plan_charges: np.ndarray = field(repr=False)
     evaluators: tuple[str, ...] = field(repr=False)
     graphs: list[tuple[AttributedGraph, AttributedGraph]] = field(repr=False)
+
+    @property
+    def mean(self) -> float:
+        return float(self.values.mean())
+
+    @property
+    def stderr(self) -> float:
+        return float(self.values.std(ddof=1) / np.sqrt(self.values.size))
 
     @property
     def plan_mean(self) -> float:
@@ -548,11 +550,8 @@ def mc_expected_fgw(
         return (*evaluate_pair(pair, params, refine_iters), kept)
 
     charges, values, evaluators, graphs = zip(*run_replicates(one, replicates, seed))
-    values = np.array(values, dtype=float)
     return McFgwResult(
-        mean=float(values.mean()),
-        stderr=float(values.std(ddof=1) / np.sqrt(replicates)),
-        values=values,
+        values=np.array(values, dtype=float),
         plan_charges=np.array(charges, dtype=float),
         evaluators=evaluators,
         graphs=[g for g in graphs if g is not None],

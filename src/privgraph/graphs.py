@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import pairwise_distances
+from .space import _is_int, pairwise_distances
 
 CHUNG_LU = "chung_lu"
 CONSTANT = "constant"
@@ -219,7 +219,7 @@ def graph_to_dict(g: AttributedGraph) -> dict:
 
 
 def _is_vertex_index(x, n: int) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < n
+    return _is_int(x) and 0 <= x < n
 
 
 def graph_from_dict(obj: dict) -> AttributedGraph:

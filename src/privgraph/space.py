@@ -21,6 +21,15 @@ EUCLIDEAN = "euclidean"
 _METRICS = (SUP, EUCLIDEAN)
 
 
+def _is_int(value) -> bool:
+    """An integer, numpy's included, and not a bool: the one integer rule of settings and inputs."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class SpaceConfig:
     """Unit cube [0,1]^d together with the metric used for distances."""
@@ -29,7 +38,7 @@ class SpaceConfig:
     metric: str = SUP
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
+        if not _is_int(self.d) or self.d < 1:
             raise ValueError(f"dimension must be an integer >= 1, got {self.d!r}")
         if self.metric not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
@@ -105,14 +114,9 @@ class Partition:
         return self.k_per_axis**self.d
 
     @property
-    def cell_diams(self) -> np.ndarray:
-        side = 1.0 / self.k_per_axis
-        diam = side if self.space.metric == SUP else side * np.sqrt(self.d)
-        return np.full(self.m, diam)
-
-    @property
     def max_diam(self) -> float:
-        return float(self.cell_diams.max())
+        """Diameter of every cell: its side 1/k, times sqrt(d) under euclidean."""
+        return (1.0 / self.k_per_axis) * self.space.diameter
 
     @property
     def cell_volumes(self) -> np.ndarray:

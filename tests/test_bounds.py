@@ -6,6 +6,7 @@ from oracles import grid_bounds_unrounded
 
 from privgraph.bounds import (
     BoundInputs,
+    BoundTerms,
     bound_report,
     bound_table,
     cost_rates,
@@ -255,6 +256,50 @@ def test_bound_report_contents():
         assert all(v >= 0 for v in terms.terms.values())
     uneq = bound_report(BoundInputs(a=100, b=50, n=1000, m=100, eps=1.0, d=2))
     assert "expected_fgw_grid" not in uneq
+
+
+# float.hex of each bound_report value: an a = b input, where both grid forms
+# apply and the size terms vanish, and an a != b input, where the size terms run
+_REPORT_HEX = [
+    (
+        BoundInputs(a=20.0, b=20.0, n=1000, m=16, eps=1.0, d=2),
+        {
+            "expected_fgw": {"matched_cell": "0x1.8000000000000p-2", "noise": "0x1.be204c4246b45p-5",
+                             "size_mismatch": "0x0.0p+0", "total": "0x1.b7c4098848d69p-2"},
+            "distribution": {"resample": "0x1.0000000000000p-2", "size_mismatch": "0x0.0p+0",
+                             "vertex_intensity": "0x1.bda671fcff568p-8", "edge_probability": "0x1.33fffffabe682p-1",
+                             "total": "0x1.b77b4cdeb866dp-1"},
+            "rates": {"coupling": "0x1.6666666666668p-2", "stein": "0x1.38f08fcdbfd45p-2"},
+            "expected_fgw_grid": {"cell": "0x1.8000000000000p-2", "noise": "0x1.be204c4246b45p-6",
+                                  "total": "0x1.9be204c4246b4p-2"},
+            "distribution_grid": {"cell": "0x1.0000000000000p-2", "noise": "0x1.bda672088d26fp-9",
+                                  "edge_probability": "0x1.4000000000000p-1", "total": "0x1.c1bda672088d2p-1"},
+        },
+    ),
+    (
+        # 1 - 1/(1 + lo/c)^2 and 1 - r*r with r = 1/(1 + lo/c) differ in the last bit here
+        BoundInputs(a=20.0, b=70.0, n=1000, m=16, eps=0.5, d=2, alpha=0.3, L_kappa=2.0),
+        {
+            "expected_fgw": {"matched_cell": "0x1.5b6db6db6db6ep-2", "noise": "0x1.f7103dfccbc57p-4",
+                             "size_mismatch": "0x1.f58d0fac687d4p-2", "total": "0x1.e75f6b038492cp-1"},
+            "distribution": {"resample": "0x1.3333333333333p-2", "size_mismatch": "0x1.f58d0fac687d4p-2",
+                             "vertex_intensity": "0x1.f686d6849980dp-7", "edge_probability": "0x1.719999934ae36p-1",
+                             "total": "0x1.86e9eb2e9590dp+0"},
+            "rates": {"coupling": "0x1.f7297d738d168p-2", "stein": "0x1.f4cb2231f096bp-2"},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("inp, want", _REPORT_HEX, ids=["equal_sizes", "unequal_sizes"])
+def test_bound_report_values_bit_for_bit(inp, want):
+    got = {}
+    for name, val in bound_report(inp).items():
+        if isinstance(val, BoundTerms):
+            got[name] = {**{key: float.hex(v) for key, v in val.terms.items()}, "total": float.hex(val.total)}
+        else:
+            got[name] = {"coupling": float.hex(val.coupling), "stein": float.hex(val.stein)}
+    assert got == want
 
 
 def test_log_plus_and_noise_factor():

@@ -79,8 +79,13 @@ def test_manifest_from_another_draw_order_is_refused(tmp_path, capsys):
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["draw_order"] == DRAW_ORDER == 4
     assert set(manifest["environment"]) == {"python", "numpy", "scipy"}
-    for order in (None, 1, 2, 3):
-        old = dict(manifest)
+    # each former setting left while the draw order was at most 3, so the
+    # manifests of draw orders 2 and 3 are also tried with the keys of their era
+    order_3_keys = {"noise_kind": "discrete_laplace", "noise_A": 2, "noise_pmf": None, "csv_sep": ","}
+    cases = [(None, {}), (1, {}), (2, {}), (3, {}),
+             (2, {"refine_size_cap": REFINE_SIZE_CAP, **order_3_keys}), (3, order_3_keys)]
+    for k, (order, era_keys) in enumerate(cases):
+        old = {**manifest, "config": {**manifest["config"], **era_keys}}
         if order is None:
             del old["draw_order"]
         else:
@@ -88,9 +93,9 @@ def test_manifest_from_another_draw_order_is_refused(tmp_path, capsys):
         recorded = f"draw order {order or 1}"
         with pytest.raises(ValueError, match=f"{recorded}.*draw order 4"):
             ExperimentConfig.from_dict(old)
-        path = tmp_path / f"old_manifest_{order}.json"
+        path = tmp_path / f"old_manifest_{k}.json"
         path.write_text(json.dumps(old))
-        out = tmp_path / f"replay_{order}"
+        out = tmp_path / f"replay_{k}"
         assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
         assert recorded in capsys.readouterr().err
         assert not out.exists()
@@ -380,6 +385,26 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     rc = main(["mc", "--config", str(cfg_path), "--reps", "2"])
     assert rc == 1
     assert "unknown config keys: epsilon" in capsys.readouterr().err
+
+
+def test_data_together_with_a_recipe_is_refused(tmp_path, capsys):
+    # a CSV and a recipe are two datasets; neither may be dropped silently
+    csv = tmp_path / "pts.csv"
+    np.savetxt(csv, np.random.default_rng(0).random((50, 1)), delimiter=",")
+    base = {"data": str(csv), "recipe": "uniform", "n": 500, "d": 1, "m": 4, "a": 8, "b": 8, "seed": 3}
+    flags = [arg for k, v in base.items() for arg in (f"--{k}", str(v))]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base))
+    for source in (flags, ["--config", str(path)]):
+        for command in ("generate", "evaluate", "mc"):
+            out = tmp_path / command
+            assert main([command, *source, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.match(r"error: data .* and recipe .* are both set", captured.err)
+            assert not out.exists()
+    with pytest.raises(ValueError, match="either a data path or a recipe"):
+        resolve(ExperimentConfig(seed=3))
 
 
 def test_config_without_seed_fails_cleanly(tmp_path, capsys):

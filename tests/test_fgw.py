@@ -122,10 +122,10 @@ def test_fgw_rejects_structure_that_is_not_capped_adjacency():
         s = a.adjacency.astype(float)
         s[0, 1] = s[1, 0] = bad
         with pytest.raises(ValueError, match="0/1 or boolean"):
-            GraphMeasure(attributes=a.attributes, weights=a.weights, adjacency=s)
+            GraphMeasure(attributes=a.attributes, adjacency=s)
     s = a.adjacency.astype(np.int64)
     s[0, 1] = s[1, 0] = 1
-    built = GraphMeasure(attributes=a.attributes, weights=a.weights, adjacency=s)
+    built = GraphMeasure(attributes=a.attributes, adjacency=s)
     assert built.adjacency.dtype == bool and np.array_equal(built.adjacency, s)
 
 

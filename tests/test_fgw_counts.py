@@ -150,12 +150,11 @@ def test_lp_vertex_matches_dense_constraint_matrix(n, m, seed):
     """The HiGHS transport helper (the shapes with no closed-form solver)
     returns exactly the dense-matrix LP's vertex."""
     rng = np.random.default_rng(seed)
-    a = GraphMeasure(attributes=rng.random((n, 1)), weights=rng.dirichlet(np.ones(n)), adjacency=np.zeros((n, n), bool))
-    b = GraphMeasure(attributes=rng.random((m, 1)), weights=rng.dirichlet(np.ones(m)), adjacency=np.zeros((m, m), bool))
+    wa, wb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
     cost = rng.standard_normal((n, m))
-    dense = dense_transport_lp(cost, a.weights, b.weights)
+    dense = dense_transport_lp(cost, wa, wb)
     assert dense.success
-    np.testing.assert_array_equal(_transport_vertex_highs(cost, a.weights, b.weights), dense.x.reshape(n, m))
+    np.testing.assert_array_equal(_transport_vertex_highs(cost, wa, wb), dense.x.reshape(n, m))
 
 
 @pytest.mark.parametrize("m", [128, 300])
@@ -186,7 +185,7 @@ def test_binary_cap_scans_each_structure():
     def measure(s):
         s = np.asarray(s)
         n = s.shape[0]
-        return GraphMeasure(attributes=np.zeros((n, 1)), weights=np.full(n, 1.0 / n), adjacency=s)
+        return GraphMeasure(attributes=np.zeros((n, 1)), adjacency=s)
 
     zero = measure(np.zeros((3, 3)))
     edge = measure([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]])
@@ -208,9 +207,17 @@ def test_structure_symmetry_is_checked_exactly():
     adj = np.zeros((n, n), dtype=bool)
     adj[5, 290] = adj[290, 5] = adj[7, 260] = True
     with pytest.raises(ValueError, match="symmetric"):
-        GraphMeasure(attributes=np.zeros((n, 1)), weights=np.full(n, 1.0 / n), adjacency=adj)
+        GraphMeasure(attributes=np.zeros((n, 1)), adjacency=adj)
     with pytest.raises(ValueError, match="self-loops"):
-        GraphMeasure(attributes=np.zeros((2, 1)), weights=[0.5, 0.5], adjacency=np.diag([False, True]))
+        GraphMeasure(attributes=np.zeros((2, 1)), adjacency=np.diag([False, True]))
+
+
+def test_a_measure_without_vertices_is_refused():
+    # a measure weighs each vertex 1/N, so it needs at least one
+    with pytest.raises(ValueError, match="empty graph"):
+        GraphMeasure(attributes=np.zeros((0, 1)), adjacency=np.zeros((0, 0), dtype=bool))
+    with pytest.raises(ValueError, match="empty graph"):
+        graph_to_measure(_empty_graph(1), FgwParams())
 
 
 def _generated_pair(a=40.0, b=30.0, seed=5):
