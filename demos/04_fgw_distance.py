@@ -11,7 +11,7 @@ from privgraph import (
     build_grid_partition,
     chung_lu,
     discrete_laplace,
-    fgw_exact_small,
+    exact_small_search,
     fgw_upper_bound,
     generate_coupled_graphs,
     graph_to_measure,
@@ -34,12 +34,12 @@ def tiny(attrs, edges):
 
 a = tiny([[0.2], [0.8]], [(0, 1)])
 b = tiny([[0.2], [0.8]], [])
-print("same attributes, edge vs no edge:", fgw_exact_small(a, b, params))
-print("identical graphs:", fgw_exact_small(a, a, params))
+print("same attributes, edge vs no edge:", exact_small_search(a, b, params)[0])
+print("identical graphs:", exact_small_search(a, a, params)[0])
 
 c = tiny([[0.1], [0.5], [0.9]], [(0, 1), (1, 2)])
 d = tiny([[0.15], [0.55], [0.95]], [(0, 2)])
-exact = fgw_exact_small(c, d, params)
+exact = exact_small_search(c, d, params)[0]
 val, _ = fgw_upper_bound(c, d, params, iterations=50)
 print(f"3-vertex pair: exact {exact:.4f}, local solver from product start {val:.4f}")
 

@@ -8,9 +8,7 @@ from .space import (
     Partition,
     AttributeDataset,
     build_grid_partition,
-    cell_index,
     cell_indices,
-    sample_uniform_in_cell,
     load_points_csv,
 )
 from .noise import (
@@ -30,9 +28,7 @@ from .measures import (
     ProbabilityMeasure,
     PrivateMeasureResult,
     true_counts,
-    tv_distance,
     tv_project,
-    tv_optimum_analytic,
     run_private_measure,
 )
 from .graphs import (
@@ -41,7 +37,6 @@ from .graphs import (
     chung_lu,
     constant_kernel,
     inverse_distance,
-    kernel_eval,
     kernel_matrix,
     graph_to_json,
     graph_from_json,
@@ -50,14 +45,13 @@ from .graphs import (
 from .generator import (
     CoupledGraphs,
     generate_coupled_graphs,
-    sample_graph,
 )
 from .fgw import (
     FgwParams,
     GraphMeasure,
     graph_to_measure,
     fgw_cost,
-    fgw_exact_small,
+    exact_small_search,
     fgw_upper_bound,
     matched_plan_cost,
     plan_coupling,

@@ -123,7 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     p_proj = sub.add_parser("project", help="TV-project a signed measure onto the simplex")
     p_proj.add_argument("measure", help='JSON file: {"weights": [...], "support": [[...]]?}')
 
-    p_noise = sub.add_parser("noisecheck", help="verify the unit-shift likelihood ratio")
+    p_noise = sub.add_parser("noisecheck", help="verify the likelihood ratio of one count shifted by 1; with n "
+                             "public, replacing a point moves two counts, so the release is 2*level-DP")
     p_noise.add_argument("--kind", choices=["discrete-laplace", "bounded-power", "custom"], default="discrete-laplace")
     p_noise.add_argument("--eps", type=float, default=1.0, help="noise parameter")
     p_noise.add_argument("--A", type=int, default=2)

@@ -38,7 +38,6 @@ import numpy as np
 
 from .generator import CoupledGraphs, generate_coupled_graphs
 from .graphs import AttributedGraph, Kernel, _checked_adjacency, _unchecked
-from .measures import PrivateMeasureResult
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
 
@@ -283,14 +282,6 @@ def _canonical_key(g: GraphMeasure) -> tuple:
     return (g.n, g.attributes.tobytes(), g.adjacency.tobytes())
 
 
-def fgw_exact_small(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> float:
-    """Global minimum over the coupling polytope for instances up to 4x4.
-
-    The value of :func:`exact_small_search`, without its coupling.
-    """
-    return exact_small_search(a, b, params)[0]
-
-
 def exact_small_search(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> tuple[float, np.ndarray]:
     """(global minimum, a coupling of a and b achieving it) for instances up
     to 4x4.
@@ -519,7 +510,6 @@ def mc_expected_fgw(
     replicates: int,
     seed: int,
     refine_iters: int = 2,
-    private: PrivateMeasureResult | None = None,
     keep_graphs: int = 0,
 ) -> McFgwResult:
     """Monte-Carlo estimate of the expected FGW distance between the pair.
@@ -545,7 +535,7 @@ def mc_expected_fgw(
             import scipy.optimize  # noqa: F401
 
     def one(r, rng):
-        pair = generate_coupled_graphs(dataset, partition, noise, a, b, kernel, rng, private=private)
+        pair = generate_coupled_graphs(dataset, partition, noise, a, b, kernel, rng)
         kept = (pair.true_graph, pair.synthetic_graph) if r < keep_graphs else None
         return (*evaluate_pair(pair, params, refine_iters), kept)
 

@@ -22,8 +22,7 @@ Each vertex pair that can carry an edge takes exactly one uniform, drawn in
 row blocks and compared straight into the boolean adjacencies: beyond the two
 adjacencies (N^2 + M^2 bytes) the generator holds two float buffers of
 EDGE_BLOCK_ROWS * max(N, M) entries, one for a block's uniforms and one for
-its kernel values, never an N x N float array. :func:`sample_graph`, one
-graph of the model on its own, draws its edges with the same code.
+its kernel values, never an N x N float array.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from .graphs import (CHUNG_LU, AttributedGraph, Kernel, _distinct_uniform_ids, _unchecked, _written_order,
                      graph_to_dict, kernel_matrix)
-from .measures import PrivateMeasureResult, ProbabilityMeasure, run_private_measure
+from .measures import PrivateMeasureResult, run_private_measure
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition
 
@@ -134,36 +133,6 @@ def _coupled_edges(
         for r0 in range(0, len(adj), EDGE_BLOCK_ROWS):
             adj[r0:, r0 : r0 + EDGE_BLOCK_ROWS] |= adj[r0 : r0 + EDGE_BLOCK_ROWS, r0:].T
     return sides[0][1], sides[1][1]
-
-
-def sample_graph(
-    attr_measure: AttributeDataset | ProbabilityMeasure | np.ndarray,
-    intensity: float,
-    kernel: Kernel,
-    rng: np.random.Generator,
-) -> AttributedGraph:
-    """One draw from the random connection model.
-
-    Vertex count ~ Poisson(intensity); attributes iid from ``attr_measure``
-    (uniform over a dataset's points, or per-weight over a measure's support);
-    identifiers iid uniform on [0,1]; each pair carries an edge independently
-    with probability kernel(x_i, x_j). The edges come from
-    :func:`_coupled_edges` with an empty synthetic side: one uniform per pair
-    i < j, C(N,2) in all, drawn in row blocks (no N x N float array).
-    """
-    if intensity <= 0:
-        raise ValueError("intensity must be > 0")
-    n = int(rng.poisson(intensity))
-    if isinstance(attr_measure, ProbabilityMeasure):
-        support = attr_measure.support
-        idx = rng.choice(support.shape[0], size=n, p=attr_measure.weights / attr_measure.weights.sum())
-        attrs = support[idx]
-    else:
-        pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.array(attr_measure, float, ndmin=2)
-        attrs = pts[rng.integers(0, pts.shape[0], size=n)]
-    ids = _distinct_uniform_ids(n, rng)
-    adj = _coupled_edges(kernel, attrs, attrs[:0], 0, rng)[0]
-    return _unchecked(AttributedGraph, attributes=attrs, identifiers=ids, adjacency=adj)
 
 
 class EdgeCounts(NamedTuple):

@@ -3,8 +3,8 @@ graph type, and JSON/DOT/edge-list export.
 
 A graph of the model has a Poisson number of vertices, each with an attribute
 and a uniform identifier, and connects each unordered pair independently with
-probability kernel(x_i, x_j). The sampler, :func:`privgraph.generator.sample_graph`,
-draws its edges with the coupled generator's edge code.
+probability kernel(x_i, x_j). :mod:`privgraph.generator` draws two such graphs,
+coupled, on one probability space.
 """
 
 from __future__ import annotations
@@ -79,11 +79,6 @@ def kernel_matrix(kernel: Kernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.full((xs.shape[0], ys.shape[0]), kernel.p)
     dist = pairwise_distances(xs, ys, metric=kernel.metric)
     return np.exp(-dist / kernel.scale)
-
-
-def kernel_eval(kernel: Kernel, x, y) -> float:
-    """Single-pair connection probability."""
-    return float(kernel_matrix(kernel, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
 def _edge_blocks(adj: np.ndarray, order: np.ndarray | None = None):

@@ -6,9 +6,9 @@ normalized counts with iid integer noise, and projects the resulting signed
 measure back onto the probability simplex in total-variation distance.
 
 The projection is a closed form: clip negatives, then move the surplus or
-deficit of positive mass at unit cost. It attains the analytic optimum
-(:func:`tv_optimum_analytic`) and fixes the tie-break among non-unique optima
-(mass adjusted in ascending index order).
+deficit of positive mass at unit cost. It attains the analytic optimum,
+sum(negative part) + |sum(positive part) - 1|, and fixes the tie-break among
+non-unique optima (mass adjusted in ascending index order).
 """
 
 from __future__ import annotations
@@ -55,21 +55,6 @@ class ProbabilityMeasure(SignedMeasure):
 def true_counts(dataset: AttributeDataset, partition: Partition) -> np.ndarray:
     """counts[i] = number of dataset points in cell i; sums to n."""
     return dataset.bins(partition)[0].astype(np.int64)
-
-
-def tv_distance(mu1: SignedMeasure, mu2: SignedMeasure) -> float:
-    """Sum of absolute weight differences over a shared support."""
-    if mu1.m != mu2.m or not np.array_equal(mu1.support, mu2.support):
-        raise ValueError("measures must share the same support")
-    return float(np.abs(mu1.weights - mu2.weights).sum())
-
-
-def tv_optimum_analytic(weights: np.ndarray) -> float:
-    """Best achievable TV distance to the simplex: sum(neg part) + |sum(pos part) - 1|."""
-    w = np.asarray(weights, dtype=float)
-    pos = np.clip(w, 0.0, None).sum()
-    neg = np.clip(-w, 0.0, None).sum()
-    return float(neg + abs(pos - 1.0))
 
 
 def _project_closed_form(w: np.ndarray) -> np.ndarray:

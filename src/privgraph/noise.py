@@ -8,9 +8,8 @@ A :class:`NoiseSpec` is one of two kinds:
   ``bounded_power(eps, A)`` builds P(k) proportional to |k|^eps on 1 <= |k| <= A.
 
 Each spec supports exact pmf evaluation, sampling from a caller-owned RNG,
-the exact mean absolute value, and a worst-case likelihood-ratio scan that
-verifies the unit-shift ratio condition behind epsilon-differential privacy
-of noisy counting (neighboring datasets move one count by +-1).
+the exact mean absolute value, and a worst-case likelihood-ratio scan of one
+count shifted by +-1 (:func:`dp_ratio_satisfied`, which says what it certifies).
 """
 
 from __future__ import annotations
@@ -136,21 +135,12 @@ def expected_abs(spec: NoiseSpec) -> float:
     return float(sum(abs(k) * spec.table[k] for k in spec.finite_support.tolist()))
 
 
-def abs_variance(spec: NoiseSpec) -> float:
-    """Var(|noise|), used for Monte-Carlo tolerance sizing."""
-    if spec.table is None:
-        p = math.exp(-spec.eps)
-        second = 2.0 * p / (1.0 - p) ** 2
-    else:
-        second = float(sum(k**2 * spec.table[k] for k in spec.finite_support.tolist()))
-    return second - expected_abs(spec) ** 2
-
-
 @dataclass(frozen=True)
 class RatioReport:
     """``satisfied``: the unit-shift ratio holds at every support point.
-    ``pure_dp``: that, and the support is all of Z, so noisy counts are
-    epsilon-DP at the level checked. A finite support never is: a count c + 1
+    ``pure_dp``: that, and the support is all of Z, so one noisy count is
+    eps_level-DP, and a release 2*eps_level-DP under replacement (see
+    :func:`dp_ratio_satisfied`). A finite support never is: a count c + 1
     can produce an output just past the support of count c."""
 
     satisfied: bool
@@ -163,12 +153,15 @@ class RatioReport:
 def dp_ratio_satisfied(spec: NoiseSpec, eps_level: float) -> RatioReport:
     """Check pmf(k+a)/pmf(k) <= exp(eps_level) for all support k, a in {-1,+1}.
 
-    Unit shifts suffice because neighboring datasets change exactly one cell
-    count by one. Discrete Laplace is handled analytically (the supremum ratio
-    is exp(eps) exactly, attained whenever |k+a| = |k| - 1); tables are
-    scanned exhaustively. Returns the maximizing (k, shift). The scan skips
-    the points just outside a table's support, where pmf(k) = 0 < pmf(k+a),
-    so only discrete Laplace can report ``pure_dp``.
+    This certifies one count only. The commands treat n as public (they
+    divide by the true n, and ``m = auto`` reads it), so neighbouring
+    datasets replace one point, which moves two counts: noise passing at
+    eps_level makes the release 2*eps_level-DP under replacement. Discrete
+    Laplace is handled analytically (the supremum ratio is exp(eps) exactly,
+    attained whenever |k+a| = |k| - 1); tables are scanned exhaustively.
+    Returns the maximizing (k, shift). The scan skips the points just
+    outside a table's support, where pmf(k) = 0 < pmf(k+a), so only
+    discrete Laplace can report ``pure_dp``.
     """
     bound = math.exp(eps_level)
     if spec.table is None:

@@ -118,10 +118,6 @@ class Partition:
         """Diameter of every cell: its side 1/k, times sqrt(d) under euclidean."""
         return (1.0 / self.k_per_axis) * self.space.diameter
 
-    @property
-    def cell_volumes(self) -> np.ndarray:
-        return np.full(self.m, float(self.k_per_axis) ** (-self.d))
-
 
 def _k_for_request(m_request: int, d: int) -> int:
     """Smallest integer k with k^d >= m_request (float-fuzz safe)."""
@@ -160,18 +156,8 @@ def cell_indices(partition: Partition, x: np.ndarray) -> np.ndarray:
     return flat
 
 
-def cell_index(partition: Partition, x) -> int:
-    """Single-point version of :func:`cell_indices`."""
-    return int(cell_indices(partition, np.atleast_2d(x))[0])
-
-
-def sample_uniform_in_cell(partition: Partition, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Point uniformly distributed on cell k."""
-    return sample_uniform_in_cells(partition, [k], rng)[0]
-
-
 def sample_uniform_in_cells(partition: Partition, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized :func:`sample_uniform_in_cell` for an index array."""
+    """One point uniformly distributed on cell k for each index k of ``ks``."""
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size and (ks.min() < 0 or ks.max() >= partition.m):
         raise IndexError(f"cell index out of range [0, {partition.m})")

@@ -2,13 +2,16 @@
 
 import csv
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 
 from privgraph.bounds import BoundInputs, distribution_bound_grid, expected_fgw_bound_grid
-from privgraph.generator import _residual_probs
-from privgraph.graphs import kernel_matrix
+from privgraph.generator import _coupled_edges, _residual_probs
+from privgraph.graphs import AttributedGraph, _distinct_uniform_ids, _unchecked, kernel_matrix
+from privgraph.measures import ProbabilityMeasure
+from privgraph.noise import expected_abs
 from privgraph.space import AttributeDataset, pairwise_distances
 
 
@@ -41,6 +44,32 @@ def coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, rng):
                     continue
                 adj[i, j] = adj[j, i] = rng.random() < probs[i, j]
     return adj_true, adj_syn
+
+
+def sample_graph(attr_measure, intensity, kernel, rng):
+    """One draw from the random connection model.
+
+    Vertex count ~ Poisson(intensity); attributes iid from ``attr_measure``
+    (uniform over a dataset's points or an array's rows, or per-weight over a
+    ``ProbabilityMeasure``'s support); identifiers iid uniform on [0,1]; each
+    pair carries an edge independently with probability kernel(x_i, x_j).
+    The edges come from the generator's ``_coupled_edges`` with an empty
+    synthetic side: one uniform per pair i < j, C(N,2) in all, drawn in row
+    blocks, so the tests that use it pin that one-sided run.
+    """
+    if intensity <= 0:
+        raise ValueError("intensity must be > 0")
+    n = int(rng.poisson(intensity))
+    if isinstance(attr_measure, ProbabilityMeasure):
+        support = attr_measure.support
+        idx = rng.choice(support.shape[0], size=n, p=attr_measure.weights / attr_measure.weights.sum())
+        attrs = support[idx]
+    else:
+        pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.array(attr_measure, float, ndmin=2)
+        attrs = pts[rng.integers(0, pts.shape[0], size=n)]
+    ids = _distinct_uniform_ids(n, rng)
+    adj = _coupled_edges(kernel, attrs, attrs[:0], 0, rng)[0]
+    return _unchecked(AttributedGraph, attributes=attrs, identifiers=ids, adjacency=adj)
 
 
 def grid_bounds_unrounded(eps, n, d, alpha=0.5, C=1.0, L_kappa=1.0):
@@ -154,6 +183,32 @@ def tv_project_bruteforce(weights):
             tau[free] = max(slack, 0.0)
             best = min(best, float(np.abs(w - tau).sum()))
     return best
+
+
+def tv_distance(mu1, mu2):
+    """Sum of absolute weight differences of two measures on a shared support."""
+    if mu1.m != mu2.m or not np.array_equal(mu1.support, mu2.support):
+        raise ValueError("measures must share the same support")
+    return float(np.abs(mu1.weights - mu2.weights).sum())
+
+
+def tv_optimum_analytic(weights):
+    """Best achievable TV distance to the simplex: sum(neg part) + |sum(pos part) - 1|."""
+    w = np.asarray(weights, dtype=float)
+    pos = np.clip(w, 0.0, None).sum()
+    neg = np.clip(-w, 0.0, None).sum()
+    return float(neg + abs(pos - 1.0))
+
+
+def abs_variance(spec):
+    """Var(|noise|) of a ``NoiseSpec``, exactly: a closed form for discrete
+    Laplace, a finite sum over a table. Sizes Monte-Carlo tolerances."""
+    if spec.table is None:
+        p = math.exp(-spec.eps)
+        second = 2.0 * p / (1.0 - p) ** 2
+    else:
+        second = float(sum(k**2 * spec.table[k] for k in spec.finite_support.tolist()))
+    return second - expected_abs(spec) ** 2
 
 
 def maximal_coupling_bernoulli(p, q, rng):

@@ -6,11 +6,13 @@ import math
 import time
 
 import numpy as np
-from oracles import grid_bounds_unrounded, tv_project_bruteforce, tv_project_lp, wasserstein_uniform_exact
+from oracles import (grid_bounds_unrounded, tv_optimum_analytic, tv_project_bruteforce, tv_project_lp,
+                     wasserstein_uniform_exact)
 from scipy import stats
 
 from privgraph.bounds import (
     BoundInputs,
+    bound_inputs_from,
     bound_table,
     expected_fgw_bound,
     expected_fgw_bound_grid,
@@ -18,15 +20,16 @@ from privgraph.bounds import (
     optimal_params,
     rate_bounds,
 )
-from privgraph.experiments import ExperimentConfig, cmd_generate
+from privgraph.experiments import ExperimentConfig, cmd_generate, make_recipe_dataset
 from privgraph.fgw import (
     FgwParams,
+    exact_small_search,
     fgw_cost,
-    fgw_exact_small,
     fgw_to_reference,
     fgw_upper_bound,
     graph_to_measure,
     matched_plan_cost,
+    mc_expected_fgw,
     plan_cost_exact,
     product_coupling,
     reference_graphs,
@@ -37,7 +40,6 @@ from privgraph.graphs import AttributedGraph, chung_lu, kernel_matrix
 from privgraph.measures import (
     SignedMeasure,
     run_private_measure,
-    tv_optimum_analytic,
     tv_project,
     true_counts,
 )
@@ -336,6 +338,44 @@ def test_criterion_6_rates():
     assert ok and elapsed < 1
 
 
+def _measured_rate_point(d, n, eps=1.0):
+    """The replicate kernel at the optimal m and a = b (20 replicates,
+    seed 1, plan values exact) on the uniform recipe's n points, and the
+    coupling bound ``evaluate`` reports for those inputs."""
+    opt = optimal_params(eps, n, d)
+    part = build_grid_partition(SpaceConfig(d), opt.m)
+    noise, kernel, params = discrete_laplace(eps), chung_lu(d), FgwParams()
+    res = mc_expected_fgw(make_recipe_dataset("uniform", n, d, 1), part, noise, opt.a, opt.a, kernel, params,
+                          replicates=20, seed=1, refine_iters=0)
+    return res, expected_fgw_bound(bound_inputs_from(part, n, noise, opt.a, opt.a, params, kernel, eps)).total
+
+
+def _log_log_slope(ns, means, stderrs):
+    """Slope of log mean on log n by weighted least squares, each point
+    weighted by 1/(stderr/mean)^2, the delta-method variance of its log,
+    and the slope's standard error."""
+    x, y = np.log(ns), np.log(means)
+    w = (np.asarray(means) / np.asarray(stderrs)) ** 2
+    xc = x - np.average(x, weights=w)
+    sxx = float(np.sum(w * xc * xc))
+    return float(np.sum(w * xc * y)) / sxx, sxx**-0.5
+
+
+def test_measured_charge_decays_at_the_paper_rate():
+    """Criterion 6 fits the bound's slope in n; this fits the slope of the
+    measured matched-plan charge, which the bound dominates, at d = 2.
+    -1/(d+1) must lie within slope +- (3 se + 0.05). With -s it prints the
+    README's rows: n, charge, plan value, coupling bound, bound / charge."""
+    ns = [100, 1000, 10_000, 100_000]
+    points = [_measured_rate_point(2, n) for n in ns]
+    for n, (res, bound) in zip(ns, points):
+        print(f"\n{n} {res.plan_mean:.4f}±{res.plan_stderr:.4f} {res.mean:.4f}±{res.stderr:.4f} "
+              f"{bound:.3f} {bound / res.plan_mean:.2f}")
+    slope, se = _log_log_slope(ns, [r.plan_mean for r, _ in points], [r.plan_stderr for r, _ in points])
+    print(f"charge slope {slope:.3f} ± {se:.3f}")
+    assert abs(slope + 1.0 / 3.0) <= 3 * se + 0.05
+
+
 def _random_small_measure(rng, params, n=None):
     n = n or int(rng.integers(2, 5))
     attrs = rng.random((n, 1))
@@ -354,8 +394,8 @@ def test_criterion_7_fgw_engine():
     for _ in range(6):
         a = _random_small_measure(rng, params)
         b = _random_small_measure(rng, params)
-        ok &= fgw_exact_small(a, a, params) < 1e-9
-        ok &= abs(fgw_exact_small(a, b, params) - fgw_exact_small(b, a, params)) < 1e-6
+        ok &= exact_small_search(a, a, params)[0] < 1e-9
+        ok &= abs(exact_small_search(a, b, params)[0] - exact_small_search(b, a, params)[0]) < 1e-6
     # alpha = 0 reduces to 1-Wasserstein (independent assignment oracle)
     p0 = FgwParams(alpha=0.0, C=1.0)
     for _ in range(6):
@@ -363,7 +403,7 @@ def test_criterion_7_fgw_engine():
         a = _random_small_measure(rng, p0, n=n)
         b = _random_small_measure(rng, p0, n=n)
         oracle = wasserstein_uniform_exact(a.attributes, b.attributes)
-        ok &= abs(fgw_exact_small(a, b, p0) - oracle) < 1e-6
+        ok &= abs(exact_small_search(a, b, p0)[0] - oracle) < 1e-6
     # the constant-cost instance is exactly 0.5
     p1 = FgwParams(alpha=1.0, C=1.0)
     ga = AttributedGraph(
@@ -376,7 +416,7 @@ def test_criterion_7_fgw_engine():
         identifiers=np.array([0.2, 0.8]),
         adjacency=np.zeros((2, 2), dtype=bool),
     )
-    ok &= abs(fgw_exact_small(graph_to_measure(ga, p1), graph_to_measure(gb, p1), p1) - 0.5) < 1e-12
+    ok &= abs(exact_small_search(graph_to_measure(ga, p1), graph_to_measure(gb, p1), p1)[0] - 0.5) < 1e-12
     # conditional-gradient monotonicity on 200 random pairs
     for _ in range(200):
         a = _random_small_measure(rng, params)

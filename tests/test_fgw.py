@@ -3,15 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_force_cost, wasserstein_uniform_exact
+from oracles import brute_force_cost, sample_graph, wasserstein_uniform_exact
 
+import privgraph.generator as generator_mod
 from privgraph.fgw import (
     FgwParams,
     GraphMeasure,
     evaluate_pair,
     exact_small_search,
     fgw_cost,
-    fgw_exact_small,
     fgw_to_reference,
     fgw_upper_bound,
     graph_to_measure,
@@ -26,7 +26,7 @@ from privgraph.fgw import (
     validate_coupling,
     worst_pair_cost,
 )
-from privgraph.generator import generate_coupled_graphs, sample_graph
+from privgraph.generator import generate_coupled_graphs
 from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel, inverse_distance
 from privgraph.measures import PrivateMeasureResult, ProbabilityMeasure, SignedMeasure
 from privgraph.noise import discrete_laplace, zero_noise
@@ -134,10 +134,10 @@ def test_exact_small_identity_and_symmetry():
     params = FgwParams(alpha=0.5)
     for _ in range(5):
         a = _random_measure(rng, int(rng.integers(1, 5)), params=params)
-        assert fgw_exact_small(a, a, params) == pytest.approx(0.0, abs=1e-9)
+        assert exact_small_search(a, a, params)[0] == pytest.approx(0.0, abs=1e-9)
         b = _random_measure(rng, int(rng.integers(1, 5)), params=params)
-        ab = fgw_exact_small(a, b, params)
-        ba = fgw_exact_small(b, a, params)
+        ab = exact_small_search(a, b, params)[0]
+        ba = exact_small_search(b, a, params)[0]
         assert ab == pytest.approx(ba, abs=1e-6)
 
 
@@ -145,7 +145,7 @@ def test_exact_small_constant_instance():
     params = FgwParams(alpha=1.0, C=1.0)
     a = graph_to_measure(_graph([[0.3], [0.7]], [(0, 1)]), params)
     b = graph_to_measure(_graph([[0.3], [0.7]], []), params)
-    assert fgw_exact_small(a, b, params) == pytest.approx(0.5, abs=1e-9)
+    assert exact_small_search(a, b, params)[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_exact_small_alpha0_equals_wasserstein():
@@ -156,7 +156,7 @@ def test_exact_small_alpha0_equals_wasserstein():
         a = _random_measure(rng, n, params=params)
         b = _random_measure(rng, n, params=params)
         oracle = wasserstein_uniform_exact(a.attributes, b.attributes)
-        assert fgw_exact_small(a, b, params) == pytest.approx(oracle, abs=1e-6)
+        assert exact_small_search(a, b, params)[0] == pytest.approx(oracle, abs=1e-6)
 
 
 def test_exact_small_size_cap():
@@ -164,7 +164,7 @@ def test_exact_small_size_cap():
     params = FgwParams()
     big = _random_measure(rng, 5, params=params)
     with pytest.raises(ValueError):
-        fgw_exact_small(big, big, params)
+        exact_small_search(big, big, params)
 
 
 def test_upper_bound_from_optimal_start_stays_optimal():
@@ -199,7 +199,7 @@ def test_upper_bound_sandwich_vs_exact():
         init = product_coupling(a, b)
         init_cost = fgw_cost(init, a, b, params)
         val, _ = fgw_upper_bound(a, b, params, init=init, iterations=50)
-        exact = fgw_exact_small(a, b, params)
+        exact = exact_small_search(a, b, params)[0]
         assert exact - 1e-9 <= val <= init_cost + 1e-12
 
 
@@ -263,7 +263,7 @@ def test_plan_dominance_chain_on_small_pairs():
         a, b, pi = plan_coupling(pair, params)
         plan_cost = fgw_cost(pi, a, b, params)
         refined, _ = fgw_upper_bound(a, b, params, init=pi, iterations=50)
-        exact = fgw_exact_small(a, b, params)
+        exact = exact_small_search(a, b, params)[0]
         assert charge >= plan_cost - 1e-9
         assert plan_cost >= refined - 1e-12
         assert refined >= exact - 1e-9
@@ -331,11 +331,14 @@ def test_plan_coupling_is_feasible():
     assert pi.min() >= 0
 
 
-def test_mc_degenerate_config_is_zero():
+def test_mc_degenerate_config_is_zero(monkeypatch):
     part = build_grid_partition(SpaceConfig(d=1), 1)
     reps = np.array([[0.5]])
     data = AttributeDataset(points=np.array([[0.5]]))
     private = _fixed_private(part, [1], [1.0], reps)
+    # every replicate's mechanism returns this fixed measure, whose one
+    # representative sits on the one data point
+    monkeypatch.setattr(generator_mod, "run_private_measure", lambda *args: private)
     res = mc_expected_fgw(
         data,
         part,
@@ -346,7 +349,6 @@ def test_mc_degenerate_config_is_zero():
         FgwParams(alpha=0.5),
         replicates=20,
         seed=0,
-        private=private,
     )
     assert res.mean == 0.0 and res.stderr == 0.0
     assert res.plan_mean == 0.0
@@ -406,9 +408,9 @@ def test_reference_graphs_and_exact_singleton_values():
     rng = np.random.default_rng(12)
     g = _graph(rng.random((3, 1)), [(0, 1)])
     direct = fgw_to_reference(ref0, g, params)
-    oracle = fgw_exact_small(
+    oracle = exact_small_search(
         graph_to_measure(ref0, params), graph_to_measure(g, params), params
-    )
+    )[0]
     assert direct == pytest.approx(oracle, abs=1e-9)
 
 
@@ -456,7 +458,7 @@ def test_exact_search_returns_a_coupling_that_achieves_its_value(ga, gb, alpha, 
     a, b = graph_to_measure(ga, params), graph_to_measure(gb, params)
     for x, y in ((a, b), (b, a)):
         value, pi = exact_small_search(x, y, params)
-        assert value == fgw_exact_small(x, y, params)
+        assert value == exact_small_search(x, y, params)[0]
         assert abs(fgw_cost(pi, x, y, params) - value) <= 1e-9
 
 

@@ -9,12 +9,13 @@ from oracles import (
     maximal_coupling_bernoulli,
     residual_cell_sampler,
     sample_common_indicator,
+    sample_graph,
 )
 from scipy import stats
 
 import privgraph.generator as generator_mod
 import privgraph.graphs as graphs_mod
-from privgraph.generator import generate_coupled_graphs, sample_graph
+from privgraph.generator import generate_coupled_graphs
 from privgraph.graphs import (
     AttributedGraph,
     chung_lu,
@@ -239,20 +240,54 @@ def test_written_synthetic_vertex_order_does_not_depend_on_the_true_counts():
     # Fixed private weights (1/2, 1/2); the true data sits in cell 0 or in
     # cell 1. The matched cells are then all 0 or all 1, so in the
     # matched-first layout vertex 0 would carry the true data's cell.
+    # The written graph's vertex and edge counts, cell histogram and degree
+    # histogram must not depend on them either: those are what the residual
+    # draws, the true-side picks and the shared edge uniforms could leak.
     part = build_grid_partition(SpaceConfig(d=1), 2)
     reps = (part.lows + part.highs) / 2.0
-    freq = []
+    freq, sizes, edges, cells, first_degrees = [], [], [], [], []
     for counts in ([10, 0], [0, 10]):
         data = AttributeDataset(points=np.repeat(reps, counts, axis=0))
         private = _fixed_private(part, counts, [0.5, 0.5])
         rng = np.random.default_rng(12)
-        first = []
+        first, n_vertices, n_edges, in_cell_0, degree = [], [], [], 0, []
         for _ in range(400):
             pair = generate_coupled_graphs(data, part, zero_noise(), 8, 8, constant_kernel(0.5), rng, private=private)
-            vertices = pair.to_dict(private_only=True)["synthetic_graph"]["vertices"]
+            written = pair.to_dict(private_only=True)["synthetic_graph"]
+            vertices = written["vertices"]
             first += [vertices[0]["attr"][0] == reps[0, 0]] if vertices else []
+            n_vertices.append(len(vertices))
+            n_edges.append(len(written["edges"]))
+            in_cell_0 += sum(v["attr"][0] == reps[0, 0] for v in vertices)
+            # one degree per pair: the degrees of one graph share its edges
+            degree += [sum(0 in e for e in written["edges"])] if vertices else []
         freq.append(np.mean(first))
+        sizes.append(n_vertices)
+        edges.append(n_edges)
+        cells.append([in_cell_0, sum(n_vertices) - in_cell_0])
+        first_degrees.append(degree)
     assert abs(freq[0] - freq[1]) < 0.1 and all(abs(f - 0.5) < 0.1 for f in freq)
+    for x, y in (sizes, edges):
+        se = np.sqrt(np.var(x, ddof=1) / len(x) + np.var(y, ddof=1) / len(y))
+        assert abs(np.mean(x) - np.mean(y)) < 4 * se
+    top = max(max(d) for d in first_degrees) + 1
+    degree_table = [np.bincount(d, minlength=top) for d in first_degrees]
+    assert stats.chi2_contingency(cells, correction=False)[1] > 0.001
+    assert stats.chi2_contingency(_merge_sparse_columns(np.array(degree_table)), correction=False)[1] > 0.001
+
+
+def _merge_sparse_columns(table, least=10):
+    """The columns of a contingency table merged left to right until each
+    holds at least ``least`` in total; a remainder below that joins the last."""
+    merged, run = [], np.zeros(table.shape[0], dtype=table.dtype)
+    for col in table.T:
+        run = run + col
+        if run.sum() >= least:
+            merged.append(run)
+            run = np.zeros_like(run)
+    if run.sum():
+        merged[-1] = merged[-1] + run
+    return np.array(merged).T
 
 
 def test_per_cell_counts_have_poisson_marginals():

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from oracles import sample_graph
 from scipy import stats
 
 import privgraph.graphs as graphs_mod
-from privgraph.generator import _coupled_edges, sample_graph
+from privgraph.generator import _coupled_edges
 from privgraph.graphs import (
     AttributedGraph,
     chung_lu,
@@ -16,7 +17,6 @@ from privgraph.graphs import (
     graph_to_edge_list_text,
     graph_to_json,
     inverse_distance,
-    kernel_eval,
     kernel_matrix,
 )
 from privgraph.measures import ProbabilityMeasure
@@ -24,9 +24,9 @@ from privgraph.space import AttributeDataset
 
 
 def test_kernel_eval_examples():
-    assert kernel_eval(chung_lu(1), [0.5], [0.5]) == pytest.approx(0.25)
-    assert kernel_eval(constant_kernel(0.3), [0.1], [0.9]) == 0.3
-    assert kernel_eval(inverse_distance(0.5), [0.4], [0.4]) == pytest.approx(1.0)
+    assert kernel_matrix(chung_lu(1), [0.5], [0.5])[0, 0] == pytest.approx(0.25)
+    assert kernel_matrix(constant_kernel(0.3), [0.1], [0.9])[0, 0] == 0.3
+    assert kernel_matrix(inverse_distance(0.5), [0.4], [0.4])[0, 0] == pytest.approx(1.0)
 
 
 def test_kernel_symmetry_range_lipschitz_probes():
@@ -34,10 +34,10 @@ def test_kernel_symmetry_range_lipschitz_probes():
     for kern, d in [(chung_lu(2), 2), (constant_kernel(0.4), 3), (inverse_distance(0.7), 2)]:
         for _ in range(200):
             x, y, x2 = rng.random(d), rng.random(d), rng.random(d)
-            kxy = kernel_eval(kern, x, y)
-            assert kxy == pytest.approx(kernel_eval(kern, y, x), abs=1e-12)
+            kxy = kernel_matrix(kern, x, y)[0, 0]
+            assert kxy == pytest.approx(kernel_matrix(kern, y, x)[0, 0], abs=1e-12)
             assert 0.0 <= kxy <= 1.0
-            lhs = abs(kxy - kernel_eval(kern, x2, y))
+            lhs = abs(kxy - kernel_matrix(kern, x2, y)[0, 0])
             assert lhs <= kern.lipschitz_constant * np.max(np.abs(x - x2)) + 1e-12
 
 
@@ -125,7 +125,7 @@ def test_conditional_edge_independence():
         adj = _coupled_edges(kern, attrs, attrs[:0], 0, rng)[0]
         e01[r], e23[r] = adj[0, 1], adj[2, 3]
     cov = np.cov(e01.astype(float), e23.astype(float))[0, 1]
-    p1, p2 = kernel_eval(kern, [0.9], [0.8]), kernel_eval(kern, [0.7], [0.6])
+    p1, p2 = kernel_matrix(kern, [0.9], [0.8])[0, 0], kernel_matrix(kern, [0.7], [0.6])[0, 0]
     sigma = np.sqrt(p1 * (1 - p1) * p2 * (1 - p2) / n_rep)
     assert abs(cov) < 4 * sigma
 

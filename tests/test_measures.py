@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import tv_project_bruteforce, tv_project_lp
+from oracles import tv_distance, tv_optimum_analytic, tv_project_bruteforce, tv_project_lp
 
 from privgraph.measures import (
     ProbabilityMeasure,
     SignedMeasure,
     run_private_measure,
     true_counts,
-    tv_distance,
-    tv_optimum_analytic,
     tv_project,
 )
 from privgraph.noise import discrete_laplace, expected_abs, zero_noise

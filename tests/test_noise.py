@@ -1,14 +1,15 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import abs_variance
 from scipy import stats
 
 from privgraph.noise import (
     NoiseSpec,
-    abs_variance,
     bounded_power,
     custom,
     discrete_laplace,
@@ -110,6 +111,27 @@ def test_dp_ratio_discrete_laplace_exact():
         assert report.satisfied
         assert report.worst_ratio == pytest.approx(math.exp(eps), rel=1e-14)
     assert not dp_ratio_satisfied(discrete_laplace(1.0), 0.5).satisfied
+
+
+def _release_prob(spec, counts, output):
+    """P(noisy counts == output | true counts), the cells' noise iid."""
+    return math.prod(pmf(spec, o - c) for o, c in zip(output, counts))
+
+
+def test_replacing_one_point_moves_two_counts_so_the_joint_ratio_is_exp_2eps():
+    # With n public, neighbouring datasets replace one point: one count loses
+    # a point and another gains it. The unit-shift check covers one count.
+    counts, replaced = (10, 10, 10, 10), (9, 11, 10, 10)
+    shifts = [tuple(c + a * (k == i) for k, c in enumerate(counts)) for i in range(4) for a in (-1, 1)]
+    outputs = list(itertools.product(*(range(c - 3, c + 4) for c in counts)))
+    for eps in (0.5, 1.0):
+        spec = discrete_laplace(eps)
+        ratio = _release_prob(spec, counts, counts) / _release_prob(spec, replaced, counts)
+        assert ratio == pytest.approx(math.exp(2 * eps), rel=1e-12)
+        for neighbour, bound in [(replaced, math.exp(2 * eps))] + [(s, math.exp(eps)) for s in shifts]:
+            for out in outputs:
+                p, q = _release_prob(spec, counts, out), _release_prob(spec, neighbour, out)
+                assert max(p / q, q / p) <= bound * (1 + 1e-12)
 
 
 def test_dp_ratio_bounded_power_scan():

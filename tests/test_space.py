@@ -10,10 +10,9 @@ from privgraph.space import (
     AttributeDataset,
     SpaceConfig,
     build_grid_partition,
-    cell_index,
     cell_indices,
     load_points_csv,
-    sample_uniform_in_cell,
+    sample_uniform_in_cells,
 )
 
 
@@ -70,10 +69,10 @@ def test_grid_realization_not_fooled_by_float_roots():
 
 def test_cell_index_basics_and_closure():
     part = build_grid_partition(SpaceConfig(d=1), 2)
-    assert cell_index(part, [0.25]) == 0
-    assert cell_index(part, [1.0]) == 1
+    assert cell_indices(part, [0.25])[0] == 0
+    assert cell_indices(part, [1.0])[0] == 1
     with pytest.raises(ValueError):
-        cell_index(part, [1.2])
+        cell_indices(part, [1.2])
 
 
 def test_cell_index_histogram_matches_volumes():
@@ -82,7 +81,7 @@ def test_cell_index_histogram_matches_volumes():
     n = 60_000
     idx = cell_indices(part, rng.random((n, 2)))
     observed = np.bincount(idx, minlength=part.m)
-    expected = part.cell_volumes * n
+    expected = np.prod(part.highs - part.lows, axis=1) * n
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.ppf(0.99, df=part.m - 1)
 
@@ -99,14 +98,14 @@ def test_membership_roundtrip():
 def test_cell_volumes_tile_the_cube():
     for d, m in [(1, 7), (2, 10), (3, 5)]:
         part = build_grid_partition(SpaceConfig(d=d), m)
-        assert part.cell_volumes.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.prod(part.highs - part.lows, axis=1).sum() == pytest.approx(1.0, abs=1e-12)
         assert part.max_diam <= 1.0 / part.k_per_axis + 1e-15
 
 
 def test_sample_uniform_whole_interval_mean():
     rng = np.random.default_rng(11)
     part = build_grid_partition(SpaceConfig(d=1), 1)
-    draws = np.array([sample_uniform_in_cell(part, 0, rng)[0] for _ in range(4000)])
+    draws = sample_uniform_in_cells(part, np.zeros(4000, dtype=int), rng)[:, 0]
     sigma = 1.0 / np.sqrt(12 * draws.size)
     assert abs(draws.mean() - 0.5) < 3 * sigma
 
@@ -114,17 +113,16 @@ def test_sample_uniform_whole_interval_mean():
 def test_sample_uniform_containment():
     rng = np.random.default_rng(5)
     part = build_grid_partition(SpaceConfig(d=1), 4)
-    for _ in range(200):
-        x = sample_uniform_in_cell(part, 2, rng)[0]
-        assert 0.5 <= x < 0.75
+    xs = sample_uniform_in_cells(part, np.full(200, 2), rng)[:, 0]
+    assert np.all((0.5 <= xs) & (xs < 0.75))
     with pytest.raises(IndexError):
-        sample_uniform_in_cell(part, 4, rng)
+        sample_uniform_in_cells(part, [4], rng)
 
 
 def test_sample_uniform_ks_per_coordinate():
     rng = np.random.default_rng(13)
     part = build_grid_partition(SpaceConfig(d=2), 4)
-    draws = np.array([sample_uniform_in_cell(part, 0, rng) for _ in range(3000)])
+    draws = sample_uniform_in_cells(part, np.zeros(3000, dtype=int), rng)
     for j in range(2):
         res = stats.kstest(draws[:, j], stats.uniform(loc=0.0, scale=0.5).cdf)
         assert res.pvalue > 0.01
