@@ -1,19 +1,19 @@
 """Command-line surface: generate, evaluate, bounds, table, project, noisecheck,
-dist, mc. Configuration comes from flags or a single JSON file (--config); a
-manifest written by a previous run is itself a valid config."""
+dist, mc. Configuration comes from flags set over a single JSON file (--config);
+a manifest written by a previous run is itself a valid config."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bnd
-from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc, load_config
+from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc
 from .fgw import FgwParams, exact_small_search, fgw_upper_bound, graph_to_measure
 from .graphs import graph_from_json
 from .measures import SignedMeasure, tv_project
@@ -52,8 +52,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _config_from_args(args) -> tuple[ExperimentConfig, list[float] | None]:
-    """The config of --config and the flags, built once so that both pass
-    :class:`ExperimentConfig`'s check, and the levels a --config manifest records."""
+    """The config of the flags set over --config's file or manifest, checked
+    once by :meth:`ExperimentConfig.from_dict`, and the levels a manifest records."""
     # a flag left unset reads None (False for a switch) and keeps the config's value
     flags = {
         name: val
@@ -62,10 +62,8 @@ def _config_from_args(args) -> tuple[ExperimentConfig, list[float] | None]:
     }
     if getattr(args, "emit", None) == "dot":
         flags["emit_dot"] = True
-    if not args.config:
-        return ExperimentConfig.from_dict(flags), None
-    cfg, levels = load_config(args.config, seed=args.seed)
-    return replace(cfg, **flags), levels
+    obj = _read_object(args.config, []) if args.config else {}
+    return ExperimentConfig.from_dict(obj, **flags), obj.get("eps_list")
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser):

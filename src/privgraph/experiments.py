@@ -23,8 +23,7 @@ import scipy
 
 from . import __version__
 from . import bounds as bnd
-from .fgw import (REFINE_SIZE_CAP, FgwParams, McFgwResult, ipm_lower_bound, mc_expected_fgw, reference_graphs,
-                  spawn_streams)
+from .fgw import FgwParams, McFgwResult, ipm_lower_bound, mc_expected_fgw, reference_graphs, spawn_streams
 
 # Re-exported, not called here: benchmarks/tracing.py times each replicate by
 # wrapping the runner it finds as privgraph.experiments.run_replicates.
@@ -33,18 +32,6 @@ from .generator import DRAW_ORDER, generate_coupled_graphs
 from .graphs import Kernel, chung_lu, constant_kernel, graph_to_dot, inverse_distance
 from .noise import NoiseSpec, discrete_laplace
 from .space import AttributeDataset, Partition, SpaceConfig, _is_int, _is_real, build_grid_partition, load_points_csv
-
-_NOISE_IS_FIXED = "finite-support noise is not ε-DP"
-# Keys that used to be settings, each with the one value it now holds and the
-# reason no other value replays. Only plain JSON configs reach this table: each
-# key left before draw order 4, so every manifest written with one is refused first.
-_FORMER_SETTINGS = {
-    "refine_size_cap": (REFINE_SIZE_CAP, "replaying it would pick different evaluators"),
-    "noise_kind": ("discrete_laplace", _NOISE_IS_FIXED),
-    "noise_A": (2, _NOISE_IS_FIXED),
-    "noise_pmf": (None, _NOISE_IS_FIXED),
-    "csv_sep": (",", "evaluate.csv and mc output are comma-separated"),
-}
 
 
 def _spelt(value):
@@ -106,12 +93,12 @@ class ExperimentConfig:
         object.__setattr__(self, "b", b if b == "auto" else float(b))
 
     @classmethod
-    def from_dict(cls, obj: dict, seed: int | None = None) -> "ExperimentConfig":
-        """Config from a dict or a manifest; a misspelt key (say "epsilon") is an error.
-
-        ``seed``, when given, replaces the seed of ``obj``. A manifest replays
-        only under the draw order it was written with. A key of
-        :data:`_FORMER_SETTINGS` is accepted only at the value it is fixed at.
+    def from_dict(cls, obj: dict, **overrides) -> "ExperimentConfig":
+        """The config of ``obj``, a dict or a manifest, with ``overrides`` (the
+        flags, ``seed`` among them) set over its keys, then checked once: a
+        misspelt key (say "epsilon") or a retired one (say "noise_kind") is an
+        error, the seed is mandatory, and ``__post_init__`` checks each value.
+        A manifest replays only under the draw order it was written with.
         """
         if "config" in obj:  # a manifest: its config plus the resolved_* values it records
             order = obj.get("draw_order")
@@ -122,24 +109,13 @@ class ExperimentConfig:
                     f"draw order {DRAW_ORDER}; it would replay into different graphs"
                 )
             obj = {k: v for k, v in obj["config"].items() if not k.startswith("resolved_")}
-        for key, (fixed, reason) in _FORMER_SETTINGS.items():
-            if key in obj and obj[key] != fixed:
-                raise ValueError(f"{key} is {obj[key]!r}, but this privgraph fixes it at {fixed!r}; {reason}")
-        obj = {k: v for k, v in obj.items() if k not in _FORMER_SETTINGS}
-        if seed is not None:
-            obj = {**obj, "seed": seed}
+        obj = {**obj, **overrides}
         unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if obj.get("seed") is None:
             raise ValueError('seed is mandatory in experiment mode: give --seed or a "seed" in the config')
         return cls(**obj)
-
-
-def load_config(path: str, seed: int | None = None) -> tuple[ExperimentConfig, list[float] | None]:
-    """The config in a JSON file, and the privacy levels a ``generate`` manifest records."""
-    obj = json.loads(Path(path).read_text())
-    return ExperimentConfig.from_dict(obj, seed=seed), obj.get("eps_list")
 
 
 def make_recipe_dataset(recipe: str, n: int, d: int, seed: int) -> AttributeDataset:
@@ -178,14 +154,14 @@ class ResolvedExperiment:
     b: float
 
     @property
+    def level(self) -> dict:
+        """The privacy level and the sizes resolved at it."""
+        return {"eps": self.config.eps, "resolved_m": self.partition.m,
+                "resolved_k_per_axis": self.partition.k_per_axis, "resolved_a": self.a, "resolved_b": self.b}
+
+    @property
     def manifest_config(self) -> dict:
-        out = asdict(self.config)
-        out["resolved_m"] = self.partition.m
-        out["resolved_k_per_axis"] = self.partition.k_per_axis
-        out["resolved_a"] = self.a
-        out["resolved_b"] = self.b
-        out["resolved_n"] = self.dataset.n
-        return out
+        return {**asdict(self.config), **self.level, "resolved_n": self.dataset.n}
 
     def monte_carlo(self, keep_graphs: int = 0) -> McFgwResult:
         """The config's replicates through the one replicate kernel,
@@ -226,9 +202,10 @@ def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
 
 
 def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outputs: list[str], t0: float,
-                   eps_list: list[float] | None = None) -> None:
-    """``eps_list``, a ``generate`` run's levels, is recorded with one seed path per level."""
-    streams = resolved.config.replicates if eps_list is None else len(eps_list)
+                   levels: list[dict] | None = None) -> None:
+    """``levels``, a ``generate`` run's :attr:`ResolvedExperiment.level` values,
+    are recorded with their ``eps_list`` and one seed path per level."""
+    streams = resolved.config.replicates if levels is None else len(levels)
     manifest = {
         "tool": "privgraph",
         "version": __version__,
@@ -244,7 +221,7 @@ def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outpu
         "replicate_seed_paths": [[resolved.config.seed, r] for r in range(streams)],
         "outputs": outputs,
         "timing_s": round(time.time() - t0, 3),
-        **({} if eps_list is None else {"eps_list": eps_list}),
+        **({} if levels is None else {"eps_list": [lv["eps"] for lv in levels], "levels": levels}),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -258,10 +235,11 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
     out_dir.mkdir(parents=True, exist_ok=True)
     eps_values = eps_list or [cfg.eps]
     outputs: list[str] = []
-    resolved = None
+    levels: list[dict] = []
     streams = spawn_streams(cfg.seed, len(eps_values))
     for idx, eps in enumerate(eps_values):
         resolved = resolve(replace(cfg, eps=eps))
+        levels.append(resolved.level)
         pair = generate_coupled_graphs(
             resolved.dataset,
             resolved.partition,
@@ -289,7 +267,7 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
             p = out_dir / f"synthetic_{tag}.dot"
             p.write_text(graph_to_dot(pair.synthetic_graph, name="synthetic_graph"))
             outputs.append(str(p))
-    write_manifest(out_dir / "manifest.json", "generate", resolved, outputs, t0, eps_list=eps_values)
+    write_manifest(out_dir / "manifest.json", "generate", resolved, outputs, t0, levels=levels)
     return outputs
 
 

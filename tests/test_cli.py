@@ -160,6 +160,21 @@ def test_generate_eps_list_manifest_replays_every_level(tmp_path):
     assert _read_outputs(replay) == written
 
 
+def test_generate_manifest_records_each_levels_sizes(tmp_path):
+    # m = auto resolves per level, so the config's resolved_* (the last level's) differ from level 1's
+    argv = ["generate", "--recipe", "uniform", "--n", "2000", "--d", "1", "--a", "20", "--b", "20", "--seed", "1"]
+    assert main([*argv, "--eps-list", "1,0.1", "--out", str(tmp_path / "two")]) == 0
+    manifest = json.loads((tmp_path / "two" / "manifest.json").read_text())
+    cfg = ExperimentConfig.from_dict(manifest)
+    assert manifest["levels"] == [resolve(replace(cfg, eps=eps)).level for eps in (1.0, 0.1)]
+    assert [level["resolved_m"] for level in manifest["levels"]] == [45, 15]
+    assert {k: manifest["config"][k] for k in manifest["levels"][1]} == manifest["levels"][1]
+    assert main([*argv, "--eps", "1", "--out", str(tmp_path / "one")]) == 0
+    single = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    assert single["levels"] == manifest["levels"][:1]
+    assert {k: single["config"][k] for k in single["levels"][0]} == single["levels"][0]
+
+
 def test_evaluate_summary_and_csv(tmp_path):
     cfg = ExperimentConfig(
         recipe="uniform",
@@ -270,6 +285,8 @@ _VERTEX = {"attr": [0.5], "id": 0.25}
         ("dist", {"vertices": [_VERTEX, {"id": 0.5}], "edges": []}, "vertex 1 has no 'attr'"),
         ("dist", {"vertices": [{"attr": [0.1]}, _VERTEX], "edges": []}, "vertex 0 has no 'id'"),
         ("dist", [_VERTEX], "a graph must be a JSON object"),
+        *((command, obj, "input.json: expected a JSON object")
+          for command in ("generate", "evaluate", "mc") for obj in ([1, 2], "x")),
     ],
 )
 def test_malformed_json_inputs_are_refused_naming_the_key(tmp_path, capsys, command, obj, message):
@@ -277,11 +294,13 @@ def test_malformed_json_inputs_are_refused_naming_the_key(tmp_path, capsys, comm
     path.write_text(json.dumps(obj))
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"vertices": [_VERTEX], "edges": []}))
-    argv = {"bounds": ["bounds", "--json", str(path)], "project": ["project", str(path)],
-            "dist": ["dist", str(good), str(path)]}[command]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    out = tmp_path / "out"
+    args = {"bounds": ["--json", str(path)], "project": [str(path)], "dist": [str(good), str(path)]}.get(
+        command, ["--config", str(path), "--seed", "1", "--out", str(out)])
+    assert main([command, *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_dist_command(tmp_path, capsys):
@@ -425,6 +444,10 @@ def test_seed_flag_completes_a_seedless_config(tmp_path, capsys):
     argv = ["mc", "--recipe", "uniform", "--n", "60", "--m", "4", "--a", "8", "--b", "8", "--seed", "3", "--reps", "4"]
     assert main(argv) == 0
     assert capsys.readouterr().out == from_config
+    # a flag is set over the file's value before the one check, so it corrects a bad one
+    cfg_path.write_text(json.dumps({"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8, "d": 0}))
+    assert main(["mc", "--config", str(cfg_path), "--seed", "3", "--d", "1", "--reps", "4"]) == 0
+    assert capsys.readouterr().out == from_config
     cfg_path.write_text(json.dumps({"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8, "seed": 1}))
     assert ExperimentConfig.from_dict(json.loads(cfg_path.read_text()), seed=3).seed == 3
 
@@ -450,22 +473,6 @@ def test_evaluate_manifest_replays_its_ipm_samples(tmp_path, capsys):
     assert json.loads((run / "manifest.json").read_text())["config"]["ipm_samples"] == 3
     assert main(["evaluate", "--config", str(run / "manifest.json"), "--out", str(replay)]) == 0
     assert _read_outputs(replay) == _read_outputs(run)
-
-
-def test_manifest_refine_size_cap_replays_only_at_the_constant(tmp_path, capsys):
-    run = tmp_path / "run"
-    assert main(["evaluate", *_SMALL_EVALUATE, "--replicates", "12", "--seed", "3", "--out", str(run)]) == 0
-    manifest = json.loads((run / "manifest.json").read_text())
-    path = tmp_path / "manifest.json"
-    for key, fixed, other in (("refine_size_cap", REFINE_SIZE_CAP, 100), ("csv_sep", ",", ";")):
-        assert key not in manifest["config"]
-        for value, rc in ((fixed, 0), (other, 1)):
-            # as manifests written while the key was a setting record it
-            path.write_text(json.dumps({**manifest, "config": {**manifest["config"], key: value}}))
-            assert main(["evaluate", "--config", str(path), "--out", str(tmp_path / f"{key}_{rc}")]) == rc
-        assert _read_outputs(tmp_path / f"{key}_0") == _read_outputs(run)
-        assert f"{key} is {other!r}" in capsys.readouterr().err
-        assert not (tmp_path / f"{key}_1").exists()
 
 
 def test_too_few_replicates_or_ipm_samples_are_refused(tmp_path, capsys):
@@ -571,10 +578,14 @@ _NOISE_CONFIG = {"recipe": "uniform", "n": 80, "d": 1, "m": 4, "a": 10, "b": 10,
 @pytest.mark.parametrize(
     "key, value",
     [("noise_kind", "bounded_power"), ("noise_kind", "custom"), ("noise_A", 3),
-     ("noise_pmf", {"-1": 0.25, "0": 0.5, "1": 0.25})],
+     ("noise_pmf", {"-1": 0.25, "0": 0.5, "1": 0.25}), ("noise_kind", "discrete_laplace"), ("noise_A", 2),
+     ("noise_pmf", None), ("refine_size_cap", REFINE_SIZE_CAP), ("refine_size_cap", 100), ("csv_sep", ","),
+     ("csv_sep", ";")],
 )
 def test_former_noise_settings_are_refused(tmp_path, capsys, key, value):
-    # the noise is discrete Laplace: a config or manifest asking for other noise writes nothing
+    # a retired setting is refused like a misspelt key, even at the one value it
+    # held: the noise is discrete Laplace, the refine size cap a constant and the
+    # output comma-separated, so a config or manifest that records one writes nothing
     cfg = {**_NOISE_CONFIG, "seed": 3, key: value}
     for name, obj in (("config", cfg), ("manifest", {"draw_order": DRAW_ORDER, "config": cfg})):
         path = tmp_path / f"{name}.json"
@@ -584,25 +595,10 @@ def test_former_noise_settings_are_refused(tmp_path, capsys, key, value):
             assert main([command, "--config", str(path), "--out", str(out)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith(f"error: {key} is {value!r}")
+            assert captured.err == f"error: unknown config keys: {key}\n"
             assert not out.exists()
-    with pytest.raises(ValueError, match="finite-support noise is not ε-DP"):
+    with pytest.raises(ValueError, match=f"^unknown config keys: {key}$"):
         ExperimentConfig.from_dict(cfg)
-
-
-@pytest.mark.parametrize("command", ["generate", "evaluate"])
-def test_manifest_with_the_former_noise_defaults_replays(tmp_path, capsys, command):
-    run, replay = tmp_path / "run", tmp_path / "replay"
-    argv = [command, "--recipe", "uniform", "--n", "80", "--d", "1", "--m", "4", "--a", "10", "--b", "10", "--seed", "3"]
-    assert main([*argv, *(["--replicates", "6", "--ipm-samples", "2"] if command == "evaluate" else []),
-                 "--out", str(run)]) == 0
-    manifest = json.loads((run / "manifest.json").read_text())
-    assert not {"noise_kind", "noise_A", "noise_pmf"} & set(manifest["config"])
-    manifest["config"].update(noise_kind="discrete_laplace", noise_A=2, noise_pmf=None)  # as older manifests record
-    path = tmp_path / "old_manifest.json"
-    path.write_text(json.dumps(manifest))
-    assert main([command, "--config", str(path), "--out", str(replay)]) == 0
-    assert _read_outputs(replay) == _read_outputs(run)
 
 
 @pytest.mark.parametrize(
