@@ -28,7 +28,7 @@ print("true counts per cell:", counts.tolist())
 for eps in (10.0, 1.0, 0.1):
     noise = discrete_laplace(eps)
     res = run_private_measure(data, partition, noise, np.random.default_rng(42))
-    tv_to_empirical = np.abs(res.counts / data.n - res.private_measure.weights).sum()
+    tv_to_empirical = np.abs(res.counts / data.n - res.private_weights).sum()
     print(
         f"eps={eps:5g}: noise draws {res.noise_draws.tolist()}, "
         f"projection residual {res.tv_residual:.4f}, "

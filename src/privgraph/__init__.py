@@ -24,8 +24,6 @@ from .noise import (
     dp_ratio_satisfied,
 )
 from .measures import (
-    SignedMeasure,
-    ProbabilityMeasure,
     PrivateMeasureResult,
     true_counts,
     tv_project,

@@ -16,8 +16,9 @@ from . import bounds as bnd
 from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc
 from .fgw import FgwParams, exact_small_search, fgw_upper_bound, graph_to_measure
 from .graphs import graph_from_json
-from .measures import SignedMeasure, tv_project
+from .measures import tv_project
 from .noise import bounded_power, discrete_laplace, dp_ratio_satisfied, noise_from_json
+from .space import _is_real
 
 
 def _float_list(text: str) -> list[float]:
@@ -185,13 +186,13 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "project":
             obj = _read_object(args.measure, ["weights"])
-            weights = np.asarray(obj["weights"], dtype=float)
-            support = np.asarray(
-                obj.get("support", [[float(i)] for i in range(weights.size)]), dtype=float
-            )
-            measure = SignedMeasure(support=support, weights=weights)
-            projected, dist = tv_project(measure)
-            print(json.dumps({"weights": projected.weights.tolist(), "distance": dist}))
+            weights = obj["weights"]
+            if not (isinstance(weights, list) and all(map(_is_real, weights))):
+                raise ValueError(f"{args.measure}: 'weights' must be a list of numbers")
+            projected, dist = tv_project(weights)
+            if "support" in obj and np.atleast_2d(np.asarray(obj["support"], dtype=float)).shape[0] != len(weights):
+                raise ValueError("support and weights must have equal length")
+            print(json.dumps({"weights": projected.tolist(), "distance": dist}))
             return 0
 
         if args.command == "noisecheck":

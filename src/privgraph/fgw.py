@@ -376,8 +376,8 @@ def plan_coupling(pair: CoupledGraphs, params: FgwParams) -> tuple[GraphMeasure,
     n0 = max(a.n, b.n)
     w = 1.0 / n0
     pi = np.zeros((a.n, b.n))
-    if pair.match_count:
-        pi[pair.matches[:, 1], pair.matches[:, 2]] = w
+    matched = np.arange(pair.match_count)  # vertex s of both graphs
+    pi[matched, matched] = w
     row_rest = a.weights - pi.sum(axis=1)
     col_rest = b.weights - pi.sum(axis=0)
     rest = row_rest.sum()

@@ -180,7 +180,7 @@ class CoupledGraphs:
     shared_count: int
     extra_true_count: int
     extra_synthetic_count: int
-    matches: np.ndarray  # (Z, 3) rows of (cell, s, s): vertex s of both graphs is matched pair s
+    matched_cells: np.ndarray  # (Z,): the cell of matched pair s, which is vertex s of both graphs
     private: PrivateMeasureResult = field(repr=False)
     partition: Partition = field(repr=False)
     kernel: Kernel = field(repr=False)
@@ -188,17 +188,12 @@ class CoupledGraphs:
     b: float
 
     def __post_init__(self):
-        z = len(self.matches)
-        if (
-            self.matches.shape != (z, 3)
-            or z > min(self.true_graph.n_vertices, self.synthetic_graph.n_vertices)
-            or (self.matches[:, 1:] != np.arange(z)[:, None]).any()
-        ):
-            raise ValueError("matches must pair vertex s of both graphs for s = 0..Z-1 (matched vertices first)")
+        if self.match_count > min(self.true_graph.n_vertices, self.synthetic_graph.n_vertices):
+            raise ValueError(f"{self.match_count} matched pairs exceed a graph's vertex count")
 
     @property
     def match_count(self) -> int:
-        return int(self.matches.shape[0])
+        return len(self.matched_cells)
 
     @cached_property
     def edge_counts(self) -> EdgeCounts:
@@ -208,7 +203,8 @@ class CoupledGraphs:
 
     def to_dict(self, redact_counts: bool = False, private_only: bool = False) -> dict:
         """Both graphs as :func:`~privgraph.graphs.graph_to_dict` writes them,
-        vertices in identifier order, with the matches renumbered to it."""
+        vertices in identifier order; ``coupling.matches`` lists matched pair s
+        as (cell, true vertex, synthetic vertex), numbered in that order."""
         out = {
             "a": self.a,
             "b": self.b,
@@ -216,9 +212,9 @@ class CoupledGraphs:
             "private_measure": self.private.to_dict(redact_counts=redact_counts),
         }
         if not private_only:
-            matches = self.matches.copy()
-            for col, g in ((1, self.true_graph), (2, self.synthetic_graph)):
-                matches[:, col] = np.argsort(_written_order(g))[matches[:, col]]
+            z = self.match_count  # vertex s < z of each graph is written at position written[s]
+            written = [np.argsort(_written_order(g))[:z] for g in (self.true_graph, self.synthetic_graph)]
+            matches = np.stack([self.matched_cells, *written], axis=1)
             out["true_graph"] = graph_to_dict(self.true_graph)
             out["coupling"] = {
                 "shared_count": self.shared_count,
@@ -264,7 +260,7 @@ def generate_coupled_graphs(
         private = run_private_measure(dataset, partition, noise, rng)
 
     base_true = private.counts / dataset.n
-    base_syn = private.private_measure.weights
+    base_syn = private.private_weights
     common = np.minimum(base_true, base_syn)
     total_common = float(common.sum())
     p_none = 1.0 - total_common
@@ -311,7 +307,7 @@ def generate_coupled_graphs(
         shared_count=shared,
         extra_true_count=extra_true,
         extra_synthetic_count=extra_syn,
-        matches=np.stack([matched_cells, np.arange(z), np.arange(z)], axis=1),
+        matched_cells=matched_cells,
         private=private,
         partition=partition,
         kernel=kernel,

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from privgraph.bounds import BoundInputs, distribution_bound_grid, expected_fgw_bound_grid
 from privgraph.generator import _coupled_edges, _residual_probs
 from privgraph.graphs import AttributedGraph, _distinct_uniform_ids, _unchecked, kernel_matrix
-from privgraph.measures import ProbabilityMeasure
+from privgraph.measures import PrivateMeasureResult
 from privgraph.noise import expected_abs
 from privgraph.space import AttributeDataset, pairwise_distances
 
@@ -50,9 +50,10 @@ def sample_graph(attr_measure, intensity, kernel, rng):
     """One draw from the random connection model.
 
     Vertex count ~ Poisson(intensity); attributes iid from ``attr_measure``
-    (uniform over a dataset's points or an array's rows, or per-weight over a
-    ``ProbabilityMeasure``'s support); identifiers iid uniform on [0,1]; each
-    pair carries an edge independently with probability kernel(x_i, x_j).
+    (uniform over a dataset's points or an array's rows, or per-weight over
+    the support of a ``(support, weights)`` tuple); identifiers iid uniform
+    on [0,1]; each pair carries an edge independently with probability
+    kernel(x_i, x_j).
     The edges come from the generator's ``_coupled_edges`` with an empty
     synthetic side: one uniform per pair i < j, C(N,2) in all, drawn in row
     blocks, so the tests that use it pin that one-sided run.
@@ -60,16 +61,31 @@ def sample_graph(attr_measure, intensity, kernel, rng):
     if intensity <= 0:
         raise ValueError("intensity must be > 0")
     n = int(rng.poisson(intensity))
-    if isinstance(attr_measure, ProbabilityMeasure):
-        support = attr_measure.support
-        idx = rng.choice(support.shape[0], size=n, p=attr_measure.weights / attr_measure.weights.sum())
-        attrs = support[idx]
+    if isinstance(attr_measure, tuple):
+        support, weights = attr_measure
+        attrs = support[rng.choice(support.shape[0], size=n, p=weights / weights.sum())]
     else:
         pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.array(attr_measure, float, ndmin=2)
         attrs = pts[rng.integers(0, pts.shape[0], size=n)]
     ids = _distinct_uniform_ids(n, rng)
     adj = _coupled_edges(kernel, attrs, attrs[:0], 0, rng)[0]
     return _unchecked(AttributedGraph, attributes=attrs, identifiers=ids, adjacency=adj)
+
+
+def fixed_private(part, counts, weights, reps=None):
+    """A mechanism result with the given true counts and private weights and
+    no noise, for holding the generator's measure fixed; the representatives
+    default to the cell centres."""
+    n = int(np.sum(counts))
+    reps = reps if reps is not None else (part.lows + part.highs) / 2.0
+    return PrivateMeasureResult(
+        representatives=reps,
+        counts=np.asarray(counts, dtype=np.int64),
+        noise_draws=np.zeros(part.m, dtype=np.int64),
+        raw_weights=np.asarray(counts, float) / n,
+        private_weights=np.asarray(weights, float),
+        tv_residual=float(np.abs(np.asarray(counts, float) / n - weights).sum()),
+    )
 
 
 def grid_bounds_unrounded(eps, n, d, alpha=0.5, C=1.0, L_kappa=1.0):
@@ -185,11 +201,12 @@ def tv_project_bruteforce(weights):
     return best
 
 
-def tv_distance(mu1, mu2):
-    """Sum of absolute weight differences of two measures on a shared support."""
-    if mu1.m != mu2.m or not np.array_equal(mu1.support, mu2.support):
-        raise ValueError("measures must share the same support")
-    return float(np.abs(mu1.weights - mu2.weights).sum())
+def tv_distance(w1, w2):
+    """Sum of absolute differences of two weight vectors on a shared support."""
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    if w1.shape != w2.shape:
+        raise ValueError("weight vectors must have equal length")
+    return float(np.abs(w1 - w2).sum())
 
 
 def tv_optimum_analytic(weights):

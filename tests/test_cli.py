@@ -287,6 +287,14 @@ _VERTEX = {"attr": [0.5], "id": 0.25}
         ("dist", [_VERTEX], "a graph must be a JSON object"),
         *((command, obj, "input.json: expected a JSON object")
           for command in ("generate", "evaluate", "mc") for obj in ([1, 2], "x")),
+        ("project", {"weights": [float("nan"), 0.5]}, "weights must be a nonempty vector of finite numbers"),
+        ("project", {"weights": [float("inf"), 0.5]}, "weights must be a nonempty vector of finite numbers"),
+        ("project", {"weights": []}, "weights must be a nonempty vector of finite numbers"),
+        ("project", {"weights": 0.5}, "input.json: 'weights' must be a list of numbers"),
+        ("project", {"weights": [[0.5, 0.5]]}, "input.json: 'weights' must be a list of numbers"),
+        ("project", {"weights": [0.5, 0.5], "support": [[0.0]]}, "support and weights must have equal length"),
+        *(("project", {"weights": w}, "input.json: 'weights' must be a list of numbers")
+          for w in ({"0": 0.5}, ["0.5", 0.5], [True, 0.5])),
     ],
 )
 def test_malformed_json_inputs_are_refused_naming_the_key(tmp_path, capsys, command, obj, message):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_force_cost, sample_graph, wasserstein_uniform_exact
+from oracles import brute_force_cost, fixed_private, sample_graph, wasserstein_uniform_exact
 
 import privgraph.generator as generator_mod
 from privgraph.fgw import (
@@ -28,7 +28,6 @@ from privgraph.fgw import (
 )
 from privgraph.generator import generate_coupled_graphs
 from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel, inverse_distance
-from privgraph.measures import PrivateMeasureResult, ProbabilityMeasure, SignedMeasure
 from privgraph.noise import discrete_laplace, zero_noise
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
@@ -203,24 +202,11 @@ def test_upper_bound_sandwich_vs_exact():
         assert exact - 1e-9 <= val <= init_cost + 1e-12
 
 
-def _fixed_private(part, counts, weights, reps):
-    n = int(np.sum(counts))
-    raw = SignedMeasure(support=reps, weights=np.asarray(counts, float) / n)
-    return PrivateMeasureResult(
-        representatives=reps,
-        counts=np.asarray(counts, dtype=np.int64),
-        noise_draws=np.zeros(part.m, dtype=np.int64),
-        raw_measure=raw,
-        private_measure=ProbabilityMeasure(support=reps, weights=np.asarray(weights, float)),
-        tv_residual=float(np.abs(np.asarray(counts, float) / n - weights).sum()),
-    )
-
-
 def test_matched_plan_zero_when_data_sit_on_representatives():
     part = build_grid_partition(SpaceConfig(d=1), 2)
     reps = np.array([[0.25], [0.75]])
     data = AttributeDataset(points=np.repeat(reps, 10, axis=0))
-    private = _fixed_private(part, [10, 10], [0.5, 0.5], reps)
+    private = fixed_private(part, [10, 10], [0.5, 0.5], reps)
     params = FgwParams(alpha=0.5)
     rng = np.random.default_rng(8)
     pair = generate_coupled_graphs(
@@ -233,7 +219,7 @@ def test_matched_plan_worst_case_when_no_matches():
     part = build_grid_partition(SpaceConfig(d=1), 2)
     reps = np.array([[0.25], [0.75]])
     data = AttributeDataset(points=np.full((10, 1), 0.25))
-    private = _fixed_private(part, [10, 0], [0.0, 1.0], reps)
+    private = fixed_private(part, [10, 0], [0.0, 1.0], reps)
     params = FgwParams(alpha=0.5, C=1.0)
     rng = np.random.default_rng(9)
     pair = generate_coupled_graphs(
@@ -335,7 +321,7 @@ def test_mc_degenerate_config_is_zero(monkeypatch):
     part = build_grid_partition(SpaceConfig(d=1), 1)
     reps = np.array([[0.5]])
     data = AttributeDataset(points=np.array([[0.5]]))
-    private = _fixed_private(part, [1], [1.0], reps)
+    private = fixed_private(part, [1], [1.0], reps)
     # every replicate's mechanism returns this fixed measure, whose one
     # representative sits on the one data point
     monkeypatch.setattr(generator_mod, "run_private_measure", lambda *args: private)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
     coupled_edges_reference,
+    fixed_private,
     maximal_coupling_bernoulli,
     residual_cell_sampler,
     sample_common_indicator,
@@ -26,12 +29,7 @@ from privgraph.graphs import (
     graph_to_edge_list_text,
     inverse_distance,
 )
-from privgraph.measures import (
-    PrivateMeasureResult,
-    ProbabilityMeasure,
-    SignedMeasure,
-    run_private_measure,
-)
+from privgraph.measures import run_private_measure
 from privgraph.noise import discrete_laplace, zero_noise
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
@@ -168,7 +166,7 @@ def test_generator_deterministic_given_seed():
     assert np.array_equal(p1.true_graph.attributes, p2.true_graph.attributes)
     assert np.array_equal(p1.true_graph.adjacency, p2.true_graph.adjacency)
     assert np.array_equal(p1.synthetic_graph.adjacency, p2.synthetic_graph.adjacency)
-    assert np.array_equal(p1.matches, p2.matches)
+    assert np.array_equal(p1.matched_cells, p2.matched_cells)
 
 
 def test_true_attributes_come_from_matched_cells():
@@ -177,32 +175,18 @@ def test_true_attributes_come_from_matched_cells():
     pair = generate_coupled_graphs(
         data, part, discrete_laplace(0.5), 30, 30, constant_kernel(0.2), rng
     )
-    for cell, t_idx, s_idx in pair.matches:
-        x = pair.true_graph.attributes[t_idx, 0]
+    for s, cell in enumerate(pair.matched_cells):  # matched pair s is vertex s of both graphs
+        x = pair.true_graph.attributes[s, 0]
         assert part.lows[cell, 0] <= x <= part.highs[cell, 0]
-        y = pair.synthetic_graph.attributes[s_idx, 0]
+        y = pair.synthetic_graph.attributes[s, 0]
         assert part.lows[cell, 0] <= y <= part.highs[cell, 0]
         assert y == pair.private.representatives[cell, 0]
-
-
-def _fixed_private(part, counts, weights, reps=None):
-    n = int(np.sum(counts))
-    reps = reps if reps is not None else (part.lows + part.highs) / 2.0
-    raw = SignedMeasure(support=reps, weights=np.asarray(counts, float) / n)
-    return PrivateMeasureResult(
-        representatives=reps,
-        counts=np.asarray(counts, dtype=np.int64),
-        noise_draws=np.zeros(part.m, dtype=np.int64),
-        raw_measure=raw,
-        private_measure=ProbabilityMeasure(support=reps, weights=np.asarray(weights, float)),
-        tv_residual=float(np.abs(np.asarray(counts, float) / n - weights).sum()),
-    )
 
 
 def test_disjoint_supports_yield_no_matches():
     part = build_grid_partition(SpaceConfig(d=1), 2)
     data = AttributeDataset(points=np.full((10, 1), 0.25))  # all in cell 0
-    private = _fixed_private(part, [10, 0], [0.0, 1.0])
+    private = fixed_private(part, [10, 0], [0.0, 1.0])
     rng = np.random.default_rng(11)
     pair = generate_coupled_graphs(
         data, part, zero_noise(), 15, 15, constant_kernel(0.5), rng, private=private
@@ -230,10 +214,21 @@ def test_written_pair_is_in_identifier_order():
         written.append(w)
     matches = np.array(out["coupling"]["matches"])
     z = pair.match_count
-    assert z >= 2 and np.array_equal(matches[:, 0], pair.matches[:, 0])
+    assert z >= 2 and np.array_equal(matches[:, 0], pair.matched_cells)
     # each written match joins the same two vertices as matched pair s in memory
     assert np.array_equal(written[0].identifiers[matches[:, 1]], pair.true_graph.identifiers[:z])
     assert np.array_equal(written[1].identifiers[matches[:, 2]], pair.synthetic_graph.identifiers[:z])
+
+
+def test_written_pair_bit_for_bit():
+    # 12 matched pairs, one residual shared slot and two true extras (a != b);
+    # the digest pins the written coupling.matches renumbering with the rest
+    part = build_grid_partition(SpaceConfig(d=1), 4)
+    data = AttributeDataset(points=np.random.default_rng(14).random((40, 1)))
+    pair = generate_coupled_graphs(data, part, discrete_laplace(1.0), 12.0, 9.0, chung_lu(1), np.random.default_rng(14))
+    assert (pair.match_count, pair.shared_count, pair.extra_true_count) == (12, 13, 2)
+    text = json.dumps(pair.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "31438193dea1bc2919a44d6c09faa5f7c2c978a6ecfbe5783c1338dbdde4e94b"
 
 
 def test_written_synthetic_vertex_order_does_not_depend_on_the_true_counts():
@@ -248,7 +243,7 @@ def test_written_synthetic_vertex_order_does_not_depend_on_the_true_counts():
     freq, sizes, edges, cells, first_degrees = [], [], [], [], []
     for counts in ([10, 0], [0, 10]):
         data = AttributeDataset(points=np.repeat(reps, counts, axis=0))
-        private = _fixed_private(part, counts, [0.5, 0.5])
+        private = fixed_private(part, counts, [0.5, 0.5])
         rng = np.random.default_rng(12)
         first, n_vertices, n_edges, in_cell_0, degree = [], [], [], 0, []
         for _ in range(400):
@@ -270,6 +265,10 @@ def test_written_synthetic_vertex_order_does_not_depend_on_the_true_counts():
     for x, y in (sizes, edges):
         se = np.sqrt(np.var(x, ddof=1) / len(x) + np.var(y, ddof=1) / len(y))
         assert abs(np.mean(x) - np.mean(y)) < 4 * se
+        # both datasets draw from default_rng(12) in step, so draw i of x and
+        # of y are a pair; at this seed every difference is 0, hence <=
+        diff = np.subtract(x, y)
+        assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / np.sqrt(len(diff))
     top = max(max(d) for d in first_degrees) + 1
     degree_table = [np.bincount(d, minlength=top) for d in first_degrees]
     assert stats.chi2_contingency(cells, correction=False)[1] > 0.001
@@ -298,7 +297,7 @@ def test_per_cell_counts_have_poisson_marginals():
         [np.full(10, 0.1), np.full(20, 0.35), np.full(30, 0.6), np.full(40, 0.85)]
     )[:, None]
     data = AttributeDataset(points=data_pts)
-    private = _fixed_private(part, [10, 20, 30, 40], [0.4, 0.3, 0.2, 0.1])
+    private = fixed_private(part, [10, 20, 30, 40], [0.4, 0.3, 0.2, 0.1])
     a, b = 30.0, 20.0
     reps = 2500
     rng_streams = [np.random.default_rng(s) for s in np.random.SeedSequence(12).spawn(reps)]
@@ -344,7 +343,7 @@ def test_coupling_tightness_matches_overlap_mass():
         [np.full(10, 0.1), np.full(20, 0.35), np.full(30, 0.6), np.full(40, 0.85)]
     )[:, None]
     data = AttributeDataset(points=data_pts)
-    private = _fixed_private(part, [10, 20, 30, 40], [0.4, 0.3, 0.2, 0.1])
+    private = fixed_private(part, [10, 20, 30, 40], [0.4, 0.3, 0.2, 0.1])
     base = np.array([0.1, 0.2, 0.3, 0.4])
     weights = np.array([0.4, 0.3, 0.2, 0.1])
     overlap = np.minimum(base, weights).sum()
@@ -456,7 +455,7 @@ def test_generator_draws_edges_in_draw_order_3(monkeypatch):
         pair = generate_coupled_graphs(data, part, discrete_laplace(0.5), 25.0, 20.0, kernel, rng)
         z = seen["z"]
         mixed += 0 < z < pair.shared_count
-        assert np.array_equal(pair.matches[:, 1], np.arange(z)) and np.array_equal(pair.matches[:, 2], np.arange(z))
+        assert pair.match_count == z
         ref_rng = np.random.default_rng(seed)
         ref_rng.bit_generator.state = seen["state"]
         ref_true, ref_syn = coupled_edges_reference(
@@ -529,7 +528,7 @@ def test_every_generated_graph_is_one_the_checked_constructor_accepts(d, kernel_
     pair = generate_coupled_graphs(data, part, discrete_laplace(1.0), a, b, kernel, rng)
     for g in (pair.true_graph, pair.synthetic_graph):
         _assert_as_checked(g)
-    support = ProbabilityMeasure(support=data.points[:3], weights=np.full(3, 1 / 3))
+    support = (data.points[:3], np.full(3, 1 / 3))
     grid_ints = (np.arange(4)[:, None] % 2).repeat(d, axis=1)  # integer points become float64 attributes
     for source in (data, support, data.points, grid_ints):
         _assert_as_checked(sample_graph(source, a, kernel, rng))

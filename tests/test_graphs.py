@@ -19,7 +19,6 @@ from privgraph.graphs import (
     inverse_distance,
     kernel_matrix,
 )
-from privgraph.measures import ProbabilityMeasure
 from privgraph.space import AttributeDataset
 
 
@@ -147,9 +146,7 @@ def test_attribute_marginal_empirical_measure():
 
 def test_sampling_from_probability_measure():
     rng = np.random.default_rng(7)
-    measure = ProbabilityMeasure(
-        support=np.array([[0.25], [0.75]]), weights=np.array([0.2, 0.8])
-    )
+    measure = (np.array([[0.25], [0.75]]), np.array([0.2, 0.8]))
     g = sample_graph(measure, 400, constant_kernel(0.0), rng)
     frac = float((g.attributes[:, 0] == 0.75).mean())
     assert abs(frac - 0.8) < 4 * np.sqrt(0.16 / g.n_vertices)

@@ -6,20 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import tv_distance, tv_optimum_analytic, tv_project_bruteforce, tv_project_lp
 
-from privgraph.measures import (
-    ProbabilityMeasure,
-    SignedMeasure,
-    run_private_measure,
-    true_counts,
-    tv_project,
-)
+from privgraph.measures import run_private_measure, true_counts, tv_project
 from privgraph.noise import discrete_laplace, expected_abs, zero_noise
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
-
-
-def _measure(weights):
-    w = np.asarray(weights, dtype=float)
-    return SignedMeasure(support=np.arange(w.size, dtype=float)[:, None], weights=w)
 
 
 def test_true_counts_examples():
@@ -42,26 +31,26 @@ def test_true_counts_binomial_concentration():
 
 
 def test_tv_distance_examples():
-    assert tv_distance(_measure([0.5, 0.5]), _measure([0.5, 0.5])) == 0.0
-    assert tv_distance(_measure([1.0, 0.0]), _measure([0.0, 1.0])) == 2.0
+    assert tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
+    assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
     rng = np.random.default_rng(0)
     for _ in range(50):
         w1, w2 = rng.normal(size=6), rng.normal(size=6)
         oracle = sum(abs(a - b) for a, b in zip(w1, w2))
-        assert tv_distance(_measure(w1), _measure(w2)) == pytest.approx(oracle, abs=1e-12)
+        assert tv_distance(w1, w2) == pytest.approx(oracle, abs=1e-12)
     with pytest.raises(ValueError):
-        tv_distance(_measure([1.0]), _measure([0.5, 0.5]))
+        tv_distance(np.array([1.0]), np.array([0.5, 0.5]))
 
 
 def test_tv_project_already_probability():
-    proj, dist = tv_project(_measure([0.3, 0.7]))
+    proj, dist = tv_project(np.array([0.3, 0.7]))
     assert dist == 0.0
-    assert np.allclose(proj.weights, [0.3, 0.7])
+    assert np.allclose(proj, [0.3, 0.7])
 
 
 def test_tv_project_clips_negative_mass():
-    proj, dist = tv_project(_measure([1.2, -0.2]))
-    assert np.allclose(proj.weights, [1.0, 0.0])
+    proj, dist = tv_project(np.array([1.2, -0.2]))
+    assert np.allclose(proj, [1.0, 0.0])
     assert dist == pytest.approx(0.4, abs=1e-12)
 
 
@@ -77,11 +66,11 @@ def test_tv_project_surplus_case_with_grid_oracle():
         cost = np.abs(w[0] - a) + np.abs(w[1] - b) + np.abs(w[2] - c)
         best = min(best, float(cost.min()))
     assert best == pytest.approx(0.1, abs=2e-3)
-    proj, dist = tv_project(_measure(w))
+    proj, dist = tv_project(w)
     assert dist == pytest.approx(0.1, abs=1e-12)
     assert dist <= best + 1e-9
     # deterministic tie-break: deficit of 0.1 added at the first coordinate
-    assert np.allclose(proj.weights, [0.6, 0.2, 0.2])
+    assert np.allclose(proj, [0.6, 0.2, 0.2])
 
 
 def test_tv_project_lp_matches_closed_form_and_oracles():
@@ -89,8 +78,7 @@ def test_tv_project_lp_matches_closed_form_and_oracles():
     for _ in range(200):
         m = int(rng.integers(1, 6))
         w = rng.uniform(-1.0, 2.0, size=m)
-        nu = _measure(w)
-        _, d_closed = tv_project(nu)
+        _, d_closed = tv_project(w)
         d_lp = tv_project_lp(w)
         assert abs(d_lp - d_closed) < 1e-9
         assert abs(d_lp - tv_optimum_analytic(w)) < 1e-9
@@ -102,27 +90,20 @@ def test_tv_project_lp_matches_closed_form_and_oracles():
 def test_tv_project_attains_analytic_optimum(w):
     """The closed form returns a probability vector at the optimal distance,
     and the distance it reports is the distance to that vector."""
-    proj, dist = tv_project(_measure(w))
+    proj, dist = tv_project(w)
     assert dist == pytest.approx(tv_optimum_analytic(w), abs=1e-9)
-    assert dist == float(np.abs(w - proj.weights).sum())
-    assert proj.weights.min() >= 0.0 and abs(proj.weights.sum() - 1.0) <= 1e-9
+    assert dist == float(np.abs(w - proj).sum())
+    assert proj.min() >= 0.0 and abs(proj.sum() - 1.0) <= 1e-9
 
 
 def test_tv_project_idempotent():
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = rng.uniform(-1.0, 2.0, size=4)
-        proj, _ = tv_project(_measure(w))
+        proj, _ = tv_project(w)
         again, dist = tv_project(proj)
         assert dist == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(again.weights, proj.weights)
-
-
-def test_probability_measure_validation():
-    with pytest.raises(ValueError):
-        ProbabilityMeasure(support=np.array([[0.0], [1.0]]), weights=np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        ProbabilityMeasure(support=np.array([[0.0]]), weights=np.array([-0.2]))
+        assert np.allclose(again, proj)
 
 
 def _setup(n=60, m=4, seed=0):
@@ -135,7 +116,7 @@ def _setup(n=60, m=4, seed=0):
 def test_mechanism_zero_noise_returns_empirical():
     data, part = _setup()
     res = run_private_measure(data, part, zero_noise(), np.random.default_rng(1))
-    assert np.allclose(res.private_measure.weights, res.counts / data.n)
+    assert np.allclose(res.private_weights, res.counts / data.n)
     assert res.tv_residual == 0.0
 
 
@@ -145,7 +126,7 @@ def test_mechanism_reproducible_bit_exact():
     r2 = run_private_measure(data, part, discrete_laplace(1.0), np.random.default_rng(77))
     assert np.array_equal(r1.representatives, r2.representatives)
     assert np.array_equal(r1.noise_draws, r2.noise_draws)
-    assert np.array_equal(r1.private_measure.weights, r2.private_measure.weights)
+    assert np.array_equal(r1.private_weights, r2.private_weights)
 
 
 def test_mechanism_representatives_fresh_and_in_cells():
@@ -166,7 +147,8 @@ def test_mechanism_mean_tv_error_bounded():
     dists = []
     for _ in range(200):
         res = run_private_measure(data, part, noise, rng)
-        dists.append(np.abs(res.counts / data.n - res.private_measure.weights).sum())
+        assert res.private_weights.min() >= 0.0 and abs(res.private_weights.sum() - 1.0) <= 1e-9
+        dists.append(np.abs(res.counts / data.n - res.private_weights).sum())
     assert np.mean(dists) <= budget
 
 
