@@ -31,7 +31,8 @@ def tv_project(weights: np.ndarray) -> tuple[np.ndarray, float]:
     """The probability vector closest to ``weights`` in TV distance, and that
     distance. Clip negatives, then remove the surplus from, or add the deficit
     to, coordinates in ascending index order: a deterministic representative
-    of the optimum set."""
+    of the optimum set. Weights so large that float rounding loses the unit
+    mass, or the distance overflows, are refused."""
     w = np.asarray(weights, dtype=float)
     if w.size == 0 or not np.isfinite(w).all():
         raise ValueError("weights must be a nonempty vector of finite numbers")
@@ -47,7 +48,10 @@ def tv_project(weights: np.ndarray) -> tuple[np.ndarray, float]:
                 break
     elif total < 1.0:
         tau[0] += 1.0 - total
-    return tau, float(np.abs(w - tau).sum())
+    total, distance = float(tau.sum()), float(np.abs(w - tau).sum())
+    if tau.min() < 0 or abs(total - 1.0) > 1e-9 or not np.isfinite(distance):
+        raise ValueError(f"weights too large to project: projected weights sum to {total}, distance {distance}")
+    return tau, distance
 
 
 @dataclass(frozen=True)

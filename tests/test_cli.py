@@ -295,6 +295,8 @@ _VERTEX = {"attr": [0.5], "id": 0.25}
         ("project", {"weights": [0.5, 0.5], "support": [[0.0]]}, "support and weights must have equal length"),
         *(("project", {"weights": w}, "input.json: 'weights' must be a list of numbers")
           for w in ({"0": 0.5}, ["0.5", 0.5], [True, 0.5])),
+        *(("project", {"weights": w}, "weights too large to project")
+          for w in ([1e17], [1e308, 1e308], [-1e308, -1e308, 0.5])),
     ],
 )
 def test_malformed_json_inputs_are_refused_naming_the_key(tmp_path, capsys, command, obj, message):

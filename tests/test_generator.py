@@ -265,10 +265,6 @@ def test_written_synthetic_vertex_order_does_not_depend_on_the_true_counts():
     for x, y in (sizes, edges):
         se = np.sqrt(np.var(x, ddof=1) / len(x) + np.var(y, ddof=1) / len(y))
         assert abs(np.mean(x) - np.mean(y)) < 4 * se
-        # both datasets draw from default_rng(12) in step, so draw i of x and
-        # of y are a pair; at this seed every difference is 0, hence <=
-        diff = np.subtract(x, y)
-        assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / np.sqrt(len(diff))
     top = max(max(d) for d in first_degrees) + 1
     degree_table = [np.bincount(d, minlength=top) for d in first_degrees]
     assert stats.chi2_contingency(cells, correction=False)[1] > 0.001
