@@ -14,7 +14,6 @@ from privgraph import (
     exact_small_search,
     fgw_upper_bound,
     generate_coupled_graphs,
-    graph_to_measure,
     matched_plan_cost,
     plan_coupling,
 )
@@ -28,8 +27,7 @@ def tiny(attrs, edges):
     adj = np.zeros((n, n), bool)
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
-    g = AttributedGraph(attributes=attrs, identifiers=np.linspace(0.1, 0.9, n), adjacency=adj)
-    return graph_to_measure(g, params)
+    return AttributedGraph(attributes=attrs, identifiers=np.linspace(0.1, 0.9, n), adjacency=adj)
 
 
 a = tiny([[0.2], [0.8]], [(0, 1)])
@@ -51,9 +49,9 @@ pair = generate_coupled_graphs(
     data, partition, discrete_laplace(1.0), 60.0, 60.0, chung_lu(1), rng
 )
 charge = matched_plan_cost(pair, params)
-ma, mb, pi = plan_coupling(pair, params)
-refined, _ = fgw_upper_bound(ma, mb, params, init=pi, iterations=3)
+tg, sg = pair.true_graph, pair.synthetic_graph
+refined, _ = fgw_upper_bound(tg, sg, params, init=plan_coupling(pair), iterations=3)
 print(
-    f"generated pair (N={ma.n}, M={mb.n}): worst-case plan charge {charge:.4f}, "
+    f"generated pair (N={tg.n_vertices}, M={sg.n_vertices}): worst-case plan charge {charge:.4f}, "
     f"refined coupling cost {refined:.4f}"
 )

@@ -46,7 +46,6 @@ from .generator import (
 )
 from .fgw import (
     FgwParams,
-    GraphMeasure,
     graph_to_measure,
     fgw_cost,
     exact_small_search,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc
-from .fgw import FgwParams, exact_small_search, fgw_upper_bound, graph_to_measure
+from .fgw import FgwParams, exact_small_search, fgw_upper_bound
 from .graphs import graph_from_json
 from .measures import tv_project
 from .noise import bounded_power, discrete_laplace, dp_ratio_satisfied, noise_from_json
@@ -120,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     p_table.add_argument("--out", help="write CSV here (default stdout)")
 
     p_proj = sub.add_parser("project", help="TV-project a signed measure onto the simplex")
-    p_proj.add_argument("measure", help='JSON file: {"weights": [...], "support": [[...]]?}')
+    p_proj.add_argument("measure", help='JSON file: {"weights": [...]}')
 
     p_noise = sub.add_parser("noisecheck", help="verify the likelihood ratio of one count shifted by 1; with n "
                              "public, replacing a point moves two counts, so the release is 2*level-DP")
@@ -185,13 +185,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "project":
-            obj = _read_object(args.measure, ["weights"])
-            weights = obj["weights"]
+            weights = _read_object(args.measure, ["weights"], allowed=["weights"])["weights"]
             if not (isinstance(weights, list) and all(map(_is_real, weights))):
                 raise ValueError(f"{args.measure}: 'weights' must be a list of numbers")
             projected, dist = tv_project(weights)
-            if "support" in obj and np.atleast_2d(np.asarray(obj["support"], dtype=float)).shape[0] != len(weights):
-                raise ValueError("support and weights must have equal length")
             print(json.dumps({"weights": projected.tolist(), "distance": dist}))
             return 0
 
@@ -213,13 +210,11 @@ def main(argv: list[str] | None = None) -> int:
             params = FgwParams(alpha=args.alpha, C=args.cap, metric=args.metric)
             ga = graph_from_json(Path(args.graph_a).read_text())
             gb = graph_from_json(Path(args.graph_b).read_text())
-            ma = graph_to_measure(ga, params)
-            mb = graph_to_measure(gb, params)
-            if ma.n <= 4 and mb.n <= 4:
-                value, coupling = exact_small_search(ma, mb, params)
+            if ga.n_vertices <= 4 and gb.n_vertices <= 4:
+                value, coupling = exact_small_search(ga, gb, params)
                 mode = "exact_small"
             else:
-                value, coupling = fgw_upper_bound(ma, mb, params, iterations=50)
+                value, coupling = fgw_upper_bound(ga, gb, params, iterations=50)
                 mode = "upper_bound"
             _emit(json.dumps({"value": value, "mode": mode, "coupling": coupling.tolist()}) + "\n", args.out)
             return 0

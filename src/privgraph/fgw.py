@@ -1,6 +1,7 @@
 """Fused Gromov-Wasserstein machinery for attributed graphs.
 
-The distance between two graph measures mixes a feature cost (attribute
+The distance between two attributed graphs, each with weight 1/N on every
+vertex (Vayer et al., ICML 2019), mixes a feature cost (attribute
 distances, weight 1-alpha) with a structural cost (absolute differences of
 structural distances, weight alpha), both at exponent 1:
 
@@ -9,7 +10,7 @@ structural distances, weight alpha), both at exponent 1:
 
 minimized over couplings pi of the two vertex weight vectors. Structural
 distances are cap-scaled adjacency (entry C if the pair is an edge, else 0),
-so a measure holds its graph's boolean adjacency and C comes from
+so the solver works on each graph's boolean adjacency and C comes from
 :class:`FgwParams`. Every structural term stays below C, and
 |S_A[i,k] - S_B[j,l]| = S_A[i,k] + S_B[j,l] - (2/C) S_A[i,k] S_B[j,l] makes
 the quadratic evaluable from adjacency products.
@@ -37,7 +38,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .generator import CoupledGraphs, generate_coupled_graphs
-from .graphs import AttributedGraph, Kernel, _checked_adjacency, _unchecked
+from .graphs import AttributedGraph, Kernel
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
 
@@ -64,54 +65,25 @@ class FgwParams:
             raise ValueError(f"C must be finite and positive, got {self.C}")
 
 
-@dataclass(frozen=True)
-class GraphMeasure:
-    """Attributed point cloud with uniform vertex weights on a boolean
-    adjacency. Its structural distance is C (from :class:`FgwParams`) on an
-    edge and 0 otherwise."""
-
-    attributes: np.ndarray
-    adjacency: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        attrs = np.atleast_2d(np.asarray(self.attributes, dtype=float))
-        if attrs.shape[0] == 0:  # uniform weights need a vertex
-            raise ValueError("cannot build a measure from an empty graph")
-        object.__setattr__(self, "attributes", attrs)
-        object.__setattr__(self, "adjacency", _checked_adjacency(self.adjacency, attrs.shape[0]))
-
-    @property
-    def n(self) -> int:
-        return self.attributes.shape[0]
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n, 1.0 / self.n)
-
-
-def graph_to_measure(g: AttributedGraph, params: FgwParams) -> GraphMeasure:
-    """Uniform vertex weights on the graph's own adjacency, shared and not
-    copied. The graph checked that adjacency when it was built, so it is not
-    checked again; C comes from the ``params`` given to the solver."""
+def graph_to_measure(g: AttributedGraph) -> np.ndarray:
+    """The graph's vertex measure: weight 1/N on each of its N vertices."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("cannot build a measure from an empty graph")
-    return _unchecked(GraphMeasure, attributes=g.attributes, adjacency=g.adjacency)
+    return np.full(n, 1.0 / n)
 
 
-def product_coupling(a: GraphMeasure, b: GraphMeasure) -> np.ndarray:
-    return np.outer(a.weights, b.weights)
-
-
-def validate_coupling(pi: np.ndarray, a: GraphMeasure, b: GraphMeasure, tol: float = _MARGINAL_TOL):
+def validate_coupling(pi: np.ndarray, a: AttributedGraph, b: AttributedGraph, tol: float = _MARGINAL_TOL):
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (a.n, b.n):
-        raise ValueError(f"coupling shape {pi.shape}, expected {(a.n, b.n)}")
+    if pi.shape != (a.n_vertices, b.n_vertices):
+        raise ValueError(f"coupling shape {pi.shape}, expected {(a.n_vertices, b.n_vertices)}")
+    if not np.isfinite(pi).all():
+        raise ValueError("coupling has non-finite mass")
     if pi.min() < -tol:
         raise ValueError("coupling has negative mass")
-    if np.abs(pi.sum(axis=1) - a.weights).max() > tol:
+    if np.abs(pi.sum(axis=1) - graph_to_measure(a)).max() > tol:
         raise ValueError("row sums do not match source weights")
-    if np.abs(pi.sum(axis=0) - b.weights).max() > tol:
+    if np.abs(pi.sum(axis=0) - graph_to_measure(b)).max() > tol:
         raise ValueError("column sums do not match target weights")
     return pi
 
@@ -218,14 +190,14 @@ def _transport_vertex_highs(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) ->
     return res.x.reshape(n, m)
 
 
-def fgw_cost(pi, a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> float:
+def fgw_cost(pi, a: AttributedGraph, b: AttributedGraph, params: FgwParams) -> float:
     """Cost of a given feasible coupling (validated within 1e-9)."""
     return fgw_upper_bound(a, b, params, init=pi, iterations=0)[0]
 
 
 def fgw_upper_bound(
-    a: GraphMeasure,
-    b: GraphMeasure,
+    a: AttributedGraph,
+    b: AttributedGraph,
     params: FgwParams,
     init: np.ndarray | None = None,
     iterations: int = 50,
@@ -249,9 +221,9 @@ def fgw_upper_bound(
     with no product. The cost is <(1-alpha) D + alpha Q, pi>.
     """
     al, cap, cross = params.alpha, params.C, 2.0 / params.C
-    wa, wb = a.weights, b.weights
+    wa, wb = graph_to_measure(a), graph_to_measure(b)
     sa = np.multiply(a.adjacency, cap, dtype=float)
-    sb_wb = cap * b.adjacency.sum(axis=1) / b.n
+    sb_wb = cap * b.adjacency.sum(axis=1) / b.n_vertices
     d = (1.0 - al) * pairwise_distances(a.attributes, b.attributes, metric=params.metric)
     if init is None:
         pi, p = np.outer(wa, wb), np.outer(wa, sb_wb)
@@ -278,11 +250,11 @@ def fgw_upper_bound(
     return cost, pi
 
 
-def _canonical_key(g: GraphMeasure) -> tuple:
-    return (g.n, g.attributes.tobytes(), g.adjacency.tobytes())
+def _canonical_key(g: AttributedGraph) -> tuple:
+    return (g.n_vertices, g.attributes.tobytes(), g.adjacency.tobytes())
 
 
-def exact_small_search(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> tuple[float, np.ndarray]:
+def exact_small_search(a: AttributedGraph, b: AttributedGraph, params: FgwParams) -> tuple[float, np.ndarray]:
     """(global minimum, a coupling of a and b achieving it) for instances up
     to 4x4.
 
@@ -294,17 +266,19 @@ def exact_small_search(a: GraphMeasure, b: GraphMeasure, params: FgwParams) -> t
     are canonically ordered first so the value is symmetric by construction;
     the coupling of the best start is transposed back when they were swapped.
     """
-    if a.n > 4 or b.n > 4:
+    n, m = a.n_vertices, b.n_vertices
+    if n > 4 or m > 4:
         raise ValueError("exact oracle capped at 4 vertices per side")
     if _canonical_key(a) > _canonical_key(b):
         value, pi = exact_small_search(b, a, params)
         return value, pi.T
+    wa, wb = graph_to_measure(a), graph_to_measure(b)
     rng = np.random.default_rng(0)
-    starts = [product_coupling(a, b)]
-    if a.n == b.n:
-        starts.append(np.diag(a.weights))
-    starts.append(transport_vertex(pairwise_distances(a.attributes, b.attributes, params.metric), a.weights, b.weights))
-    vertices = [transport_vertex(rng.standard_normal((a.n, b.n)), a.weights, b.weights) for _ in range(_EXACT_STARTS)]
+    starts = [np.outer(wa, wb)]
+    if n == m:
+        starts.append(np.diag(wa))
+    starts.append(transport_vertex(pairwise_distances(a.attributes, b.attributes, params.metric), wa, wb))
+    vertices = [transport_vertex(rng.standard_normal((n, m)), wa, wb) for _ in range(_EXACT_STARTS)]
     starts.extend(vertices)
     for _ in range(_EXACT_STARTS // 3):
         picks = rng.integers(0, len(vertices), size=3)
@@ -368,22 +342,22 @@ def _matched_distance_sum(pair: CoupledGraphs, metric: str) -> float:
     return float(SpaceConfig(xs.shape[1], metric).distance(xs[:z], ys[:z]).sum())
 
 
-def plan_coupling(pair: CoupledGraphs, params: FgwParams) -> tuple[GraphMeasure, GraphMeasure, np.ndarray]:
-    """Explicit feasible coupling realizing the matched plan: matched mass
-    1/max(N, M) per pair, residual mass completed as a product coupling."""
-    a = graph_to_measure(pair.true_graph, params)
-    b = graph_to_measure(pair.synthetic_graph, params)
-    n0 = max(a.n, b.n)
+def plan_coupling(pair: CoupledGraphs) -> np.ndarray:
+    """Explicit feasible coupling of the true and the synthetic graph
+    realizing the matched plan: matched mass 1/max(N, M) per pair, residual
+    mass completed as a product coupling."""
+    wa, wb = graph_to_measure(pair.true_graph), graph_to_measure(pair.synthetic_graph)
+    n0 = max(wa.size, wb.size)
     w = 1.0 / n0
-    pi = np.zeros((a.n, b.n))
+    pi = np.zeros((wa.size, wb.size))
     matched = np.arange(pair.match_count)  # vertex s of both graphs
     pi[matched, matched] = w
-    row_rest = a.weights - pi.sum(axis=1)
-    col_rest = b.weights - pi.sum(axis=0)
+    row_rest = wa - pi.sum(axis=1)
+    col_rest = wb - pi.sum(axis=0)
     rest = row_rest.sum()
     if rest > 1e-15:
         pi = pi + np.outer(row_rest, col_rest) / rest
-    return a, b, pi
+    return pi
 
 
 def _completion(deg: np.ndarray, row: np.ndarray, n0: int):
@@ -492,8 +466,8 @@ def evaluate_pair(pair: CoupledGraphs, params: FgwParams, refine_iters: int) -> 
     nm = pair.true_graph.n_vertices * pair.synthetic_graph.n_vertices
     evaluator = "refine" if refine_iters > 0 and 0 < nm <= REFINE_SIZE_CAP else "exact"
     if evaluator == "refine":
-        ma, mb, pi = plan_coupling(pair, params)
-        value, _ = fgw_upper_bound(ma, mb, params, init=pi, iterations=refine_iters)
+        pi = plan_coupling(pair)
+        value, _ = fgw_upper_bound(pair.true_graph, pair.synthetic_graph, params, init=pi, iterations=refine_iters)
     else:
         value = plan_cost_exact(pair, params)
     return charge, value, evaluator
@@ -595,7 +569,7 @@ def fgw_to_reference(
         feature = (1.0 - params.alpha) * float(dists.mean())
         quad = params.alpha * params.C * np.count_nonzero(sample.adjacency) / (n * n)
         return feature + quad
-    val, _ = fgw_upper_bound(graph_to_measure(ref, params), graph_to_measure(sample, params), params, iterations=refine_iters)
+    val, _ = fgw_upper_bound(ref, sample, params, iterations=refine_iters)
     return val
 
 

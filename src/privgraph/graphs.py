@@ -105,22 +105,6 @@ def _is_symmetric(adj: np.ndarray) -> bool:
     return True
 
 
-def _checked_adjacency(adjacency, n: int) -> np.ndarray:
-    """``adjacency`` as an n x n boolean matrix. Entries other than 0/1 (or
-    boolean), another shape, an asymmetric pair or a self-loop are refused."""
-    adj = np.asarray(adjacency)
-    if adj.shape != (n, n):
-        raise ValueError(f"adjacency must be {n} x {n}, one row per vertex, got shape {adj.shape}")
-    if adj.dtype != bool:
-        binary = adj.astype(bool)
-        if not np.array_equal(adj, binary):
-            raise ValueError("adjacency entries must be 0/1 or boolean")
-        adj = binary
-    if n and (np.any(np.diag(adj)) or not _is_symmetric(adj)):
-        raise ValueError("adjacency must be symmetric with no self-loops")
-    return adj
-
-
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
     without running its ``__post_init__`` checks: for arrays their maker
@@ -138,10 +122,11 @@ class AttributedGraph:
 
     ``adjacency`` is a symmetric boolean matrix with zero diagonal; the edge
     list view enumerates index pairs i < j. The constructor takes 0/1 or
-    boolean entries and checks all of this exactly (:func:`_checked_adjacency`);
-    the generator, whose adjacencies are built that way, makes its
-    graphs through :func:`_unchecked`, from the arrays this constructor would
-    make (2-D float64 attributes, 1-D float64 identifiers).
+    boolean entries and checks all of this exactly, and refuses a vertex
+    whose attribute or identifier is not finite; the generator, whose arrays
+    are built that way, makes its graphs through :func:`_unchecked`, from
+    the arrays this constructor would make (2-D float64 attributes, 1-D
+    float64 identifiers).
     """
 
     attributes: np.ndarray
@@ -151,9 +136,22 @@ class AttributedGraph:
     def __post_init__(self):
         attrs = np.atleast_2d(np.asarray(self.attributes, dtype=float))
         ids = np.asarray(self.identifiers, dtype=float).ravel()
-        if attrs.shape[0] != ids.size:
+        n = ids.size
+        if attrs.shape[0] != n:
             raise ValueError("inconsistent vertex arrays")
-        adj = _checked_adjacency(self.adjacency, ids.size)
+        for name, bad in (("attribute", ~np.isfinite(attrs).all(axis=1)), ("identifier", ~np.isfinite(ids))):
+            if bad.any():
+                raise ValueError(f"vertex {int(np.argmax(bad))} has a non-finite {name}")
+        adj = np.asarray(self.adjacency)
+        if adj.shape != (n, n):
+            raise ValueError(f"adjacency must be {n} x {n}, one row per vertex, got shape {adj.shape}")
+        if adj.dtype != bool:
+            binary = adj.astype(bool)
+            if not np.array_equal(adj, binary):
+                raise ValueError("adjacency entries must be 0/1 or boolean")
+            adj = binary
+        if n and (np.any(np.diag(adj)) or not _is_symmetric(adj)):
+            raise ValueError("adjacency must be symmetric with no self-loops")
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "identifiers", ids)
         object.__setattr__(self, "adjacency", adj)

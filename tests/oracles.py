@@ -122,7 +122,7 @@ def wasserstein_uniform_exact(xs, ys, metric="sup"):
 def brute_force_cost(pi, a, b, params):
     """FGW cost of the coupling pi as the literal quadruple sum over the
     structural distances C * adjacency: the oracle for the package's solver."""
-    n, m = a.n, b.n
+    n, m = a.n_vertices, b.n_vertices
     sa, sb = params.C * a.adjacency, params.C * b.adjacency
     total = 0.0
     for i in range(n):

@@ -31,7 +31,6 @@ from privgraph.fgw import (
     matched_plan_cost,
     mc_expected_fgw,
     plan_cost_exact,
-    product_coupling,
     reference_graphs,
     spawn_streams,
 )
@@ -367,13 +366,12 @@ def test_measured_charge_decays_at_the_paper_rate():
     assert abs(slope + 1.0 / 3.0) <= 3 * se + 0.05
 
 
-def _random_small_measure(rng, params, n=None):
+def _random_small_graph(rng, n=None):
     n = n or int(rng.integers(2, 5))
     attrs = rng.random((n, 1))
     adj = np.triu(rng.random((n, n)) < 0.5, 1)
     adj = adj | adj.T
-    g = AttributedGraph(attributes=attrs, identifiers=np.linspace(0.1, 0.9, n), adjacency=adj)
-    return graph_to_measure(g, params)
+    return AttributedGraph(attributes=attrs, identifiers=np.linspace(0.1, 0.9, n), adjacency=adj)
 
 
 def test_criterion_7_fgw_engine():
@@ -383,16 +381,16 @@ def test_criterion_7_fgw_engine():
     ok = True
     # identity and symmetry
     for _ in range(6):
-        a = _random_small_measure(rng, params)
-        b = _random_small_measure(rng, params)
+        a = _random_small_graph(rng)
+        b = _random_small_graph(rng)
         ok &= exact_small_search(a, a, params)[0] < 1e-9
         ok &= abs(exact_small_search(a, b, params)[0] - exact_small_search(b, a, params)[0]) < 1e-6
     # alpha = 0 reduces to 1-Wasserstein (independent assignment oracle)
     p0 = FgwParams(alpha=0.0, C=1.0)
     for _ in range(6):
         n = int(rng.integers(2, 5))
-        a = _random_small_measure(rng, p0, n=n)
-        b = _random_small_measure(rng, p0, n=n)
+        a = _random_small_graph(rng, n=n)
+        b = _random_small_graph(rng, n=n)
         oracle = wasserstein_uniform_exact(a.attributes, b.attributes)
         ok &= abs(exact_small_search(a, b, p0)[0] - oracle) < 1e-6
     # the constant-cost instance is exactly 0.5
@@ -407,12 +405,12 @@ def test_criterion_7_fgw_engine():
         identifiers=np.array([0.2, 0.8]),
         adjacency=np.zeros((2, 2), dtype=bool),
     )
-    ok &= abs(exact_small_search(graph_to_measure(ga, p1), graph_to_measure(gb, p1), p1)[0] - 0.5) < 1e-12
+    ok &= abs(exact_small_search(ga, gb, p1)[0] - 0.5) < 1e-12
     # conditional-gradient monotonicity on 200 random pairs
     for _ in range(200):
-        a = _random_small_measure(rng, params)
-        b = _random_small_measure(rng, params)
-        pi = product_coupling(a, b)
+        a = _random_small_graph(rng)
+        b = _random_small_graph(rng)
+        pi = np.outer(graph_to_measure(a), graph_to_measure(b))
         prev = fgw_cost(pi, a, b, params)
         for _step in range(3):
             val, pi = fgw_upper_bound(a, b, params, init=pi, iterations=1)

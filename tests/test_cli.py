@@ -8,7 +8,7 @@ import pytest
 
 from privgraph.cli import main
 from privgraph.experiments import ExperimentConfig, cmd_evaluate, cmd_generate, make_recipe_dataset, resolve
-from privgraph.fgw import REFINE_SIZE_CAP, FgwParams, fgw_cost, graph_to_measure, spawn_streams
+from privgraph.fgw import REFINE_SIZE_CAP, FgwParams, fgw_cost, spawn_streams
 from privgraph.generator import DRAW_ORDER
 from privgraph.graphs import graph_from_json
 
@@ -292,11 +292,15 @@ _VERTEX = {"attr": [0.5], "id": 0.25}
         ("project", {"weights": []}, "weights must be a nonempty vector of finite numbers"),
         ("project", {"weights": 0.5}, "input.json: 'weights' must be a list of numbers"),
         ("project", {"weights": [[0.5, 0.5]]}, "input.json: 'weights' must be a list of numbers"),
-        ("project", {"weights": [0.5, 0.5], "support": [[0.0]]}, "support and weights must have equal length"),
+        ("project", {"weights": [0.5, 0.5], "support": [[0.0]]}, "input.json: unknown keys: support"),
         *(("project", {"weights": w}, "input.json: 'weights' must be a list of numbers")
           for w in ({"0": 0.5}, ["0.5", 0.5], [True, 0.5])),
         *(("project", {"weights": w}, "weights too large to project")
           for w in ([1e17], [1e308, 1e308], [-1e308, -1e308, 0.5])),
+        ("project", {"weights": [1], "support": [[float("nan")]]}, "input.json: unknown keys: support"),
+        *(("dist", {"vertices": [_VERTEX, {"attr": [x], "id": 0.5}], "edges": []}, "vertex 1 has a non-finite attribute")
+          for x in (float("nan"), float("inf"))),
+        ("dist", {"vertices": [{"attr": [0.1], "id": float("nan")}], "edges": []}, "vertex 0 has a non-finite identifier"),
     ],
 )
 def test_malformed_json_inputs_are_refused_naming_the_key(tmp_path, capsys, command, obj, message):
@@ -347,8 +351,8 @@ def test_dist_coupling_achieves_the_reported_value(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["mode"] == "exact_small"
         params = FgwParams(alpha=alpha)
-        ma, mb = (graph_to_measure(graph_from_json(Path(p).read_text()), params) for p in paths)
-        assert abs(fgw_cost(np.array(out["coupling"]), ma, mb, params) - out["value"]) <= 1e-9
+        ga, gb = (graph_from_json(Path(p).read_text()) for p in paths)
+        assert abs(fgw_cost(np.array(out["coupling"]), ga, gb, params) - out["value"]) <= 1e-9
 
 
 @pytest.mark.parametrize("vertices_b", [1, 6])  # exact_small and upper_bound mode

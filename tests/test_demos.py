@@ -6,17 +6,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+GENERATION_DEMO = "03_coupled_generation.py"  # writes DOT files to the directory given
 
 
-def test_coupled_generation_demo(tmp_path):
+def _run_demo(name, *args):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "03_coupled_generation.py"), str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, str(ROOT / "demos" / name), *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name != GENERATION_DEMO))
+def test_demo_runs(name):
+    assert _run_demo(name).stdout
+
+
+def test_coupled_generation_demo(tmp_path):
+    proc = _run_demo(GENERATION_DEMO, str(tmp_path))
     pattern = re.compile(
         r"eps=\s*(\S+) \(m=\d+\): true graph (\d+) vertices / (\d+) edges, "
         r"synthetic (\d+) vertices / (\d+) edges, (\d+) of (\d+) shared slots matched"

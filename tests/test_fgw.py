@@ -8,7 +8,6 @@ from oracles import brute_force_cost, fixed_private, sample_graph, wasserstein_u
 import privgraph.generator as generator_mod
 from privgraph.fgw import (
     FgwParams,
-    GraphMeasure,
     evaluate_pair,
     exact_small_search,
     fgw_cost,
@@ -20,7 +19,6 @@ from privgraph.fgw import (
     mc_expected_fgw,
     plan_cost_exact,
     plan_coupling,
-    product_coupling,
     reference_graphs,
     spawn_streams,
     validate_coupling,
@@ -44,55 +42,52 @@ def _graph(attrs, edges, ids=None):
     return AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
 
 
-def _random_measure(rng, n, d=1, edge_p=0.5, params=FgwParams()):
+def _random_graph(rng, n, d=1, edge_p=0.5):
     attrs = rng.random((n, d))
     adj = np.triu(rng.random((n, n)) < edge_p, 1)
-    g = _graph(attrs, list(zip(*np.nonzero(adj))) if adj.any() else [])
-    return graph_to_measure(g, params)
+    return _graph(attrs, list(zip(*np.nonzero(adj))) if adj.any() else [])
+
+
+def _product_coupling(a, b):
+    return np.outer(graph_to_measure(a), graph_to_measure(b))
 
 
 def test_graph_to_measure_examples():
-    params = FgwParams(alpha=0.5, C=1.0)
-    single = graph_to_measure(_graph([[0.5]], []), params)
-    assert single.weights.tolist() == [1.0]
-    assert (params.C * single.adjacency).tolist() == [[0.0]]
-    g = _graph([[0.2], [0.8]], [(0, 1)])
-    pair = graph_to_measure(g, params)
-    assert (params.C * pair.adjacency).tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert pair.adjacency is g.adjacency  # shared, not copied
-    cap2 = FgwParams(C=2.0)
-    complete = graph_to_measure(_graph([[0.1], [0.2], [0.3]], [(0, 1), (0, 2), (1, 2)]), cap2)
-    off = (cap2.C * complete.adjacency)[~np.eye(3, dtype=bool)]
-    assert np.all(off == 2.0)
-    with pytest.raises(ValueError):
-        graph_to_measure(
-            AttributedGraph(
-                attributes=np.zeros((0, 1)),
-                identifiers=np.zeros(0),
-                adjacency=np.zeros((0, 0), bool),
-            ),
-            params,
-        )
+    assert graph_to_measure(_graph([[0.5]], [])).tolist() == [1.0]
+    assert graph_to_measure(_graph([[0.2], [0.8]], [(0, 1)])).tolist() == [0.5, 0.5]
+    triangle_and_one = _graph([[0.1], [0.2], [0.3], [0.4]], [(0, 1), (0, 2), (1, 2)])
+    assert graph_to_measure(triangle_and_one).tolist() == [0.25] * 4
 
 
 def test_fgw_cost_identical_single_vertex():
     params = FgwParams(alpha=0.5)
-    a = graph_to_measure(_graph([[0.4]], []), params)
+    a = _graph([[0.4]], [])
     assert fgw_cost(np.array([[1.0]]), a, a, params) == 0.0
 
 
 def test_fgw_cost_two_singletons():
     params = FgwParams(alpha=0.5)
-    a = graph_to_measure(_graph([[0.0]], []), params)
-    b = graph_to_measure(_graph([[1.0]], []), params)
+    a = _graph([[0.0]], [])
+    b = _graph([[1.0]], [])
     assert fgw_cost(np.array([[1.0]]), a, b, params) == pytest.approx(0.5)
+
+
+def test_fgw_cost_refuses_a_coupling_that_is_not_finite():
+    # every comparison with NaN is False, so no marginal check alone refuses it
+    params = FgwParams(alpha=0.5)
+    g = _graph([[0.2], [0.8]], [(0, 1)])
+    for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.5], [0.5, -np.inf]])):
+        with pytest.raises(ValueError, match="non-finite mass"):
+            fgw_cost(bad, g, g, params)
+        with pytest.raises(ValueError, match="non-finite mass"):
+            fgw_upper_bound(g, g, params, init=bad)
 
 
 def test_fgw_cost_constant_over_polytope():
     # same attrs, one side has the edge: structural cost is marginal-determined
     params = FgwParams(alpha=1.0, C=1.0)
-    a = graph_to_measure(_graph([[0.3], [0.7]], [(0, 1)]), params)
-    b = graph_to_measure(_graph([[0.3], [0.7]], []), params)
+    a = _graph([[0.3], [0.7]], [(0, 1)])
+    b = _graph([[0.3], [0.7]], [])
     rng = np.random.default_rng(0)
     for _ in range(10):
         t = rng.random() * 0.5
@@ -104,37 +99,21 @@ def test_fgw_cost_matches_brute_force():
     rng = np.random.default_rng(1)
     params = FgwParams(alpha=0.6, C=1.0)
     for _ in range(10):
-        a = _random_measure(rng, int(rng.integers(1, 4)), params=params)
-        b = _random_measure(rng, int(rng.integers(1, 4)), params=params)
-        pi = product_coupling(a, b)
+        a = _random_graph(rng, int(rng.integers(1, 4)))
+        b = _random_graph(rng, int(rng.integers(1, 4)))
+        pi = _product_coupling(a, b)
         assert fgw_cost(pi, a, b, params) == pytest.approx(
             brute_force_cost(pi, a, b, params), abs=1e-10
         )
-
-
-def test_fgw_rejects_structure_that_is_not_capped_adjacency():
-    # a structural entry off {0, C} cannot be held: the measure is refused when built
-    rng = np.random.default_rng(2)
-    params = FgwParams(alpha=0.7, C=1.0)
-    a = _random_measure(rng, 3, params=params)
-    for bad in (0.41, -1.0, 2.0, np.nan):
-        s = a.adjacency.astype(float)
-        s[0, 1] = s[1, 0] = bad
-        with pytest.raises(ValueError, match="0/1 or boolean"):
-            GraphMeasure(attributes=a.attributes, adjacency=s)
-    s = a.adjacency.astype(np.int64)
-    s[0, 1] = s[1, 0] = 1
-    built = GraphMeasure(attributes=a.attributes, adjacency=s)
-    assert built.adjacency.dtype == bool and np.array_equal(built.adjacency, s)
 
 
 def test_exact_small_identity_and_symmetry():
     rng = np.random.default_rng(3)
     params = FgwParams(alpha=0.5)
     for _ in range(5):
-        a = _random_measure(rng, int(rng.integers(1, 5)), params=params)
+        a = _random_graph(rng, int(rng.integers(1, 5)))
         assert exact_small_search(a, a, params)[0] == pytest.approx(0.0, abs=1e-9)
-        b = _random_measure(rng, int(rng.integers(1, 5)), params=params)
+        b = _random_graph(rng, int(rng.integers(1, 5)))
         ab = exact_small_search(a, b, params)[0]
         ba = exact_small_search(b, a, params)[0]
         assert ab == pytest.approx(ba, abs=1e-6)
@@ -142,8 +121,8 @@ def test_exact_small_identity_and_symmetry():
 
 def test_exact_small_constant_instance():
     params = FgwParams(alpha=1.0, C=1.0)
-    a = graph_to_measure(_graph([[0.3], [0.7]], [(0, 1)]), params)
-    b = graph_to_measure(_graph([[0.3], [0.7]], []), params)
+    a = _graph([[0.3], [0.7]], [(0, 1)])
+    b = _graph([[0.3], [0.7]], [])
     assert exact_small_search(a, b, params)[0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -152,8 +131,8 @@ def test_exact_small_alpha0_equals_wasserstein():
     params = FgwParams(alpha=0.0)
     for _ in range(8):
         n = int(rng.integers(1, 5))
-        a = _random_measure(rng, n, params=params)
-        b = _random_measure(rng, n, params=params)
+        a = _random_graph(rng, n)
+        b = _random_graph(rng, n)
         oracle = wasserstein_uniform_exact(a.attributes, b.attributes)
         assert exact_small_search(a, b, params)[0] == pytest.approx(oracle, abs=1e-6)
 
@@ -161,15 +140,15 @@ def test_exact_small_alpha0_equals_wasserstein():
 def test_exact_small_size_cap():
     rng = np.random.default_rng(5)
     params = FgwParams()
-    big = _random_measure(rng, 5, params=params)
+    big = _random_graph(rng, 5)
     with pytest.raises(ValueError):
         exact_small_search(big, big, params)
 
 
 def test_upper_bound_from_optimal_start_stays_optimal():
     params = FgwParams(alpha=0.0)
-    a = graph_to_measure(_graph([[0.0], [1.0]], []), params)
-    b = graph_to_measure(_graph([[0.0], [1.0]], []), params)
+    a = _graph([[0.0], [1.0]], [])
+    b = _graph([[0.0], [1.0]], [])
     ident = np.diag([0.5, 0.5])
     val, _ = fgw_upper_bound(a, b, params, init=ident, iterations=20)
     assert val == pytest.approx(0.0, abs=1e-12)
@@ -179,9 +158,9 @@ def test_upper_bound_monotone_per_iteration():
     rng = np.random.default_rng(6)
     params = FgwParams(alpha=0.5)
     for _ in range(200):
-        a = _random_measure(rng, int(rng.integers(2, 5)), params=params)
-        b = _random_measure(rng, int(rng.integers(2, 5)), params=params)
-        pi = product_coupling(a, b)
+        a = _random_graph(rng, int(rng.integers(2, 5)))
+        b = _random_graph(rng, int(rng.integers(2, 5)))
+        pi = _product_coupling(a, b)
         prev = fgw_cost(pi, a, b, params)
         for _step in range(4):
             val, pi = fgw_upper_bound(a, b, params, init=pi, iterations=1)
@@ -193,9 +172,9 @@ def test_upper_bound_sandwich_vs_exact():
     rng = np.random.default_rng(7)
     params = FgwParams(alpha=0.5)
     for _ in range(15):
-        a = _random_measure(rng, 4, params=params)
-        b = _random_measure(rng, 4, params=params)
-        init = product_coupling(a, b)
+        a = _random_graph(rng, 4)
+        b = _random_graph(rng, 4)
+        init = _product_coupling(a, b)
         init_cost = fgw_cost(init, a, b, params)
         val, _ = fgw_upper_bound(a, b, params, init=init, iterations=50)
         exact = exact_small_search(a, b, params)[0]
@@ -246,7 +225,7 @@ def test_plan_dominance_chain_on_small_pairs():
         if not (1 <= nt <= 4 and 1 <= ns <= 4):
             continue
         charge = matched_plan_cost(pair, params)
-        a, b, pi = plan_coupling(pair, params)
+        a, b, pi = pair.true_graph, pair.synthetic_graph, plan_coupling(pair)
         plan_cost = fgw_cost(pi, a, b, params)
         refined, _ = fgw_upper_bound(a, b, params, init=pi, iterations=50)
         exact = exact_small_search(a, b, params)[0]
@@ -298,8 +277,7 @@ def test_plan_cost_exact_matches_dense_evaluation():
         pair = generate_coupled_graphs(
             data, part, discrete_laplace(1.0), 12, 9, chung_lu(1), np.random.default_rng(seed)
         )
-        a, b, pi = plan_coupling(pair, params)
-        dense = fgw_cost(pi, a, b, params)
+        dense = fgw_cost(plan_coupling(pair), pair.true_graph, pair.synthetic_graph, params)
         sparse = plan_cost_exact(pair, params)
         assert sparse == pytest.approx(dense, abs=1e-10)
 
@@ -307,13 +285,12 @@ def test_plan_cost_exact_matches_dense_evaluation():
 def test_plan_coupling_is_feasible():
     part = build_grid_partition(SpaceConfig(d=1), 4)
     data = AttributeDataset(points=np.random.default_rng(0).random((40, 1)))
-    params = FgwParams()
     pair = generate_coupled_graphs(
         data, part, discrete_laplace(1.0), 25, 15, chung_lu(1), np.random.default_rng(11)
     )
-    a, b, pi = plan_coupling(pair, params)
-    assert np.allclose(pi.sum(axis=1), a.weights, atol=1e-12)
-    assert np.allclose(pi.sum(axis=0), b.weights, atol=1e-12)
+    pi = plan_coupling(pair)
+    assert np.allclose(pi.sum(axis=1), graph_to_measure(pair.true_graph), atol=1e-12)
+    assert np.allclose(pi.sum(axis=0), graph_to_measure(pair.synthetic_graph), atol=1e-12)
     assert pi.min() >= 0
 
 
@@ -394,9 +371,7 @@ def test_reference_graphs_and_exact_singleton_values():
     rng = np.random.default_rng(12)
     g = _graph(rng.random((3, 1)), [(0, 1)])
     direct = fgw_to_reference(ref0, g, params)
-    oracle = exact_small_search(
-        graph_to_measure(ref0, params), graph_to_measure(g, params), params
-    )[0]
+    oracle = exact_small_search(ref0, g, params)[0]
     assert direct == pytest.approx(oracle, abs=1e-9)
 
 
@@ -421,9 +396,8 @@ def test_solver_matches_the_quartic_oracle(graphs, alpha, cap, metric):
     """The one conditional-gradient loop against the literal quadruple sum:
     each value is the cost of the coupling returned with it, the coupling is
     feasible, and more steps never raise the value."""
-    ga, gb = graphs
+    a, b = graphs
     params = FgwParams(alpha=alpha, C=cap, metric=metric)
-    a, b = graph_to_measure(ga, params), graph_to_measure(gb, params)
     prev = np.inf
     for iterations in range(5):
         value, pi = fgw_upper_bound(a, b, params, iterations=iterations)
@@ -431,17 +405,16 @@ def test_solver_matches_the_quartic_oracle(graphs, alpha, cap, metric):
         validate_coupling(pi, a, b, tol=1e-9)
         assert value <= prev
         prev = value
-        if ga.n_vertices > 1:
-            assert fgw_to_reference(ga, gb, params, iterations) == value
+        if a.n_vertices > 1:
+            assert fgw_to_reference(a, b, params, iterations) == value
 
 
 @settings(max_examples=40, deadline=None)
 @given(_small_graphs(1, max_n=4), _small_graphs(1, max_n=4), st.floats(0.0, 1.0), st.floats(0.1, 3.0))
-def test_exact_search_returns_a_coupling_that_achieves_its_value(ga, gb, alpha, cap):
+def test_exact_search_returns_a_coupling_that_achieves_its_value(a, b, alpha, cap):
     """The coupling comes from the best start, transposed back when the
     search swapped its arguments into canonical order."""
     params = FgwParams(alpha=alpha, C=cap)
-    a, b = graph_to_measure(ga, params), graph_to_measure(gb, params)
     (value_ab, pi_ab), (value_ba, pi_ba) = exact_small_search(a, b, params), exact_small_search(b, a, params)
     assert value_ab == value_ba  # the canonical argument order makes the value symmetric bit for bit
     assert abs(fgw_cost(pi_ab, a, b, params) - value_ab) <= 1e-9

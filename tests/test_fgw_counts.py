@@ -18,7 +18,6 @@ from oracles import brute_force_cost, dense_transport_lp
 import privgraph.generator as generator_mod
 from privgraph.fgw import (
     FgwParams,
-    GraphMeasure,
     _transport_vertex_highs,
     evaluate_pair,
     fgw_cost,
@@ -110,8 +109,8 @@ def test_count_evaluators_match_dense_oracles(case):
     exact = plan_cost_exact(pair, params)
     n, m = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
     if n and m:
-        a, b, pi = plan_coupling(pair, params)
-        assert exact == pytest.approx(fgw_cost(pi, a, b, params), abs=1e-10)
+        dense = fgw_cost(plan_coupling(pair), pair.true_graph, pair.synthetic_graph, params)
+        assert exact == pytest.approx(dense, abs=1e-10)
     else:
         worst = worst_pair_cost(params, pair.partition.space.diameter, pair.kernel.lipschitz_constant)
         assert exact == (0.0 if n == m else worst)
@@ -165,28 +164,29 @@ def test_solver_past_one_adjacency_row_block_matches_the_quartic_sum(m):
     for n in (5, m):
         upper = np.triu(rng.random((n, n)) < 0.4, 1)
         graphs.append(AttributedGraph(attributes=rng.random((n, 2)), identifiers=rng.random(n), adjacency=upper | upper.T))
-    a, b = (graph_to_measure(g, params) for g in graphs)
+    a, b = graphs
+    wa, wb = graph_to_measure(a), graph_to_measure(b)
     sa, sb = params.C * a.adjacency, params.C * b.adjacency
     quad = np.abs(sa[:, None, :, None] - sb[None, :, None, :])  # [i, j, k, l]
     dist = pairwise_distances(a.attributes, b.attributes)
-    vertex = transport_vertex(rng.standard_normal((5, m)), a.weights, b.weights)
-    for init in (None, 0.5 * (np.outer(a.weights, b.weights) + vertex)):
+    vertex = transport_vertex(rng.standard_normal((5, m)), wa, wb)
+    for init in (None, 0.5 * (np.outer(wa, wb) + vertex)):
         for iterations in (0, 2):
             value, pi = fgw_upper_bound(a, b, params, init=init, iterations=iterations)
             want = (1 - params.alpha) * np.sum(dist * pi) + params.alpha * np.einsum("ijkl,ij,kl->", quad, pi, pi)
             assert value == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
-def test_binary_cap_scans_each_structure():
-    # each side's structure is scanned when its measure is built; one cap C
-    # from FgwParams then scales both sides' edges
-    def measure(s):
-        s = np.asarray(s)
-        n = s.shape[0]
-        return GraphMeasure(attributes=np.zeros((n, 1)), adjacency=s)
+def _graph(adjacency):
+    n = np.shape(adjacency)[0]
+    return AttributedGraph(attributes=np.zeros((n, 1)), identifiers=np.arange(n) / n, adjacency=adjacency)
 
-    zero = measure(np.zeros((3, 3)))
-    edge = measure([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]])
+
+def test_binary_cap_scans_each_structure():
+    # each side's structure is scanned when its graph is built; one cap C
+    # from FgwParams then scales both sides' edges
+    zero = _graph(np.zeros((3, 3)))
+    edge = _graph([[0, 1.0, 0], [1.0, 0, 1.0], [0, 1.0, 0]])
     params = FgwParams(alpha=1.0, C=2.0)
     assert fgw_cost(np.full((3, 3), 1.0 / 9), zero, zero, params) == 0.0
     for a, b in ((edge, zero), (zero, edge)):
@@ -196,7 +196,7 @@ def test_binary_cap_scans_each_structure():
         assert fgw_cost(pi, a, b, params) == pytest.approx(brute_force_cost(pi, a, b, params), rel=1e-12)
     for bad in ([[0, 2.0], [2.0, 0]], [[0, 2.0, 0.41], [2.0, 0, 2.0], [0.41, 2.0, 0]], [[0, -1.0], [-1.0, 0]]):
         with pytest.raises(ValueError, match="0/1 or boolean"):
-            measure(bad)
+            _graph(bad)
 
 
 def test_structure_symmetry_is_checked_exactly():
@@ -205,17 +205,15 @@ def test_structure_symmetry_is_checked_exactly():
     adj = np.zeros((n, n), dtype=bool)
     adj[5, 290] = adj[290, 5] = adj[7, 260] = True
     with pytest.raises(ValueError, match="symmetric"):
-        GraphMeasure(attributes=np.zeros((n, 1)), adjacency=adj)
+        _graph(adj)
     with pytest.raises(ValueError, match="self-loops"):
-        GraphMeasure(attributes=np.zeros((2, 1)), adjacency=np.diag([False, True]))
+        _graph(np.diag([False, True]))
 
 
 def test_a_measure_without_vertices_is_refused():
     # a measure weighs each vertex 1/N, so it needs at least one
     with pytest.raises(ValueError, match="empty graph"):
-        GraphMeasure(attributes=np.zeros((0, 1)), adjacency=np.zeros((0, 0), dtype=bool))
-    with pytest.raises(ValueError, match="empty graph"):
-        graph_to_measure(_empty_graph(1), FgwParams())
+        graph_to_measure(_empty_graph(1))
 
 
 def _generated_pair(a=40.0, b=30.0, seed=5):

@@ -201,6 +201,20 @@ def test_graph_refuses_adjacency_entries_other_than_0_1(bad):
         assert g.adjacency.dtype == bool and g.n_edges == 1 and g.edge_list() == [(0, 1)]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_graph_refuses_a_vertex_that_is_not_finite(bad):
+    # a NaN attribute once made every FGW value NaN, and the exact search crashed
+    attrs, ids = np.full((3, 2), 0.5), np.array([0.2, 0.5, 0.8])
+    adj = np.zeros((3, 3), dtype=bool)
+    attrs[2, 1] = bad
+    with pytest.raises(ValueError, match="vertex 2 has a non-finite attribute"):
+        AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
+    ids[1] = bad
+    attrs[2, 1] = 0.5
+    with pytest.raises(ValueError, match="vertex 1 has a non-finite identifier"):
+        AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
+
+
 @pytest.mark.parametrize("i, j", [(1, 0), (0, 300), (300, 129), (298, 299), (130, 2)])
 def test_symmetry_check_finds_one_asymmetric_entry_in_any_block(i, j):
     n = 300  # more than two blocks of graphs_mod._SYMMETRY_ROWS rows

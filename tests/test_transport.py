@@ -165,7 +165,7 @@ def test_refinement_is_monotone_from_the_matched_plan(d, ab, alpha, constant, se
     if not (pair.true_graph.n_vertices and pair.synthetic_graph.n_vertices):
         return
     params = FgwParams(alpha=alpha)
-    a, b, pi = plan_coupling(pair, params)
+    a, b, pi = pair.true_graph, pair.synthetic_graph, plan_coupling(pair)
     previous = fgw_cost(pi, a, b, params)
     for iterations in range(1, 5):
         value, plan = fgw_upper_bound(a, b, params, init=pi, iterations=iterations)
