@@ -456,16 +456,22 @@ def run_replicates(fn, n: int, seed: int) -> list:
     return [fn(r, streams[r]) for r in range(n)]
 
 
+def _refines(n: int, m: int, refine_iters: int) -> bool:
+    """Whether a pair of an n- and an m-vertex graph is scored by refinement."""
+    return refine_iters > 0 and 0 < n * m <= REFINE_SIZE_CAP
+
+
 def evaluate_pair(pair: CoupledGraphs, params: FgwParams, refine_iters: int) -> tuple[float, float, str]:
     """(matched-plan charge, plan value, evaluator) of one replicate. The
     evaluator is "refine" when refine_iters > 0 and 0 < n*m <= REFINE_SIZE_CAP:
     the plan value is then the matched-plan coupling refined by
     ``refine_iters`` conditional-gradient steps. Otherwise it is "exact", the
-    coupling's exact cost."""
+    coupling's exact cost, which reads the pair's attributes and edge counts
+    but no adjacency."""
     charge = matched_plan_cost(pair, params)
-    nm = pair.true_graph.n_vertices * pair.synthetic_graph.n_vertices
-    evaluator = "refine" if refine_iters > 0 and 0 < nm <= REFINE_SIZE_CAP else "exact"
-    if evaluator == "refine":
+    refine = _refines(pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices, refine_iters)
+    evaluator = "refine" if refine else "exact"
+    if refine:
         pi = plan_coupling(pair)
         value, _ = fgw_upper_bound(pair.true_graph, pair.synthetic_graph, params, init=pi, iterations=refine_iters)
     else:
@@ -493,7 +499,9 @@ def mc_expected_fgw(
     :func:`evaluate_pair`; its analytic plan charge is recorded alongside as
     the statistic the theoretical bounds dominate in expectation. Replicates
     run through :func:`run_replicates`; the graphs of the first
-    ``keep_graphs`` are kept in the result.
+    ``keep_graphs`` are kept in the result. Only a kept or a refined pair is
+    built with its adjacencies; every other pair is drawn in the generator's
+    counts mode, so an exact replicate holds no N x N array.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
@@ -509,7 +517,10 @@ def mc_expected_fgw(
             import scipy.optimize  # noqa: F401
 
     def one(r, rng):
-        pair = generate_coupled_graphs(dataset, partition, noise, a, b, kernel, rng)
+        pair = generate_coupled_graphs(
+            dataset, partition, noise, a, b, kernel, rng,
+            build_graphs=lambda n, m: r < keep_graphs or _refines(n, m, refine_iters),
+        )
         kept = (pair.true_graph, pair.synthetic_graph) if r < keep_graphs else None
         return (*evaluate_pair(pair, params, refine_iters), kept)
 

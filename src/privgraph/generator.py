@@ -22,7 +22,9 @@ Each vertex pair that can carry an edge takes exactly one uniform, drawn in
 row blocks and compared straight into the boolean adjacencies: beyond the two
 adjacencies (N^2 + M^2 bytes) the generator holds two float buffers of
 EDGE_BLOCK_ROWS * max(N, M) entries, one for a block's uniforms and one for
-its kernel values, never an N x N float array.
+its kernel values, never an N x N float array. A pair that needs only its
+edge counts (the exact evaluator's input) is drawn from the same uniforms in
+counts mode, which holds no adjacency: its memory is O(EDGE_BLOCK_ROWS * N).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -89,10 +91,12 @@ def _kernel_blocks(kernel: Kernel, attrs: np.ndarray):
 
 
 def _coupled_edges(
-    kernel: Kernel, true_attrs: np.ndarray, syn_attrs: np.ndarray, z: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both boolean adjacencies under draw orders 3 and 4; vertex s < z is matched
-    pair s of both graphs.
+    kernel: Kernel, true_attrs: np.ndarray, syn_attrs: np.ndarray, z: int, rng: np.random.Generator,
+    counts: bool = False,
+) -> tuple[np.ndarray, np.ndarray] | EdgeCounts:
+    """Both boolean adjacencies under draw orders 3 and 4, or with ``counts``
+    their :class:`EdgeCounts` alone; vertex s < z is matched pair s of both
+    graphs.
 
     Three runs draw one uniform u per vertex pair i < j, row-major: the
     upper triangle of [0, z)^2, shared by both graphs (an edge in each iff u
@@ -100,20 +104,31 @@ def _coupled_edges(
     true and then the synthetic graph alone the rectangle [0, z) x [z, n)
     followed by the upper triangle of [z, n)^2. Rows go EDGE_BLOCK_ROWS at a
     time; each block's uniforms and kernel values are written into two float
-    buffers of EDGE_BLOCK_ROWS * max(N, M) entries, allocated once per call,
-    so besides the two adjacencies no memory grows faster than that. The
-    upper triangles are then mirrored one block of rows at a time, faster on
-    large graphs than ``adj |= adj.T``.
+    buffers of EDGE_BLOCK_ROWS * max(N, M) entries, allocated once per call.
+    The adjacencies take each block's comparison, and their upper triangles
+    are then mirrored one block of rows at a time, faster on large graphs
+    than ``adj |= adj.T``. In counts mode each side's comparison goes into
+    one reused boolean buffer of the same size instead, whose row and column
+    sums are the block's edges at its row and its column vertices, so no
+    memory grows faster than EDGE_BLOCK_ROWS * max(N, M) and the stream is
+    drawn exactly as in graph mode.
     """
-    width = max(len(true_attrs), len(syn_attrs))
+    sizes = len(true_attrs), len(syn_attrs)
+    width = max(sizes)
     upper = np.arange(width) > np.arange(EDGE_BLOCK_ROWS)[:, None]
     u_buf, p_buf = np.empty(EDGE_BLOCK_ROWS * width), np.empty(EDGE_BLOCK_ROWS * width)
-    sides = [(_kernel_blocks(kernel, x), np.zeros((len(x), len(x)), dtype=bool)) for x in (true_attrs, syn_attrs)]
-    runs = [(sides, 0, z, 0, z)]  # (sides, rows r0:r1, columns c0:c1)
-    for side in sides:
-        n = len(side[1])
-        runs += [([side], 0, z, z, n), ([side], z, n, z, n)]
+    kernels = [_kernel_blocks(kernel, x) for x in (true_attrs, syn_attrs)]
+    if counts:
+        hit_bufs = [np.empty(EDGE_BLOCK_ROWS * width, dtype=bool) for _ in sizes]
+        deg, row = [np.zeros(n, dtype=np.int32) for n in sizes], [np.zeros(z, dtype=np.int32) for _ in sizes]
+        both = 0
+    else:
+        adjs = [np.zeros((n, n), dtype=bool) for n in sizes]
+    runs = [((0, 1), 0, z, 0, z)]  # (sides, rows r0:r1, columns c0:c1)
+    for side, n in enumerate(sizes):
+        runs += [((side,), 0, z, z, n), ((side,), z, n, z, n)]
     for run_sides, r0, r1, c0, c1 in runs:
+        matched = len(run_sides) == 2  # its edges are the sides' matched blocks
         for b0 in range(r0, r1, EDGE_BLOCK_ROWS):
             b1, lo = min(b0 + EDGE_BLOCK_ROWS, r1), max(c0, b0)
             rows, cols = b1 - b0, c1 - lo
@@ -127,12 +142,24 @@ def _coupled_edges(
                 u[take] = rng.random(out=p_buf[: np.count_nonzero(take)])
             else:  # a rectangle block: every pair
                 rng.random(out=u)
-            for probs, adj in run_sides:  # each pair i < j is written by one run only
-                np.less(u, probs(b0, b1, lo, c1, p), out=adj[b0:b1, lo:c1])
-    for _, adj in sides:
+            for side in run_sides:  # each pair i < j is written by one run only
+                hit = hit_bufs[side][: rows * cols].reshape(rows, cols) if counts else adjs[side][b0:b1, lo:c1]
+                np.less(u, kernels[side](b0, b1, lo, c1, p), out=hit)
+                if counts:
+                    tally = row[side] if matched else deg[side]
+                    tally[b0:b1] += hit.sum(axis=1, dtype=np.int32)
+                    tally[lo:c1] += hit.sum(axis=0, dtype=np.int32)
+            if counts and matched:  # ordered pairs: each i < j also stands for j > i
+                hits = [buf[: rows * cols].reshape(rows, cols) for buf in hit_bufs]
+                both += 2 * int(np.count_nonzero(np.logical_and(*hits, out=hits[0])))
+    if counts:
+        for d, r in zip(deg, row):
+            d[:z] += r
+        return EdgeCounts(tuple(row), tuple(deg), int(row[0].sum() + row[1].sum()) - 2 * both, both)
+    for adj in adjs:
         for r0 in range(0, len(adj), EDGE_BLOCK_ROWS):
             adj[r0:, r0 : r0 + EDGE_BLOCK_ROWS] |= adj[r0 : r0 + EDGE_BLOCK_ROWS, r0:].T
-    return sides[0][1], sides[1][1]
+    return adjs[0], adjs[1]
 
 
 class EdgeCounts(NamedTuple):
@@ -173,7 +200,13 @@ def count_edges(adj_true: np.ndarray, adj_syn: np.ndarray, z: int) -> EdgeCounts
 
 @dataclass(frozen=True)
 class CoupledGraphs:
-    """The jointly generated pair plus the coupling bookkeeping."""
+    """The jointly generated pair plus the coupling bookkeeping.
+
+    A pair generated in counts mode (see :func:`generate_coupled_graphs`)
+    carries its :attr:`edge_counts` already computed, and its graphs hold
+    attributes and identifiers but no ``adjacency``: reading one raises
+    ``AttributeError``.
+    """
 
     true_graph: AttributedGraph
     synthetic_graph: AttributedGraph
@@ -234,12 +267,18 @@ def generate_coupled_graphs(
     kernel: Kernel,
     rng: np.random.Generator,
     private: PrivateMeasureResult | None = None,
+    build_graphs: Callable[[int, int], bool] | None = None,
 ) -> CoupledGraphs:
     """Run the full joint generator.
 
     ``private`` may carry a precomputed mechanism result to hold the noisy
     measure fixed across replicates; otherwise the mechanism runs first with
-    the same rng. The draw order is fixed, so output is bit-reproducible for
+    the same rng. ``build_graphs(N, M)``, asked once the sizes are drawn,
+    says whether the pair needs its adjacencies; when it says no, the edges
+    are drawn in the counts mode of :func:`_coupled_edges`, so the pair
+    holds its :class:`EdgeCounts` and no N x N array. Without it every pair
+    is built with its adjacencies. The stream is drawn the same either way.
+    The draw order is fixed, so output is bit-reproducible for
     a given generator state. Draw orders 3 and 4 (``DRAW_ORDER``): sizes,
     indicators, residual cells, extra cells, attribute picks, identifiers,
     then the edge uniforms in the three runs of :func:`_coupled_edges`,
@@ -300,10 +339,17 @@ def generate_coupled_graphs(
     true_ids = _distinct_uniform_ids(n_true, rng)
     syn_ids = _distinct_uniform_ids(n_syn, rng)
 
-    adj_true, adj_syn = _coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
-    return CoupledGraphs(
-        true_graph=_unchecked(AttributedGraph, attributes=true_attrs, identifiers=true_ids, adjacency=adj_true),
-        synthetic_graph=_unchecked(AttributedGraph, attributes=syn_attrs, identifiers=syn_ids, adjacency=adj_syn),
+    if build_graphs is None or build_graphs(n_true, n_syn):
+        counts, edges = None, [{"adjacency": adj} for adj in _coupled_edges(kernel, true_attrs, syn_attrs, z, rng)]
+    else:  # counts mode: the graphs get no adjacency attribute
+        counts, edges = _coupled_edges(kernel, true_attrs, syn_attrs, z, rng, counts=True), [{}, {}]
+    true_graph, synthetic_graph = (
+        _unchecked(AttributedGraph, attributes=x, identifiers=ids, **e)
+        for x, ids, e in zip((true_attrs, syn_attrs), (true_ids, syn_ids), edges)
+    )
+    pair = CoupledGraphs(
+        true_graph=true_graph,
+        synthetic_graph=synthetic_graph,
         shared_count=shared,
         extra_true_count=extra_true,
         extra_synthetic_count=extra_syn,
@@ -314,3 +360,6 @@ def generate_coupled_graphs(
         a=float(a),
         b=float(b),
     )
+    if counts is not None:
+        pair.__dict__["edge_counts"] = counts  # the cached_property's value
+    return pair

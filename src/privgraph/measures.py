@@ -37,18 +37,19 @@ def tv_project(weights: np.ndarray) -> tuple[np.ndarray, float]:
     if w.size == 0 or not np.isfinite(w).all():
         raise ValueError("weights must be a nonempty vector of finite numbers")
     tau = np.clip(w, 0.0, None)
-    total = tau.sum()
-    if total > 1.0:
-        surplus = total - 1.0
-        for i in range(tau.size):
-            take = min(surplus, tau[i])
-            tau[i] -= take
-            surplus -= take
-            if surplus <= 0:
-                break
-    elif total < 1.0:
-        tau[0] += 1.0 - total
-    total, distance = float(tau.sum()), float(np.abs(w - tau).sum())
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below
+        total = tau.sum()
+        if total > 1.0:  # an infinite surplus takes every weight, so the projection sums to 0
+            surplus = total - 1.0
+            for i in range(tau.size):
+                take = min(surplus, tau[i])
+                tau[i] -= take
+                surplus -= take
+                if surplus <= 0:
+                    break
+        elif total < 1.0:
+            tau[0] += 1.0 - total
+        total, distance = float(tau.sum()), float(np.abs(w - tau).sum())
     if tau.min() < 0 or abs(total - 1.0) > 1e-9 or not np.isfinite(distance):
         raise ValueError(f"weights too large to project: projected weights sum to {total}, distance {distance}")
     return tau, distance

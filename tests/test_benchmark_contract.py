@@ -46,3 +46,20 @@ def test_tracer_finds_its_functions_and_times_each_replicate(tmp_path, capsys, m
         assert tracer.resolved.config.replicates == 4
     finally:
         tracer.restore()
+
+
+def test_tracer_reads_the_sizes_of_pairs_scored_by_the_exact_evaluator(monkeypatch):
+    # a = b = 80 puts N*M above the refine size cap, so no pair is built with
+    # its adjacencies; the generator metrics read only each pair's sizes
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer(layers=True)
+    tracer.install()
+    try:
+        argv = ["mc", "--recipe", "uniform", "--n", "500", "--d", "1", "--eps", "1", "--a", "80", "--b", "80"]
+        assert main([*argv, "--reps", "3", "--seed", "1"]) == 0
+        out, calls = tracing.layer_summary(tracer.spans)
+        assert len(tracer.replicates()) == calls["generator"] == calls["fgw.plan_cost_exact"] == 3
+        assert isinstance(out["generator.vertex_pairs"], int) and out["generator.vertex_pairs"] > 3 * 2 * 60 * 59 // 2
+        assert out["generator.vertex_pairs_per_s"] > 0
+    finally:
+        tracer.restore()

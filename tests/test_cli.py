@@ -303,6 +303,7 @@ _VERTEX = {"attr": [0.5], "id": 0.25}
         ("dist", {"vertices": [{"attr": [0.1], "id": float("nan")}], "edges": []}, "vertex 0 has a non-finite identifier"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # a refusal is the error line alone, with no warning before it
 def test_malformed_json_inputs_are_refused_naming_the_key(tmp_path, capsys, command, obj, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))

@@ -8,6 +8,7 @@ matches, or one whole side, were replaced.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from privgraph.fgw import (
     fgw_upper_bound,
     graph_to_measure,
     matched_plan_cost,
+    mc_expected_fgw,
     plan_cost_exact,
     plan_coupling,
     transport_vertex,
@@ -246,6 +248,22 @@ def test_evaluate_pair_counts_edges_once(monkeypatch, refine_iters, evaluator):
     pair = _generated_pair(*((90.0, 70.0) if evaluator == "exact" else (8.0, 8.0)))
     assert evaluate_pair(pair, FgwParams(), refine_iters)[2] == evaluator
     assert calls == [pair.match_count]
+
+
+def test_an_exact_replicate_holds_no_n_by_n_array():
+    # above the refine size cap and with no graph kept, a replicate draws its
+    # edge counts in blocks of rows: an N x N boolean array alone is N^2 bytes
+    data = AttributeDataset(points=np.random.default_rng(0).random((1000, 1)))
+    part = build_grid_partition(SpaceConfig(d=1), 32)
+    a = 4096
+    tracemalloc.start()
+    try:
+        res = mc_expected_fgw(data, part, discrete_laplace(1.0), a, a, chung_lu(1), FgwParams(), 2, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.evaluators == ("exact", "exact") and res.graphs == []
+    assert peak < a * a / 2
 
 
 def _random_adjacency(n, rng, p=0.4):

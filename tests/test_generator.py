@@ -431,6 +431,81 @@ def test_edges_at_the_default_block_size_match_the_reference(kernel):
         assert 0 < np.count_nonzero(adj) < adj.size - len(adj)
 
 
+def _assert_counts_match_graph_mode(kernel, true_attrs, syn_attrs, z, seed):
+    """Counts mode against ``count_edges`` of graph mode from the same stream
+    state, field by field, and both leave the stream in the same state."""
+    rng = np.random.default_rng(seed)
+    graph_rng = np.random.default_rng()
+    graph_rng.bit_generator.state = rng.bit_generator.state
+    counts = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng, counts=True)
+    adjs = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, graph_rng)
+    expected = generator_mod.count_edges(*adjs, z)
+    _assert_same_counts(counts, expected)
+    assert rng.bit_generator.state == graph_rng.bit_generator.state
+    return expected
+
+
+def _assert_same_counts(got, want):
+    for name in ("row", "deg"):
+        for x, y in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert x.dtype == y.dtype == np.int32 and np.array_equal(x, y), name
+    for name in ("xor", "both"):
+        assert type(getattr(got, name)) is int and getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("kernel", [chung_lu(2), constant_kernel(0.3), inverse_distance(0.4)])
+def test_edge_counts_mode_matches_the_graph_mode_counts(kernel):
+    # sizes on both sides of the default block of rows, unequal sides and an
+    # empty one, with no, a mid-block and a full matched prefix
+    rows = generator_mod.EDGE_BLOCK_ROWS
+    assert rows == 64
+    points = np.random.default_rng(23)
+    edges = 0
+    for n, m in [(63, 63), (64, 65), (65, 129), (129, 64), (65, 0), (0, 63)]:
+        true_attrs, syn_attrs = points.random((n, 2)), points.random((m, 2))
+        for z in sorted({0, min(n, m) // 2, min(n, m)}):
+            expected = _assert_counts_match_graph_mode(kernel, true_attrs, syn_attrs, z, n * 1000 + m + z)
+            edges += int(expected.deg[0].sum())
+    assert edges > 0
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 128])
+@settings(max_examples=40, deadline=None)
+@given(case=_edge_case())
+def test_edge_counts_mode_matches_the_graph_mode_counts_on_drawn_cases(block, case):
+    kernel, true_attrs, syn_attrs, _, z, seed = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(generator_mod, "EDGE_BLOCK_ROWS", block)
+        _assert_counts_match_graph_mode(kernel, true_attrs, syn_attrs, z, seed)
+
+
+def test_a_counts_only_pair_holds_the_counts_of_the_graph_mode_pair():
+    # the same stream gives the same pair; only its adjacencies are missing
+    data, part = _cell_center_setup()
+    sizes = []
+
+    def no_graphs(n, m):
+        sizes.append((n, m))
+        return False
+
+    for seed in range(4):
+        rng, graph_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        args = data, part, discrete_laplace(0.5), 25.0, 20.0, chung_lu(1)
+        counted = generate_coupled_graphs(*args, rng, build_graphs=no_graphs)
+        built = generate_coupled_graphs(*args, graph_rng)
+        assert sizes[-1] == (built.true_graph.n_vertices, built.synthetic_graph.n_vertices)
+        assert counted.shared_count == built.shared_count
+        assert np.array_equal(counted.matched_cells, built.matched_cells)
+        for got, want in ((counted.true_graph, built.true_graph), (counted.synthetic_graph, built.synthetic_graph)):
+            assert got.n_vertices == want.n_vertices
+            assert np.array_equal(got.attributes, want.attributes)
+            assert np.array_equal(got.identifiers, want.identifiers)
+            with pytest.raises(AttributeError, match="adjacency"):
+                got.adjacency
+        _assert_same_counts(counted.edge_counts, built.edge_counts)
+        assert rng.bit_generator.state == graph_rng.bit_generator.state
+
+
 def test_generator_draws_edges_in_draw_order_3(monkeypatch):
     # the full generator hands the reference the same attributes, matched
     # prefix and stream position, and leaves the stream where it ends
