@@ -77,8 +77,10 @@ class BoundInputs:
                 raise ValueError(f"bound input {f.name} must be an integer, got {value!r}")
             if not (_is_real(value) or value is None and f.default is None):
                 raise ValueError(f"bound input {f.name} must be a real number, got {value!r}")
-        if not 0 < self.eps < math.inf:  # NaN fails too; an infinite eps means no noise at all
-            raise ValueError(f"bounds require finite eps > 0, got {self.eps}")
+        # NaN fails too; an infinite eps means no noise at all, and at
+        # exp(-eps) == 1 the noise factor divides by zero
+        if not 0 < self.eps < math.inf or math.exp(-self.eps) == 1.0:
+            raise ValueError(f"bounds require finite eps > 0 with exp(-eps) < 1, got {self.eps}")
         if not (self.a > 0 and self.b > 0 and all(x >= 1 for x in (self.n, self.m, self.d))):  # False for NaN
             raise ValueError("sizes, n, m, d must be positive (and not NaN)")
         if not (0.0 <= self.alpha <= 1.0 and self.C > 0 and self.L_kappa >= 0):

@@ -499,9 +499,10 @@ def mc_expected_fgw(
     :func:`evaluate_pair`; its analytic plan charge is recorded alongside as
     the statistic the theoretical bounds dominate in expectation. Replicates
     run through :func:`run_replicates`; the graphs of the first
-    ``keep_graphs`` are kept in the result. Only a kept or a refined pair is
-    built with its adjacencies; every other pair is drawn in the generator's
-    counts mode, so an exact replicate holds no N x N array.
+    ``keep_graphs`` are kept in the result. Every pair carries the edge
+    counts the generator tallies as it draws; only a kept or a refined pair
+    is also built with its adjacencies, so an exact replicate holds no N x N
+    array.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")

@@ -19,19 +19,19 @@ for s < Z, so every matched block is the contiguous view ``adj[:Z, :Z]``.
 That layout reflects the true data, so the writers list each graph's
 vertices in identifier order instead (:func:`privgraph.graphs._written_order`).
 Each vertex pair that can carry an edge takes exactly one uniform, drawn in
-row blocks and compared straight into the boolean adjacencies: beyond the two
-adjacencies (N^2 + M^2 bytes) the generator holds two float buffers of
-EDGE_BLOCK_ROWS * max(N, M) entries, one for a block's uniforms and one for
-its kernel values, never an N x N float array. A pair that needs only its
-edge counts (the exact evaluator's input) is drawn from the same uniforms in
-counts mode, which holds no adjacency: its memory is O(EDGE_BLOCK_ROWS * N).
+row blocks: the generator holds two float buffers of EDGE_BLOCK_ROWS *
+max(N, M) entries, one for a block's uniforms and one for its kernel values,
+never an N x N float array. Every pair's edge counts (the matched-plan
+evaluators' input) are tallied from each block as it is drawn. The boolean
+adjacencies (N^2 + M^2 bytes) are optional: a pair that needs only its
+counts is drawn from the same uniforms without them, so its memory is
+O(EDGE_BLOCK_ROWS * N).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -92,10 +92,11 @@ def _kernel_blocks(kernel: Kernel, attrs: np.ndarray):
 
 def _coupled_edges(
     kernel: Kernel, true_attrs: np.ndarray, syn_attrs: np.ndarray, z: int, rng: np.random.Generator,
-    counts: bool = False,
-) -> tuple[np.ndarray, np.ndarray] | EdgeCounts:
-    """Both boolean adjacencies under draw orders 3 and 4, or with ``counts``
-    their :class:`EdgeCounts` alone; vertex s < z is matched pair s of both
+    build: bool = True,
+) -> tuple[tuple[np.ndarray, np.ndarray] | None, EdgeCounts]:
+    """The edges of both graphs under draw orders 3 and 4, as ``(adjs,
+    counts)``: the two boolean adjacencies when ``build`` is set (else None)
+    and their :class:`EdgeCounts`; vertex s < z is matched pair s of both
     graphs.
 
     Three runs draw one uniform u per vertex pair i < j, row-major: the
@@ -105,25 +106,25 @@ def _coupled_edges(
     followed by the upper triangle of [z, n)^2. Rows go EDGE_BLOCK_ROWS at a
     time; each block's uniforms and kernel values are written into two float
     buffers of EDGE_BLOCK_ROWS * max(N, M) entries, allocated once per call.
-    The adjacencies take each block's comparison, and their upper triangles
-    are then mirrored one block of rows at a time, faster on large graphs
-    than ``adj |= adj.T``. In counts mode each side's comparison goes into
-    one reused boolean buffer of the same size instead, whose row and column
-    sums are the block's edges at its row and its column vertices, so no
-    memory grows faster than EDGE_BLOCK_ROWS * max(N, M) and the stream is
-    drawn exactly as in graph mode.
+    Each side's comparison goes into one reused boolean buffer of the same
+    size, whose row and column sums are the block's edges at its row and its
+    column vertices (into ``row`` on the matched run, into ``deg`` on the
+    others), and on the matched run the AND of the two sides' buffers counts
+    the edges the blocks share. So the counts need no memory beyond
+    EDGE_BLOCK_ROWS * max(N, M), and the stream is drawn the same whether or
+    not the adjacencies are built. When they are, each block is also copied
+    into them, and their upper triangles are then mirrored one block of rows
+    at a time, faster on large graphs than ``adj |= adj.T``.
     """
     sizes = len(true_attrs), len(syn_attrs)
     width = max(sizes)
     upper = np.arange(width) > np.arange(EDGE_BLOCK_ROWS)[:, None]
     u_buf, p_buf = np.empty(EDGE_BLOCK_ROWS * width), np.empty(EDGE_BLOCK_ROWS * width)
+    hit_bufs = [np.empty(EDGE_BLOCK_ROWS * width, dtype=bool) for _ in sizes]
     kernels = [_kernel_blocks(kernel, x) for x in (true_attrs, syn_attrs)]
-    if counts:
-        hit_bufs = [np.empty(EDGE_BLOCK_ROWS * width, dtype=bool) for _ in sizes]
-        deg, row = [np.zeros(n, dtype=np.int32) for n in sizes], [np.zeros(z, dtype=np.int32) for _ in sizes]
-        both = 0
-    else:
-        adjs = [np.zeros((n, n), dtype=bool) for n in sizes]
+    deg, row = [np.zeros(n, dtype=np.int32) for n in sizes], [np.zeros(z, dtype=np.int32) for _ in sizes]
+    both = 0
+    adjs = [np.zeros((n, n), dtype=bool) for n in sizes] if build else None
     runs = [((0, 1), 0, z, 0, z)]  # (sides, rows r0:r1, columns c0:c1)
     for side, n in enumerate(sizes):
         runs += [((side,), 0, z, z, n), ((side,), z, n, z, n)]
@@ -133,6 +134,7 @@ def _coupled_edges(
             b1, lo = min(b0 + EDGE_BLOCK_ROWS, r1), max(c0, b0)
             rows, cols = b1 - b0, c1 - lo
             u, p = (buf[: rows * cols].reshape(rows, cols) for buf in (u_buf, p_buf))
+            hits = [buf[: rows * cols].reshape(rows, cols) for buf in hit_bufs]
             if lo == b0:  # a triangle block: columns b0 on, pairs j > i only
                 take = upper[:rows, :cols]
                 # the untaken pairs all lie in the leading rows x rows square;
@@ -143,23 +145,24 @@ def _coupled_edges(
             else:  # a rectangle block: every pair
                 rng.random(out=u)
             for side in run_sides:  # each pair i < j is written by one run only
-                hit = hit_bufs[side][: rows * cols].reshape(rows, cols) if counts else adjs[side][b0:b1, lo:c1]
-                np.less(u, kernels[side](b0, b1, lo, c1, p), out=hit)
-                if counts:
-                    tally = row[side] if matched else deg[side]
-                    tally[b0:b1] += hit.sum(axis=1, dtype=np.int32)
-                    tally[lo:c1] += hit.sum(axis=0, dtype=np.int32)
-            if counts and matched:  # ordered pairs: each i < j also stands for j > i
-                hits = [buf[: rows * cols].reshape(rows, cols) for buf in hit_bufs]
+                np.less(u, kernels[side](b0, b1, lo, c1, p), out=hits[side])
+                tally = row[side] if matched else deg[side]
+                tally[b0:b1] += hits[side].sum(axis=1, dtype=np.int32)
+                tally[lo:c1] += hits[side].sum(axis=0, dtype=np.int32)
+                if build:
+                    adjs[side][b0:b1, lo:c1] = hits[side]
+            if matched:  # ordered pairs: each i < j also stands for j > i
                 both += 2 * int(np.count_nonzero(np.logical_and(*hits, out=hits[0])))
-    if counts:
-        for d, r in zip(deg, row):
-            d[:z] += r
-        return EdgeCounts(tuple(row), tuple(deg), int(row[0].sum() + row[1].sum()) - 2 * both, both)
+    for d, r in zip(deg, row):
+        d[:z] += r
+    # |A xor B| = |A| + |B| - 2 |A and B| over the matched blocks
+    counts = EdgeCounts(tuple(row), tuple(deg), int(row[0].sum() + row[1].sum()) - 2 * both, both)
+    if not build:
+        return None, counts
     for adj in adjs:
         for r0 in range(0, len(adj), EDGE_BLOCK_ROWS):
             adj[r0:, r0 : r0 + EDGE_BLOCK_ROWS] |= adj[r0 : r0 + EDGE_BLOCK_ROWS, r0:].T
-    return adjs[0], adjs[1]
+    return (adjs[0], adjs[1]), counts
 
 
 class EdgeCounts(NamedTuple):
@@ -178,34 +181,15 @@ class EdgeCounts(NamedTuple):
     both: int
 
 
-def count_edges(adj_true: np.ndarray, adj_syn: np.ndarray, z: int) -> EdgeCounts:
-    """:class:`EdgeCounts` from contiguous views of the two boolean
-    adjacencies (no N x N temporary). The row sums take each adjacency once:
-    ``adj[:z, :z]`` gives the matched-block counts, adding those of
-    ``adj[:z, z:]`` gives ``deg[:z]``, and ``adj[z:]`` gives ``deg[z:]``."""
-    blocks = adj_true[:z, :z], adj_syn[:z, :z]
-    both = sum(
-        int(np.count_nonzero(blocks[0][r0 : r0 + EDGE_BLOCK_ROWS] & blocks[1][r0 : r0 + EDGE_BLOCK_ROWS]))
-        for r0 in range(0, z, EDGE_BLOCK_ROWS)
-    )
-    # an int32 sum over booleans is about twice as fast as count_nonzero(axis=1)
-    row = tuple(b.sum(axis=1, dtype=np.int32) for b in blocks)
-    deg = tuple(np.empty(len(adj), dtype=np.int32) for adj in (adj_true, adj_syn))
-    for r, d, adj in zip(row, deg, (adj_true, adj_syn)):
-        np.add(r, adj[:z, z:].sum(axis=1, dtype=np.int32), out=d[:z])
-        adj[z:].sum(axis=1, dtype=np.int32, out=d[z:])
-    # |A xor B| = |A| + |B| - 2 |A and B|
-    return EdgeCounts(row, deg, int(row[0].sum() + row[1].sum()) - 2 * both, both)
-
-
 @dataclass(frozen=True)
 class CoupledGraphs:
     """The jointly generated pair plus the coupling bookkeeping.
 
-    A pair generated in counts mode (see :func:`generate_coupled_graphs`)
-    carries its :attr:`edge_counts` already computed, and its graphs hold
-    attributes and identifiers but no ``adjacency``: reading one raises
-    ``AttributeError``.
+    ``edge_counts`` are the pair's :class:`EdgeCounts`, tallied while its
+    edges were drawn, which the matched-plan evaluators read. A pair drawn
+    without its adjacencies (see :func:`generate_coupled_graphs`) has graphs
+    that hold attributes and identifiers but no ``adjacency``: reading one
+    raises ``AttributeError``.
     """
 
     true_graph: AttributedGraph
@@ -214,6 +198,7 @@ class CoupledGraphs:
     extra_true_count: int
     extra_synthetic_count: int
     matched_cells: np.ndarray  # (Z,): the cell of matched pair s, which is vertex s of both graphs
+    edge_counts: EdgeCounts = field(repr=False)
     private: PrivateMeasureResult = field(repr=False)
     partition: Partition = field(repr=False)
     kernel: Kernel = field(repr=False)
@@ -227,12 +212,6 @@ class CoupledGraphs:
     @property
     def match_count(self) -> int:
         return len(self.matched_cells)
-
-    @cached_property
-    def edge_counts(self) -> EdgeCounts:
-        """The pair's integer edge counts, computed once and shared by the
-        matched-plan evaluators."""
-        return count_edges(self.true_graph.adjacency, self.synthetic_graph.adjacency, self.match_count)
 
     def to_dict(self, redact_counts: bool = False, private_only: bool = False) -> dict:
         """Both graphs as :func:`~privgraph.graphs.graph_to_dict` writes them,
@@ -273,11 +252,11 @@ def generate_coupled_graphs(
 
     ``private`` may carry a precomputed mechanism result to hold the noisy
     measure fixed across replicates; otherwise the mechanism runs first with
-    the same rng. ``build_graphs(N, M)``, asked once the sizes are drawn,
-    says whether the pair needs its adjacencies; when it says no, the edges
-    are drawn in the counts mode of :func:`_coupled_edges`, so the pair
-    holds its :class:`EdgeCounts` and no N x N array. Without it every pair
-    is built with its adjacencies. The stream is drawn the same either way.
+    the same rng. Every pair holds the :class:`EdgeCounts` tallied while its
+    edges are drawn. ``build_graphs(N, M)``, asked once the sizes are drawn,
+    says whether the pair also needs its adjacencies; when it says no, the
+    pair holds no N x N array. Without it every pair is built with its
+    adjacencies. The stream is drawn the same either way.
     The draw order is fixed, so output is bit-reproducible for
     a given generator state. Draw orders 3 and 4 (``DRAW_ORDER``): sizes,
     indicators, residual cells, extra cells, attribute picks, identifiers,
@@ -339,27 +318,24 @@ def generate_coupled_graphs(
     true_ids = _distinct_uniform_ids(n_true, rng)
     syn_ids = _distinct_uniform_ids(n_syn, rng)
 
-    if build_graphs is None or build_graphs(n_true, n_syn):
-        counts, edges = None, [{"adjacency": adj} for adj in _coupled_edges(kernel, true_attrs, syn_attrs, z, rng)]
-    else:  # counts mode: the graphs get no adjacency attribute
-        counts, edges = _coupled_edges(kernel, true_attrs, syn_attrs, z, rng, counts=True), [{}, {}]
+    build = build_graphs is None or build_graphs(n_true, n_syn)
+    adjs, counts = _coupled_edges(kernel, true_attrs, syn_attrs, z, rng, build)
+    edges = [{"adjacency": adj} for adj in adjs] if build else [{}, {}]  # unbuilt graphs get no adjacency
     true_graph, synthetic_graph = (
         _unchecked(AttributedGraph, attributes=x, identifiers=ids, **e)
         for x, ids, e in zip((true_attrs, syn_attrs), (true_ids, syn_ids), edges)
     )
-    pair = CoupledGraphs(
+    return CoupledGraphs(
         true_graph=true_graph,
         synthetic_graph=synthetic_graph,
         shared_count=shared,
         extra_true_count=extra_true,
         extra_synthetic_count=extra_syn,
         matched_cells=matched_cells,
+        edge_counts=counts,
         private=private,
         partition=partition,
         kernel=kernel,
         a=float(a),
         b=float(b),
     )
-    if counts is not None:
-        pair.__dict__["edge_counts"] = counts  # the cached_property's value
-    return pair

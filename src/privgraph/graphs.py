@@ -173,14 +173,6 @@ class AttributedGraph:
         return self.adjacency.sum(axis=1).astype(np.int64)
 
 
-def empty_graph(d: int) -> AttributedGraph:
-    return AttributedGraph(
-        attributes=np.zeros((0, d)),
-        identifiers=np.zeros(0),
-        adjacency=np.zeros((0, 0), dtype=bool),
-    )
-
-
 def _distinct_uniform_ids(n: int, rng: np.random.Generator) -> np.ndarray:
     ids = rng.random(n)
     # duplicates have probability zero but rejection keeps the invariant exact;
@@ -235,9 +227,7 @@ def graph_from_dict(obj: dict) -> AttributedGraph:
         if i == j:
             raise ValueError(f"edge {edge!r} is a self-loop")
         adj[i, j] = adj[j, i] = True
-    if n == 0:
-        return empty_graph(1)
-    attrs = np.array([v["attr"] for v in verts], dtype=float)
+    attrs = np.array([v["attr"] for v in verts], dtype=float) if n else np.zeros((0, 1))  # empty: d = 1
     ids = np.array([v["id"] for v in verts], dtype=float)
     return AttributedGraph(attributes=attrs, identifiers=ids, adjacency=adj)
 

@@ -32,8 +32,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.table is None:
-            if self.eps is None or not 0 < self.eps < math.inf:  # NaN fails both
-                raise ValueError(f"discrete_laplace requires finite eps > 0, got {self.eps}")
+            # NaN fails both bounds; at exp(-eps) == 1 the sampler's 1 - exp(-eps) is 0
+            if self.eps is None or not 0 < self.eps < math.inf or math.exp(-self.eps) == 1.0:
+                raise ValueError(f"discrete_laplace requires finite eps > 0 with exp(-eps) < 1, got {self.eps}")
             return
         if self.eps is not None:
             raise ValueError("a noise spec is discrete Laplace at eps or a pmf table, not both")

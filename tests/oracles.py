@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from privgraph.bounds import BoundInputs, distribution_bound_grid, expected_fgw_bound_grid
-from privgraph.generator import _coupled_edges, _residual_probs
+from privgraph.generator import EdgeCounts, _coupled_edges, _residual_probs
 from privgraph.graphs import AttributedGraph, _distinct_uniform_ids, _unchecked, kernel_matrix
 from privgraph.measures import PrivateMeasureResult
 from privgraph.noise import expected_abs
@@ -46,6 +46,19 @@ def coupled_edges_reference(kernel, true_attrs, syn_attrs, is_match, rng):
     return adj_true, adj_syn
 
 
+def count_edges(adj_true, adj_syn, z):
+    """The :class:`EdgeCounts` of two boolean adjacencies whose first z
+    vertices are matched, read off the adjacencies: row sums of the matched
+    blocks and of the whole adjacencies, and the blocks' XOR and AND."""
+    blocks = adj_true[:z, :z], adj_syn[:z, :z]
+    return EdgeCounts(
+        row=tuple(b.sum(axis=1, dtype=np.int32) for b in blocks),
+        deg=tuple(adj.sum(axis=1, dtype=np.int32) for adj in (adj_true, adj_syn)),
+        xor=int(np.count_nonzero(blocks[0] ^ blocks[1])),
+        both=int(np.count_nonzero(blocks[0] & blocks[1])),
+    )
+
+
 def sample_graph(attr_measure, intensity, kernel, rng):
     """One draw from the random connection model.
 
@@ -68,7 +81,7 @@ def sample_graph(attr_measure, intensity, kernel, rng):
         pts = attr_measure.points if isinstance(attr_measure, AttributeDataset) else np.array(attr_measure, float, ndmin=2)
         attrs = pts[rng.integers(0, pts.shape[0], size=n)]
     ids = _distinct_uniform_ids(n, rng)
-    adj = _coupled_edges(kernel, attrs, attrs[:0], 0, rng)[0]
+    adj = _coupled_edges(kernel, attrs, attrs[:0], 0, rng)[0][0]
     return _unchecked(AttributedGraph, attributes=attrs, identifiers=ids, adjacency=adj)
 
 

@@ -515,6 +515,26 @@ def test_mc_refuses_a_non_finite_eps(capsys, eps, m):
     assert re.search(r"error: .*finite( and positive| eps > 0)", captured.err)
 
 
+@pytest.mark.parametrize("command", ["bounds", "table", "evaluate", "mc"])
+def test_an_eps_whose_exp_rounds_to_one_is_refused(tmp_path, capsys, command):
+    # exp(-eps) == 1.0 in floats: the noise factor would divide by zero and
+    # the sampler's success probability 1 - exp(-eps) would be 0
+    eps = "1e-17"
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({**_BOUND_INPUTS, "eps": float(eps)}))
+    out = tmp_path / "out"
+    args = {
+        "bounds": ["--json", str(path)],
+        "table": ["--eps", eps],
+        "evaluate": [*_SMALL_EVALUATE, "--eps", eps, "--seed", "1", "--out", str(out)],
+        "mc": [*_MC_ARGV[1:], "--eps", eps],
+    }[command]
+    assert main([command, *args]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: .*\beps\b.*\n", captured.err), captured.err
+    assert captured.out == "" and not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
 def test_mc_refuses_a_non_finite_kernel_scale(capsys, value):
     assert main([*_MC_ARGV, "--eps", "1", "--kernel", "inverse-distance", "--kernel-param", value]) == 1

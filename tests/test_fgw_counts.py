@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import brute_force_cost, dense_transport_lp
+from oracles import brute_force_cost, count_edges, dense_transport_lp
 
-import privgraph.generator as generator_mod
 from privgraph.fgw import (
     FgwParams,
     _transport_vertex_highs,
-    evaluate_pair,
     fgw_cost,
     fgw_upper_bound,
     graph_to_measure,
@@ -86,11 +84,11 @@ def _pairs(draw):
     pair = generate_coupled_graphs(data, part, discrete_laplace(draw(st.floats(0.2, 3.0))), a, b, kernel, rng)
     variant = draw(st.sampled_from(["generated", "no_matches", "rematched", "empty_true", "empty_synthetic"]))
     if variant == "no_matches":
-        pair = dataclasses.replace(pair, matched_cells=np.zeros(0, np.int64))
+        pair = _replace(pair, matched_cells=np.zeros(0, np.int64))
     elif variant == "rematched":  # random matched sets, moved to the front of each graph
         n, m = pair.true_graph.n_vertices, pair.synthetic_graph.n_vertices
         z = int(rng.integers(0, min(n, m) + 1))
-        pair = dataclasses.replace(
+        pair = _replace(
             pair,
             true_graph=_matched_first(pair.true_graph, rng.permutation(n), z),
             synthetic_graph=_matched_first(pair.synthetic_graph, rng.permutation(m), z),
@@ -98,8 +96,15 @@ def _pairs(draw):
         )
     elif variant != "generated":
         side = "true_graph" if variant == "empty_true" else "synthetic_graph"
-        pair = dataclasses.replace(pair, matched_cells=np.zeros(0, np.int64), **{side: _empty_graph(d)})
+        pair = _replace(pair, matched_cells=np.zeros(0, np.int64), **{side: _empty_graph(d)})
     return pair, params
+
+
+def _replace(pair, **changes):
+    """``pair`` with ``changes``, and the edge counts of its new graphs and matches."""
+    pair = dataclasses.replace(pair, **changes)
+    adjs = pair.true_graph.adjacency, pair.synthetic_graph.adjacency
+    return dataclasses.replace(pair, edge_counts=count_edges(*adjs, pair.match_count))
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,21 +240,6 @@ def test_coupled_graphs_reject_matches_that_are_not_the_prefix():
     assert dataclasses.replace(pair, matched_cells=pair.matched_cells[:1]).match_count == 1
 
 
-@pytest.mark.parametrize("refine_iters, evaluator", [(0, "exact"), (2, "exact"), (2, "refine")])
-def test_evaluate_pair_counts_edges_once(monkeypatch, refine_iters, evaluator):
-    calls = []
-    real = generator_mod.count_edges
-
-    def counting(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(generator_mod, "count_edges", counting)
-    pair = _generated_pair(*((90.0, 70.0) if evaluator == "exact" else (8.0, 8.0)))
-    assert evaluate_pair(pair, FgwParams(), refine_iters)[2] == evaluator
-    assert calls == [pair.match_count]
-
-
 def test_an_exact_replicate_holds_no_n_by_n_array():
     # above the refine size cap and with no graph kept, a replicate draws its
     # edge counts in blocks of rows: an N x N boolean array alone is N^2 bytes
@@ -276,7 +266,7 @@ def test_edge_counts_are_row_sums_of_the_adjacencies(n, m):
     rng = np.random.default_rng(n * m)
     adjs = _random_adjacency(n, rng), _random_adjacency(m, rng)
     for z in (0, min(n, m) // 2, min(n, m)):
-        counts = generator_mod.count_edges(*adjs, z)
+        counts = count_edges(*adjs, z)
         for adj, row, deg in zip(adjs, counts.row, counts.deg):
             assert row.dtype == deg.dtype == np.int32
             assert np.array_equal(row, adj[:z, :z].sum(axis=1))

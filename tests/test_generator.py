@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
+    count_edges,
     coupled_edges_reference,
     fixed_private,
     maximal_coupling_bernoulli,
@@ -408,7 +409,7 @@ def test_edges_match_draw_order_3_reference(block, case):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(generator_mod, "EDGE_BLOCK_ROWS", block)
-        adj_true, adj_syn = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
+        (adj_true, adj_syn), _ = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
     ref_true, ref_syn = coupled_edges_reference(kernel, true_attrs, syn_attrs, np.arange(shared) < z, ref_rng)
     assert np.array_equal(adj_true, ref_true) and np.array_equal(adj_syn, ref_syn)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -423,7 +424,7 @@ def test_edges_at_the_default_block_size_match_the_reference(kernel):
     points = np.random.default_rng(17)
     true_attrs, syn_attrs = points.random((n_true, 2)), points.random((n_syn, 2))
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    adj_true, adj_syn = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
+    (adj_true, adj_syn), _ = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng)
     ref_true, ref_syn = coupled_edges_reference(kernel, true_attrs, syn_attrs, np.arange(n_true) < z, ref_rng)
     assert np.array_equal(adj_true, ref_true) and np.array_equal(adj_syn, ref_syn)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -432,15 +433,18 @@ def test_edges_at_the_default_block_size_match_the_reference(kernel):
 
 
 def _assert_counts_match_graph_mode(kernel, true_attrs, syn_attrs, z, seed):
-    """Counts mode against ``count_edges`` of graph mode from the same stream
-    state, field by field, and both leave the stream in the same state."""
+    """The counts drawn with and without the adjacencies against the
+    reference ``count_edges`` of the built adjacencies from the same stream
+    state, field by field, and both draws leave the stream in the same state."""
     rng = np.random.default_rng(seed)
     graph_rng = np.random.default_rng()
     graph_rng.bit_generator.state = rng.bit_generator.state
-    counts = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng, counts=True)
-    adjs = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, graph_rng)
-    expected = generator_mod.count_edges(*adjs, z)
+    no_adjs, counts = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, rng, build=False)
+    adjs, graph_counts = generator_mod._coupled_edges(kernel, true_attrs, syn_attrs, z, graph_rng)
+    assert no_adjs is None
+    expected = count_edges(*adjs, z)
     _assert_same_counts(counts, expected)
+    _assert_same_counts(graph_counts, expected)
     assert rng.bit_generator.state == graph_rng.bit_generator.state
     return expected
 
@@ -502,6 +506,8 @@ def test_a_counts_only_pair_holds_the_counts_of_the_graph_mode_pair():
             assert np.array_equal(got.identifiers, want.identifiers)
             with pytest.raises(AttributeError, match="adjacency"):
                 got.adjacency
+        built_adjs = built.true_graph.adjacency, built.synthetic_graph.adjacency
+        _assert_same_counts(built.edge_counts, count_edges(*built_adjs, built.match_count))
         _assert_same_counts(counted.edge_counts, built.edge_counts)
         assert rng.bit_generator.state == graph_rng.bit_generator.state
 
@@ -513,10 +519,10 @@ def test_generator_draws_edges_in_draw_order_3(monkeypatch):
     seen = {}
     real = generator_mod._coupled_edges
 
-    def recording(kernel, true_attrs, syn_attrs, z, rng):
+    def recording(kernel, true_attrs, syn_attrs, z, rng, build):
         seen["state"] = rng.bit_generator.state
         seen["z"] = z
-        return real(kernel, true_attrs, syn_attrs, z, rng)
+        return real(kernel, true_attrs, syn_attrs, z, rng, build)
 
     monkeypatch.setattr(generator_mod, "_coupled_edges", recording)
     mixed = 0  # seeds whose shared slots are partly matched, partly residual

@@ -121,7 +121,7 @@ def test_conditional_edge_independence():
     e01, e23 = np.zeros(n_rep, bool), np.zeros(n_rep, bool)
     for r in range(n_rep):
         # the single-graph edge draw of sample_graph: no synthetic side
-        adj = _coupled_edges(kern, attrs, attrs[:0], 0, rng)[0]
+        adj = _coupled_edges(kern, attrs, attrs[:0], 0, rng)[0][0]
         e01[r], e23[r] = adj[0, 1], adj[2, 3]
     cov = np.cov(e01.astype(float), e23.astype(float))[0, 1]
     p1, p2 = kernel_matrix(kern, [0.9], [0.8])[0, 0], kernel_matrix(kern, [0.7], [0.6])[0, 0]
@@ -175,6 +175,13 @@ def test_json_roundtrip_and_exports():
     # dark = small attribute
     assert '0 [fillcolor="0.000 0.000 0.100"]' in dot
     assert graph_to_edge_list_text(g) == "0 1\n1 2\n"
+
+
+@pytest.mark.parametrize("text", ["{}", '{"vertices": [], "edges": []}'])
+def test_an_empty_graph_json_reads_as_a_graph_with_no_vertices_and_d_1(text):
+    g = graph_from_json(text)
+    assert g.n_vertices == 0
+    assert g.attributes.shape == (0, 1) and g.identifiers.shape == (0,) and g.adjacency.shape == (0, 0)
 
 
 def test_graph_validation():
