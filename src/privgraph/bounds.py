@@ -67,7 +67,6 @@ class BoundInputs:
     L_kappa: float = 1.0
     diam_omega: float = 1.0
     max_cell_diam: float | None = None
-    leb_omega: float = 1.0
     expected_abs_noise: float | None = None
 
     def __post_init__(self):
@@ -81,6 +80,10 @@ class BoundInputs:
         # exp(-eps) == 1 the noise factor divides by zero
         if not 0 < self.eps < math.inf or math.exp(-self.eps) == 1.0:
             raise ValueError(f"bounds require finite eps > 0 with exp(-eps) < 1, got {self.eps}")
+        for name in ("a", "b", "C", "L_kappa", "diam_omega", "max_cell_diam", "expected_abs_noise"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):  # a None is filled in below
+                raise ValueError(f"bound input {name} must be finite, got {value}")
         if not (self.a > 0 and self.b > 0 and all(x >= 1 for x in (self.n, self.m, self.d))):  # False for NaN
             raise ValueError("sizes, n, m, d must be positive (and not NaN)")
         if not (0.0 <= self.alpha <= 1.0 and self.C > 0 and self.L_kappa >= 0):
@@ -89,6 +92,11 @@ class BoundInputs:
             object.__setattr__(self, "max_cell_diam", self.m ** (-1.0 / self.d))
         if self.expected_abs_noise is None:
             object.__setattr__(self, "expected_abs_noise", 2.0 * laplace_noise_factor(self.eps))
+        for name, value in (("diam_omega", self.diam_omega), ("max_cell_diam", self.max_cell_diam)):
+            if value <= 0:
+                raise ValueError(f"bound input {name} must be > 0, got {value}")
+        if self.expected_abs_noise < 0:
+            raise ValueError(f"bound input expected_abs_noise must be >= 0, got {self.expected_abs_noise}")
 
     @property
     def rates(self) -> CostRates:
@@ -118,7 +126,6 @@ def bound_inputs_from(
         L_kappa=kernel.lipschitz_constant,
         diam_omega=partition.space.diameter,
         max_cell_diam=partition.max_diam,
-        leb_omega=1.0,
         expected_abs_noise=expected_abs(noise),
     )
 
@@ -216,11 +223,7 @@ def distribution_bound(inp: BoundInputs) -> BoundTerms:
         terms={
             "resample": (1.0 + ratio) * (1.0 - inp.alpha) * inp.max_cell_diam,
             "size_mismatch": size_term,
-            "vertex_intensity": 2.0
-            * sc.c_v
-            * (lo / inp.n)
-            * inp.leb_omega
-            * inp.expected_abs_noise,
+            "vertex_intensity": 2.0 * sc.c_v * (lo / inp.n) * inp.expected_abs_noise,
             "edge_probability": sc.c_e * 2.0 * inp.L_kappa * inp.max_cell_diam**3 * lo**2,
         },
     )

@@ -99,8 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_experiment_flags(p_gen)
     p_gen.add_argument("--eps-list", type=_float_list, help="comma list; one pair per level")
     p_gen.add_argument("--emit", choices=["dot"], help="also write DOT files")
-    p_gen.add_argument("--private-only", action="store_true")
-    p_gen.add_argument("--redact-counts", action="store_true")
+    p_gen.add_argument("--private-only", action="store_true", help="write only what the noisy counts determine")
 
     p_eval = sub.add_parser("evaluate", help="replicate distances vs. theoretical bounds")
     _add_experiment_flags(p_eval)

@@ -65,7 +65,6 @@ class ExperimentConfig:
     refine_iters: int = 2
     ipm_samples: int = 50  # replicates whose graphs the IPM lower bound scores
     private_only: bool = False
-    redact_counts: bool = False
     emit_dot: bool = False
     out_dir: str = "."
 
@@ -251,13 +250,7 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
         )
         tag = f"eps{eps:g}"
         pair_path = out_dir / f"pair_{tag}.json"
-        pair_path.write_text(
-            json.dumps(
-                pair.to_dict(redact_counts=cfg.redact_counts, private_only=cfg.private_only),
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        pair_path.write_text(json.dumps(pair.to_dict(private_only=cfg.private_only), sort_keys=True) + "\n")
         outputs.append(str(pair_path))
         if cfg.emit_dot:
             if idx == 0 and not cfg.private_only:

@@ -73,17 +73,17 @@ def graph_to_measure(g: AttributedGraph) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def validate_coupling(pi: np.ndarray, a: AttributedGraph, b: AttributedGraph, tol: float = _MARGINAL_TOL):
+def validate_coupling(pi: np.ndarray, a: AttributedGraph, b: AttributedGraph):
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (a.n_vertices, b.n_vertices):
         raise ValueError(f"coupling shape {pi.shape}, expected {(a.n_vertices, b.n_vertices)}")
     if not np.isfinite(pi).all():
         raise ValueError("coupling has non-finite mass")
-    if pi.min() < -tol:
+    if pi.min() < -_MARGINAL_TOL:
         raise ValueError("coupling has negative mass")
-    if np.abs(pi.sum(axis=1) - graph_to_measure(a)).max() > tol:
+    if np.abs(pi.sum(axis=1) - graph_to_measure(a)).max() > _MARGINAL_TOL:
         raise ValueError("row sums do not match source weights")
-    if np.abs(pi.sum(axis=0) - graph_to_measure(b)).max() > tol:
+    if np.abs(pi.sum(axis=0) - graph_to_measure(b)).max() > _MARGINAL_TOL:
         raise ValueError("column sums do not match target weights")
     return pi
 

@@ -213,15 +213,17 @@ class CoupledGraphs:
     def match_count(self) -> int:
         return len(self.matched_cells)
 
-    def to_dict(self, redact_counts: bool = False, private_only: bool = False) -> dict:
+    def to_dict(self, private_only: bool = False) -> dict:
         """Both graphs as :func:`~privgraph.graphs.graph_to_dict` writes them,
         vertices in identifier order; ``coupling.matches`` lists matched pair s
-        as (cell, true vertex, synthetic vertex), numbered in that order."""
+        as (cell, true vertex, synthetic vertex), numbered in that order. With
+        ``private_only``, only what is computed from the noisy counts: the
+        synthetic graph and the released measure."""
         out = {
             "a": self.a,
             "b": self.b,
             "synthetic_graph": graph_to_dict(self.synthetic_graph),
-            "private_measure": self.private.to_dict(redact_counts=redact_counts),
+            "private_measure": self.private.to_dict(private_only=private_only),
         }
         if not private_only:
             z = self.match_count  # vertex s < z of each graph is written at position written[s]

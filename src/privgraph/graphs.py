@@ -240,27 +240,14 @@ def graph_from_json(text: str) -> AttributedGraph:
     return graph_from_dict(json.loads(text))
 
 
-def _edge_lines(g: AttributedGraph, order: np.ndarray, line: str) -> str:
-    """``line % (i, j)`` for each edge i < j in row-major order of the
-    vertices taken in ``order``, formatted one block of rows at a time from
-    :func:`_edge_blocks`."""
-    return "".join(
-        (line * i.size) % tuple(np.column_stack((i, j)).ravel().tolist()) for i, j in _edge_blocks(g.adjacency, order)
-    )
-
-
 def graph_to_dot(g: AttributedGraph, name: str = "G") -> str:
     """DOT export with grayscale vertices, listed in :func:`_written_order`;
-    small attributes render dark."""
+    small attributes render dark. Edges i < j follow in row-major order."""
     order = _written_order(g)
-    lines = [f"graph {name} {{", "  node [shape=circle style=filled label=\"\"];"]
+    text = [f"graph {name} {{\n", "  node [shape=circle style=filled label=\"\"];\n"]
     for k, i in enumerate(order):
-        shade = float(np.mean(g.attributes[i]))
-        shade = min(max(shade, 0.0), 1.0)
-        lines.append(f'  {k} [fillcolor="0.000 0.000 {shade:.3f}"];')
-    return "".join(f"{line}\n" for line in lines) + _edge_lines(g, order, "  %d -- %d;\n") + "}\n"
-
-
-def graph_to_edge_list_text(g: AttributedGraph) -> str:
-    """One "i j" line per edge, the vertices numbered in :func:`_written_order`."""
-    return _edge_lines(g, _written_order(g), "%d %d\n")
+        shade = min(max(float(np.mean(g.attributes[i])), 0.0), 1.0)
+        text.append(f'  {k} [fillcolor="0.000 0.000 {shade:.3f}"];\n')
+    for i, j in _edge_blocks(g.adjacency, order):  # formatted one block of rows at a time
+        text.append(("  %d -- %d;\n" * i.size) % tuple(np.column_stack((i, j)).ravel().tolist()))
+    return "".join(text) + "}\n"

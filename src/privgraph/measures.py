@@ -66,13 +66,15 @@ class PrivateMeasureResult:
     private_weights: np.ndarray = field(repr=False)
     tv_residual: float
 
-    def to_dict(self, redact_counts: bool = False) -> dict:
+    def to_dict(self, private_only: bool = False) -> dict:
+        """The released measure; unless ``private_only``, also the true
+        counts and what was computed from them before the projection."""
         out = {
             "representatives": self.representatives.tolist(),
             "private_weights": self.private_weights.tolist(),
             "tv_residual": self.tv_residual,
         }
-        if not redact_counts:
+        if not private_only:
             out["counts"] = self.counts.tolist()
             out["noise_draws"] = self.noise_draws.tolist()
             out["raw_weights"] = self.raw_weights.tolist()

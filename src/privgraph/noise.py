@@ -164,6 +164,8 @@ def dp_ratio_satisfied(spec: NoiseSpec, eps_level: float) -> RatioReport:
     outside a table's support, where pmf(k) = 0 < pmf(k+a), so only
     discrete Laplace can report ``pure_dp``.
     """
+    if not 0 < eps_level < math.inf:  # NaN fails too
+        raise ValueError(f"privacy level must be finite and > 0, got {eps_level}")
     bound = math.exp(eps_level)
     if spec.table is None:
         worst = math.exp(spec.eps)

@@ -210,44 +210,44 @@ class AttributeDataset:
         return self.points.shape[1]
 
 
-def load_points_csv(path: str, d: int, header: bool = False) -> AttributeDataset:
+def load_points_csv(path: str, d: int) -> AttributeDataset:
     """Read the first d comma-separated columns of a CSV file with numpy's C
     reader. Empty lines are skipped, extra columns ignored and fields may be
     double-quoted. A row with too few columns, a non-numeric field, or a value
     outside [0,1] (NaN and infinities included) is rejected with its 1-based
-    line number in the file, counting the header if present."""
+    line number in the file."""
     try:
-        pts = _read_columns(path, d, header)
+        pts = _read_columns(path, d)
     except ValueError as exc:
         row, reason = _loadtxt_error(exc, d)
         if row:  # the rows before the failing one parse; an out-of-range value there comes first
-            _check_unit_range(path, header, _read_columns(path, d, header, max_rows=row))
-        raise ValueError(f"row {_file_line(path, header, row)}: {reason}") from None
+            _check_unit_range(path, _read_columns(path, d, max_rows=row))
+        raise ValueError(f"row {_file_line(path, row)}: {reason}") from None
     if pts.shape[0] == 0:
         raise ValueError(f"no data rows in {path}")
-    _check_unit_range(path, header, pts)
+    _check_unit_range(path, pts)
     return AttributeDataset(points=pts)
 
 
-def _read_columns(path: str, d: int, header: bool, max_rows: int | None = None) -> np.ndarray:
+def _read_columns(path: str, d: int, max_rows: int | None = None) -> np.ndarray:
     # loadtxt's warnings (no data; blank lines not counted in max_rows) are
     # about cases the caller handles
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(
             path, delimiter=",", usecols=range(d), comments=None, quotechar='"',
-            skiprows=int(header), max_rows=max_rows, ndmin=2, dtype=float,
+            max_rows=max_rows, ndmin=2, dtype=float,
         )
 
 
-def _check_unit_range(path: str, header: bool, pts: np.ndarray) -> None:
+def _check_unit_range(path: str, pts: np.ndarray) -> None:
     bad = ~((pts >= 0.0) & (pts <= 1.0))  # NaN fails both comparisons
     if bad.any():
         row, col = divmod(int(np.argmax(bad)), pts.shape[1])
-        raise ValueError(f"row {_file_line(path, header, row)}: value {float(pts[row, col])} outside [0,1]")
+        raise ValueError(f"row {_file_line(path, row)}: value {float(pts[row, col])} outside [0,1]")
 
 
-# numpy counts data rows (blank lines and skipped rows not included), from 0
+# numpy counts data rows (blank lines not included), from 0
 # in conversion errors and from 1 in column-count errors.
 _CONVERT_ERROR = re.compile(r"could not convert (string .*) at row (\d+), column \d+")
 _COLUMNS_ERROR = re.compile(r"invalid column index \d+ at row (\d+) with (\d+) columns")
@@ -263,9 +263,9 @@ def _loadtxt_error(exc: ValueError, d: int) -> tuple[int, str]:
     raise exc
 
 
-def _file_line(path: str, header: bool, row: int) -> int:
+def _file_line(path: str, row: int) -> int:
     """1-based file line of 0-based data row ``row``. Like loadtxt, read with
-    universal newlines and skip the header and empty lines."""
+    universal newlines and skip empty lines."""
     with open(path) as fh:
-        data = (lineno for lineno, line in enumerate(fh, start=1) if lineno > header and line != "\n")
+        data = (lineno for lineno, line in enumerate(fh, start=1) if line != "\n")
         return next(itertools.islice(data, row, None))

@@ -282,7 +282,7 @@ def residual_cell_sampler(base, common, rng):
     return int(np.searchsorted(np.cumsum(res), rng.random(), side="right"))
 
 
-def load_points_csv_reference(path, d, header=False):
+def load_points_csv_reference(path, d):
     """The points CSV read one ``csv.reader`` row at a time: the reference for
     ``privgraph.space.load_points_csv``. Rows that are empty, or whose fields
     are all blank, are skipped; errors name the 1-based row (= file line when
@@ -291,8 +291,6 @@ def load_points_csv_reference(path, d, header=False):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < d:

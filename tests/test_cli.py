@@ -115,24 +115,17 @@ def test_recipe_points_share_no_stream_with_a_replicate(d):
 
 
 def test_generate_private_only_and_redaction(tmp_path):
-    cfg = ExperimentConfig(
-        recipe="uniform",
-        n=40,
-        d=1,
-        eps=1.0,
-        a=10.0,
-        b=10.0,
-        m=4,
-        seed=5,
-        private_only=True,
-        redact_counts=True,
-        out_dir=str(tmp_path),
-    )
-    cmd_generate(cfg)
-    pair = json.loads((tmp_path / "pair_eps1.json").read_text())
-    assert "true_graph" not in pair and "coupling" not in pair
-    assert "counts" not in pair["private_measure"]
-    assert "synthetic_graph" in pair
+    # --private-only alone writes only what the noisy counts determine
+    argv = ["generate", "--recipe", "uniform", "--n", "40", "--d", "1", "--eps", "1", "--a", "10", "--b", "10",
+            "--m", "4", "--seed", "5", "--emit", "dot", "--private-only", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    text = (tmp_path / "pair_eps1.json").read_text()
+    for key in ("counts", "noise_draws", "raw_weights", "true_graph", "coupling"):
+        assert f'"{key}"' not in text
+    pair = json.loads(text)
+    assert set(pair) == {"a", "b", "synthetic_graph", "private_measure"}
+    assert set(pair["private_measure"]) == {"representatives", "private_weights", "tv_residual"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "pair_eps1.json", "synthetic_eps1.dot"]
 
 
 def test_generate_multi_eps_recipe(tmp_path):
@@ -249,6 +242,14 @@ def test_noisecheck_command(capsys):
     assert main(["noisecheck", "--kind", "discrete-laplace", "--eps", "1", "--level", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("level", ["nan", "inf", "-1", "0"])
+def test_noisecheck_refuses_a_level_that_is_not_finite_and_positive(capsys, level):
+    assert main(["noisecheck", "--eps", "1", "--level", level]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: privacy level must be finite and > 0, got {float(level)}\n"
+
+
 def test_noisecheck_reads_its_pmf_from_a_file(tmp_path, monkeypatch, capsys):
     # --pmf names a file, even one whose name is valid JSON text
     monkeypatch.chdir(tmp_path)
@@ -301,6 +302,8 @@ _VERTEX = {"attr": [0.5], "id": 0.25}
         *(("dist", {"vertices": [_VERTEX, {"attr": [x], "id": 0.5}], "edges": []}, "vertex 1 has a non-finite attribute")
           for x in (float("nan"), float("inf"))),
         ("dist", {"vertices": [{"attr": [0.1], "id": float("nan")}], "edges": []}, "vertex 0 has a non-finite identifier"),
+        # a retired input: the domain's volume, which is 1 for the unit cube
+        ("bounds", {**_BOUND_INPUTS, "leb_omega": 1.0}, "input.json: unknown keys: leb_omega"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a refusal is the error line alone, with no warning before it
@@ -591,11 +594,22 @@ def test_bounds_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, capsys,
         ("a", "x", "bound input a must be a real number, got 'x'"),
         ("eps", [1], "bound input eps must be a real number, got [1]"),
         ("alpha", None, "bound input alpha must be a real number, got None"),
-        ("leb_omega", "1", "bound input leb_omega must be a real number, got '1'"),
         ("max_cell_diam", "0.5", "bound input max_cell_diam must be a real number, got '0.5'"),
         ("n", 100.5, "bound input n must be an integer, got 100.5"),
         ("m", True, "bound input m must be an integer, got True"),
         ("d", "1", "bound input d must be an integer, got '1'"),
+        # geometry and noise inputs that would print a NaN, infinite or negative bound
+        ("a", float("inf"), "bound input a must be finite, got inf"),
+        ("b", -float("inf"), "bound input b must be finite, got -inf"),
+        ("C", float("inf"), "bound input C must be finite, got inf"),
+        ("L_kappa", float("inf"), "bound input L_kappa must be finite, got inf"),
+        ("diam_omega", float("nan"), "bound input diam_omega must be finite, got nan"),
+        ("diam_omega", -1, "bound input diam_omega must be > 0, got -1"),
+        ("diam_omega", 0.0, "bound input diam_omega must be > 0, got 0.0"),
+        ("max_cell_diam", float("inf"), "bound input max_cell_diam must be finite, got inf"),
+        ("max_cell_diam", 0, "bound input max_cell_diam must be > 0, got 0"),
+        ("expected_abs_noise", float("nan"), "bound input expected_abs_noise must be finite, got nan"),
+        ("expected_abs_noise", -2, "bound input expected_abs_noise must be >= 0, got -2"),
     ],
 )
 def test_bounds_refuses_a_value_of_the_wrong_type_naming_the_field(tmp_path, capsys, key, value, message):
@@ -615,12 +629,13 @@ _NOISE_CONFIG = {"recipe": "uniform", "n": 80, "d": 1, "m": 4, "a": 10, "b": 10,
     [("noise_kind", "bounded_power"), ("noise_kind", "custom"), ("noise_A", 3),
      ("noise_pmf", {"-1": 0.25, "0": 0.5, "1": 0.25}), ("noise_kind", "discrete_laplace"), ("noise_A", 2),
      ("noise_pmf", None), ("refine_size_cap", REFINE_SIZE_CAP), ("refine_size_cap", 100), ("csv_sep", ","),
-     ("csv_sep", ";")],
+     ("csv_sep", ";"), ("redact_counts", True), ("redact_counts", False)],
 )
 def test_former_noise_settings_are_refused(tmp_path, capsys, key, value):
     # a retired setting is refused like a misspelt key, even at the one value it
-    # held: the noise is discrete Laplace, the refine size cap a constant and the
-    # output comma-separated, so a config or manifest that records one writes nothing
+    # held: the noise is discrete Laplace, the refine size cap a constant, the
+    # output comma-separated and private_only the one output switch, so a config
+    # or manifest that records one writes nothing
     cfg = {**_NOISE_CONFIG, "seed": 3, key: value}
     for name, obj in (("config", cfg), ("manifest", {"draw_order": DRAW_ORDER, "config": cfg})):
         path = tmp_path / f"{name}.json"

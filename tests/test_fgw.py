@@ -402,7 +402,7 @@ def test_solver_matches_the_quartic_oracle(graphs, alpha, cap, metric):
     for iterations in range(5):
         value, pi = fgw_upper_bound(a, b, params, iterations=iterations)
         assert abs(value - brute_force_cost(pi, a, b, params)) <= 1e-12
-        validate_coupling(pi, a, b, tol=1e-9)
+        validate_coupling(pi, a, b)
         assert value <= prev
         prev = value
         if a.n_vertices > 1:

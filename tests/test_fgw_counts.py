@@ -29,7 +29,7 @@ from privgraph.fgw import (
     transport_vertex,
     worst_pair_cost,
 )
-from privgraph.generator import generate_coupled_graphs
+from privgraph.generator import _coupled_edges, generate_coupled_graphs
 from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel
 from privgraph.noise import discrete_laplace
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition, pairwise_distances
@@ -256,23 +256,21 @@ def test_an_exact_replicate_holds_no_n_by_n_array():
     assert peak < a * a / 2
 
 
-def _random_adjacency(n, rng, p=0.4):
-    upper = np.triu(rng.random((n, n)) < p, 1)
-    return upper | upper.T
-
-
 @pytest.mark.parametrize("n, m", [(9, 9), (7, 12), (12, 7), (300, 260)])
 def test_edge_counts_are_row_sums_of_the_adjacencies(n, m):
+    # the counts tallied while the edges are drawn, against the adjacencies the same draw returns
     rng = np.random.default_rng(n * m)
-    adjs = _random_adjacency(n, rng), _random_adjacency(m, rng)
+    attrs = rng.random((n, 1)), rng.random((m, 1))
     for z in (0, min(n, m) // 2, min(n, m)):
-        counts = count_edges(*adjs, z)
+        adjs, counts = _coupled_edges(chung_lu(1), *attrs, z, rng, build=True)
         for adj, row, deg in zip(adjs, counts.row, counts.deg):
             assert row.dtype == deg.dtype == np.int32
             assert np.array_equal(row, adj[:z, :z].sum(axis=1))
             assert np.array_equal(deg, adj.sum(axis=1))
         both = np.count_nonzero(adjs[0][:z, :z] & adjs[1][:z, :z])
         assert (counts.both, counts.xor) == (both, np.count_nonzero(adjs[0][:z, :z] ^ adjs[1][:z, :z]))
+        if n == 300 and z:  # the attributes differ, so the matched blocks share some edges, not all
+            assert counts.both > 0 and counts.xor > 0
     pair = _generated_pair()
     counts = pair.edge_counts
     for g, deg in zip((pair.true_graph, pair.synthetic_graph), counts.deg):

@@ -27,7 +27,6 @@ from privgraph.graphs import (
     graph_from_dict,
     graph_to_dict,
     graph_to_dot,
-    graph_to_edge_list_text,
     inverse_distance,
 )
 from privgraph.measures import run_private_measure
@@ -211,7 +210,6 @@ def test_written_pair_is_in_identifier_order():
         assert not np.array_equal(order, np.arange(g.n_vertices))
         assert graph_to_dict(g) == out[key]
         assert graph_to_dot(g) == graph_to_dot(w)
-        assert graph_to_edge_list_text(g) == "".join(f"{i} {j}\n" for i, j in w.edge_list())
         written.append(w)
     matches = np.array(out["coupling"]["matches"])
     z = pair.match_count

@@ -14,7 +14,6 @@ from privgraph.graphs import (
     graph_from_json,
     graph_to_dict,
     graph_to_dot,
-    graph_to_edge_list_text,
     graph_to_json,
     inverse_distance,
     kernel_matrix,
@@ -174,7 +173,6 @@ def test_json_roundtrip_and_exports():
     assert "0 -- 1" in dot and "fillcolor" in dot
     # dark = small attribute
     assert '0 [fillcolor="0.000 0.000 0.100"]' in dot
-    assert graph_to_edge_list_text(g) == "0 1\n1 2\n"
 
 
 @pytest.mark.parametrize("text", ["{}", '{"vertices": [], "edges": []}'])
@@ -247,7 +245,6 @@ def test_edges_match_the_triu_formulation(n, p):
     assert g.n_edges == int(np.triu(g.adjacency, 1).sum()) == len(ref)
     assert g.edge_list() == ref
     assert graph_to_json(g) == json.dumps({**graph_to_dict(g), "edges": [[int(a), int(b)] for a, b in ref]})
-    assert graph_to_edge_list_text(g) == "".join(f"{a} {b}\n" for a, b in ref)
     dot_edges = [line for line in graph_to_dot(g).splitlines() if "--" in line]
     assert dot_edges == [f"  {a} -- {b};" for a, b in ref]
 
@@ -263,7 +260,7 @@ def _dot_formatted_whole(g, name):
     return "\n".join(lines) + "\n"
 
 
-def test_dot_and_edge_list_text_bytes():
+def test_dot_and_dict_bytes():
     adj = np.zeros((4, 4), dtype=bool)
     for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
         adj[i, j] = adj[j, i] = True
@@ -283,7 +280,6 @@ def test_dot_and_edge_list_text_bytes():
         "  0 -- 2;\n  0 -- 3;\n  1 -- 2;\n  1 -- 3;\n"
         "}\n"
     )
-    assert graph_to_edge_list_text(g) == "0 2\n0 3\n1 2\n1 3\n"
     assert graph_to_dict(g) == {
         "vertices": [{"attr": [0.9, 1.0], "id": 0.1}, {"attr": [0.0, 0.25], "id": 0.2},
                      {"attr": [0.1, 0.3], "id": 0.4}, {"attr": [0.5, 0.5], "id": 0.7}],
@@ -295,10 +291,8 @@ def test_dot_and_edge_list_text_bytes():
         adj = np.triu(rng.random((n, n)) < 0.3, 1)
         g = AttributedGraph(attributes=rng.random((n, 1)), identifiers=np.linspace(0.0, 1.0, n), adjacency=adj | adj.T)
         assert graph_to_dot(g, name="G") == _dot_formatted_whole(g, "G")
-        assert graph_to_edge_list_text(g) == "".join(f"{i} {j}\n" for i, j in g.edge_list())
         # stored in a shuffled order, the same graph is written the same way
         perm = rng.permutation(n)
         shuffled = AttributedGraph(g.attributes[perm], g.identifiers[perm], g.adjacency[np.ix_(perm, perm)])
         assert graph_to_dot(shuffled, name="G") == graph_to_dot(g, name="G")
-        assert graph_to_edge_list_text(shuffled) == graph_to_edge_list_text(g)
         assert graph_to_dict(shuffled) == graph_to_dict(g)

@@ -157,6 +157,6 @@ def test_result_serialization_redaction():
     res = run_private_measure(data, part, discrete_laplace(0.5), np.random.default_rng(4))
     full = res.to_dict()
     assert "counts" in full and "noise_draws" in full
-    red = res.to_dict(redact_counts=True)
-    assert "counts" not in red and "noise_draws" not in red
+    red = res.to_dict(private_only=True)
+    assert set(red) == {"representatives", "private_weights", "tv_residual"}
     json.dumps(red)  # serializable

@@ -161,7 +161,8 @@ def test_csv_loader(tmp_path):
     assert ds.n == 2
     header = tmp_path / "hdr.csv"
     header.write_text("x,y\n0.5,0.5\n")
-    assert load_points_csv(str(header), d=2, header=True).n == 1
+    with pytest.raises(ValueError, match="^row 1: non-numeric"):  # the loader reads no header line
+        load_points_csv(str(header), d=2)
     bad = tmp_path / "bad.csv"
     bad.write_text("0.1,0.2\n1.5,0.2\n")
     with pytest.raises(ValueError, match="row 2"):
@@ -189,18 +190,17 @@ _CSV_SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=
 
 @st.composite
 def _points_csv(draw):
-    """(d, header, newline, lines) of a file the reference accepts: points in
-    several float formats, extra columns, blank lines, an optional header."""
+    """(d, newline, lines) of a file the reference accepts: points in
+    several float formats, extra columns and blank lines."""
     d = draw(st.sampled_from([1, 2, 3]))
-    lines = [",".join(f"x{j}" for j in range(d))] if draw(st.booleans()) else []
-    header = bool(lines)
+    lines = []
     for _ in range(draw(st.integers(1, 20))):
         lines.extend([""] * draw(st.integers(0, 2)))
         values = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
         fields = [draw(st.sampled_from(_FORMATS))(v) for v in values]
         fields += draw(st.lists(st.sampled_from(["0.5", "7", "x", "", "note"]), max_size=2))
         lines.append(",".join(fields))
-    return d, header, draw(st.sampled_from(["\n", "\r\n"])), lines
+    return d, draw(st.sampled_from(["\n", "\r\n"])), lines
 
 
 def _write(path, newline, lines, end):
@@ -211,9 +211,9 @@ def _write(path, newline, lines, end):
 @_CSV_SETTINGS
 @given(_points_csv(), st.booleans())
 def test_csv_loader_matches_reference(tmp_path, case, trailing_newline):
-    d, header, newline, lines = case
+    d, newline, lines = case
     path = _write(tmp_path / "pts.csv", newline, lines, newline if trailing_newline else "")
-    got, want = load_points_csv(path, d, header), load_points_csv_reference(path, d, header)
+    got, want = load_points_csv(path, d), load_points_csv_reference(path, d)
     assert got.points.shape == want.points.shape
     assert got.points.tobytes() == want.points.tobytes()
 
@@ -221,8 +221,8 @@ def test_csv_loader_matches_reference(tmp_path, case, trailing_newline):
 @_CSV_SETTINGS
 @given(_points_csv(), st.data())
 def test_csv_loader_names_the_reference_line_of_a_bad_row(tmp_path, case, data):
-    d, header, newline, lines = case
-    rows = [i for i, line in enumerate(lines) if line and not (header and i == 0)]
+    d, newline, lines = case
+    rows = [i for i, line in enumerate(lines) if line]
     for i in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3, unique=True)):
         kind, token = data.draw(_BAD.filter(lambda b: b[0] != "columns" or d > 1))
         fields = lines[i].split(",")[:d]  # a bad row has no extra columns
@@ -233,9 +233,9 @@ def test_csv_loader_names_the_reference_line_of_a_bad_row(tmp_path, case, data):
         lines[i] = ",".join(fields)
     path = _write(tmp_path / "bad.csv", newline, lines, newline)
     with pytest.raises(ValueError) as ref:
-        load_points_csv_reference(path, d, header)
+        load_points_csv_reference(path, d)
     with pytest.raises(ValueError) as got:
-        load_points_csv(path, d, header)
+        load_points_csv(path, d)
     line = re.match(r"row (\d+): ", str(ref.value)).group(1)
     assert str(got.value).startswith(f"row {line}: ")
     assert ("outside [0,1]" in str(got.value)) == ("outside [0,1]" in str(ref.value))
@@ -262,7 +262,7 @@ def test_csv_loader_rejects_rows_the_reference_skipped(tmp_path):
 
 def test_csv_loader_without_data_rows(tmp_path):
     path = tmp_path / "pts.csv"
-    for text, header in (("", False), ("\n\n", False), ("x,y\n", True), ("x,y\n\n", True)):
+    for text in ("", "\n\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match="no data rows"):
-            load_points_csv(str(path), 2, header=header)
+            load_points_csv(str(path), 2)
