@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .fgw import FgwParams, worst_pair_cost
@@ -31,6 +32,20 @@ from .space import Partition, SpaceConfig, _is_int, _is_real, build_grid_partiti
 def log_plus(x: float) -> float:
     """max(log x, 0), natural log."""
     return max(math.log(x), 0.0) if x > 0 else 0.0
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y, or inf where it overflows a float; the term it enters is then refused."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _refuse_overflow(name: str, values: dict[str, float]) -> None:
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"bound term {name}.{key} is {value}: the bound inputs are too large for a float")
 
 
 def laplace_noise_factor(eps: float) -> float:
@@ -84,6 +99,9 @@ class BoundInputs:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):  # a None is filled in below
                 raise ValueError(f"bound input {name} must be finite, got {value}")
+        for name in ("n", "m", "d"):  # the formulas take them as floats
+            if getattr(self, name) > sys.float_info.max:
+                raise ValueError(f"bound input {name} is too large for a float")
         if not (self.a > 0 and self.b > 0 and all(x >= 1 for x in (self.n, self.m, self.d))):  # False for NaN
             raise ValueError("sizes, n, m, d must be positive (and not NaN)")
         if not (0.0 <= self.alpha <= 1.0 and self.C > 0 and self.L_kappa >= 0):
@@ -134,6 +152,9 @@ def bound_inputs_from(
 class BoundTerms:
     name: str
     terms: dict[str, float]
+
+    def __post_init__(self):
+        _refuse_overflow(self.name, {**self.terms, "total": self.total})
 
     @property
     def total(self) -> float:
@@ -207,7 +228,7 @@ def stein_constants(c: float, inp: BoundInputs) -> SteinConstants:
         raise ValueError("rate must be positive")
     c_alpha = (1.0 - inp.alpha) * inp.diam_omega + inp.alpha * inp.C
     c_v = min(c_alpha, (1.0 / c) * (1.0 + (1.0 - math.exp(-c)) * log_plus(c)) * c_alpha)
-    c_e = min(1.0, (2.0 - math.exp(-c)) / c - (1.5 - math.exp(-c)) / c**2) * inp.alpha * inp.C
+    c_e = min(1.0, (2.0 - math.exp(-c)) / c - (1.5 - math.exp(-c)) / _pow(c, 2)) * inp.alpha * inp.C
     return SteinConstants(c_v=c_v, c_e=c_e, c_alpha=c_alpha)
 
 
@@ -224,7 +245,7 @@ def distribution_bound(inp: BoundInputs) -> BoundTerms:
             "resample": (1.0 + ratio) * (1.0 - inp.alpha) * inp.max_cell_diam,
             "size_mismatch": size_term,
             "vertex_intensity": 2.0 * sc.c_v * (lo / inp.n) * inp.expected_abs_noise,
-            "edge_probability": sc.c_e * 2.0 * inp.L_kappa * inp.max_cell_diam**3 * lo**2,
+            "edge_probability": sc.c_e * 2.0 * inp.L_kappa * _pow(inp.max_cell_diam, 3) * _pow(lo, 2),
         },
     )
 
@@ -274,6 +295,9 @@ def optimal_params(eps: float, n: int, d: int) -> OptimalParams:
 class RateValues:
     coupling: float
     stein: float
+
+    def __post_init__(self):
+        _refuse_overflow("rates", {"coupling": self.coupling, "stein": self.stein})
 
 
 def rate_bounds(

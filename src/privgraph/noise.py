@@ -151,6 +151,13 @@ class RatioReport:
     worst_shift: int
 
 
+def _exp(x: float, name: str) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ValueError(f"{name} {x} is too large: exp({x}) overflows a float") from None
+
+
 def dp_ratio_satisfied(spec: NoiseSpec, eps_level: float) -> RatioReport:
     """Check pmf(k+a)/pmf(k) <= exp(eps_level) for all support k, a in {-1,+1}.
 
@@ -166,9 +173,9 @@ def dp_ratio_satisfied(spec: NoiseSpec, eps_level: float) -> RatioReport:
     """
     if not 0 < eps_level < math.inf:  # NaN fails too
         raise ValueError(f"privacy level must be finite and > 0, got {eps_level}")
-    bound = math.exp(eps_level)
+    bound = _exp(eps_level, "privacy level")
     if spec.table is None:
-        worst = math.exp(spec.eps)
+        worst = _exp(spec.eps, "noise eps")
         satisfied = worst <= bound * (1 + 1e-12)
         return RatioReport(satisfied=satisfied, worst_ratio=worst, worst_k=1, worst_shift=-1, pure_dp=satisfied)
     support = spec.finite_support.tolist()

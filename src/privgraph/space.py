@@ -140,19 +140,24 @@ def cell_indices(partition: Partition, x: np.ndarray) -> np.ndarray:
     """Cell index in [0, m) for each point; rejects points outside [0,1]^d.
 
     Boundary convention: half-open boxes, except the last cell per axis is
-    closed (so x=1.0 lands in the final cell).
+    closed (so x=1.0 lands in the final cell). The indices have the smallest
+    unsigned dtype that holds m - 1 (``np.min_scalar_type(m - 1)``: uint8 up
+    to m = 256, uint16 up to 65,536) and are built one axis at a time, with
+    no (n, d) temporary.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != partition.d:
         raise ValueError(f"points have dimension {x.shape[1]}, expected {partition.d}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        bad = np.where(np.any((x < 0.0) | (x > 1.0), axis=1))[0][0]
+    if not ((x >= 0.0) & (x <= 1.0)).all():  # NaN fails both comparisons
+        bad = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)).all(axis=1))[0]
         raise ValueError(f"point {bad} outside [0,1]^d: {x[bad]}")
-    k = partition.k_per_axis
-    axis_idx = np.minimum((x * k).astype(np.int64), k - 1)
-    flat = np.zeros(x.shape[0], dtype=np.int64)
+    k, dtype = partition.k_per_axis, np.min_scalar_type(partition.m - 1)
+    flat, scaled = np.zeros(x.shape[0], dtype=dtype), np.empty(x.shape[0])
     for j in range(partition.d):
-        flat = flat * k + axis_idx[:, j]
+        if j:  # k fits the dtype when d > 1; at d = 1 it may not (m = k = 256 is uint8)
+            flat *= k
+        np.multiply(x[:, j], k, out=scaled)  # clamped, then truncated: the index truncating first gives
+        flat += np.minimum(scaled, k - 1, out=scaled).astype(dtype)
     return flat
 
 
@@ -161,8 +166,8 @@ def sample_uniform_in_cells(partition: Partition, ks: np.ndarray, rng: np.random
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size and (ks.min() < 0 or ks.max() >= partition.m):
         raise IndexError(f"cell index out of range [0, {partition.m})")
-    lo = partition.lows[ks]
-    hi = partition.highs[ks]
+    lo = np.take(partition.lows, ks, axis=0)
+    hi = np.take(partition.highs, ks, axis=0)
     return lo + rng.random((ks.size, partition.d)) * (hi - lo)
 
 

@@ -282,6 +282,25 @@ def residual_cell_sampler(base, common, rng):
     return int(np.searchsorted(np.cumsum(res), rng.random(), side="right"))
 
 
+def cell_indices_reference(partition, points):
+    """Int64 cell keys: each axis truncated, then clamped to k - 1, and the
+    axes flattened in C order; the reference for ``space.cell_indices``."""
+    k = partition.k_per_axis
+    axis_idx = np.minimum((np.asarray(points, dtype=float) * k).astype(np.int64), k - 1)
+    flat = np.zeros(axis_idx.shape[0], dtype=np.int64)
+    for j in range(partition.d):
+        flat = flat * k + axis_idx[:, j]
+    return flat
+
+
+def bins_reference(partition, points):
+    """``(counts, order, offsets)`` from the int64 keys and a stable argsort;
+    the reference for ``AttributeDataset.bins``."""
+    keys = cell_indices_reference(partition, points)
+    counts = np.bincount(keys, minlength=partition.m)
+    return counts, np.argsort(keys, kind="stable"), np.cumsum(counts) - counts
+
+
 def load_points_csv_reference(path, d):
     """The points CSV read one ``csv.reader`` row at a time: the reference for
     ``privgraph.space.load_points_csv``. Rows that are empty, or whose fields

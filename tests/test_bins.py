@@ -2,26 +2,19 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import bins_reference, cell_indices_reference
 
 import privgraph.space as space_mod
 from privgraph.fgw import FgwParams, mc_expected_fgw
 from privgraph.graphs import chung_lu
 from privgraph.noise import discrete_laplace
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition, cell_indices
-
-
-def _fresh_binning(partition, points):
-    """Reference: what every replicate computed before the binning was cached."""
-    cells = cell_indices(partition, points)
-    counts = np.bincount(cells, minlength=partition.m)
-    offsets = np.zeros(partition.m, dtype=np.int64)
-    offsets[1:] = np.cumsum(counts)[:-1]
-    return counts, np.argsort(cells, kind="stable"), offsets
 
 
 @st.composite
@@ -39,9 +32,48 @@ def test_bins_match_fresh_binning(case):
     pts, part = case
     ds = AttributeDataset(points=pts)
     bins = ds.bins(part)
-    for got, want in zip(bins, _fresh_binning(part, pts)):
+    for got, want in zip(bins, bins_reference(part, pts)):
         np.testing.assert_array_equal(got, want)
     assert ds.bins(part) is bins
+
+
+def _points_with_edges(d, k, n, seed):
+    """Uniform points, every edge i/k on each axis, and the corners at 0.0 and 1.0."""
+    pts = np.random.default_rng(seed).random((n, d))
+    edges = np.arange(k + 1) / k
+    pts[: k + 1] = edges[:, None]
+    pts[k + 1 : 2 * (k + 1), 0] = edges[::-1]
+    pts[-2], pts[-1] = 0.0, 1.0
+    return pts
+
+
+@pytest.mark.parametrize(
+    "d, m, dtype",
+    [(1, 255, np.uint8), (1, 256, np.uint8), (1, 257, np.uint16), (1, 65_535, np.uint16),
+     (1, 65_536, np.uint16), (1, 65_537, np.uint32), (2, 256, np.uint8), (2, 289, np.uint16),
+     (2, 4489, np.uint16)],
+)
+def test_bins_and_cell_indices_match_the_int64_oracle(d, m, dtype):
+    part = build_grid_partition(SpaceConfig(d=d), m)
+    assert part.m == m
+    pts = _points_with_edges(d, part.k_per_axis, max(5_000, 3 * (part.k_per_axis + 1)), seed=m)
+    keys = cell_indices(part, pts)
+    assert keys.dtype == dtype == np.min_scalar_type(m - 1)
+    np.testing.assert_array_equal(keys, cell_indices_reference(part, pts))
+    for got, want in zip(AttributeDataset(points=pts).bins(part), bins_reference(part, pts)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_first_binning_peak_memory_per_point():
+    n, part = 100_000, build_grid_partition(SpaceConfig(d=2), 4489)
+    ds = AttributeDataset(points=np.random.default_rng(8).random((n, 2)))
+    tracemalloc.start()
+    try:
+        ds.bins(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n
 
 
 def test_one_dataset_two_partitions():
@@ -52,7 +84,7 @@ def test_one_dataset_two_partitions():
     got_coarse, got_fine = ds.bins(coarse), ds.bins(fine)
     assert got_coarse[0].size == 4 and got_fine[0].size == 25
     for part, got in ((coarse, got_coarse), (fine, got_fine)):
-        for g, want in zip(got, _fresh_binning(part, pts)):
+        for g, want in zip(got, bins_reference(part, pts)):
             np.testing.assert_array_equal(g, want)
     # the grid alone decides the binning; the metric does not
     assert ds.bins(build_grid_partition(SpaceConfig(d=2, metric="euclidean"), 4)) is got_coarse
@@ -110,7 +142,7 @@ def test_concurrent_first_use_shares_one_binning():
             assert not any(t.is_alive() for t in threads)
             assert all(r is results[0] for r in results)
             assert ds.bins(part) is results[0]
-            for got, want in zip(results[0], _fresh_binning(part, ds.points)):
+            for got, want in zip(results[0], bins_reference(part, ds.points)):
                 np.testing.assert_array_equal(got, want)
     finally:
         sys.setswitchinterval(old)

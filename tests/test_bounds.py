@@ -201,6 +201,12 @@ def test_bounds_nonnegative_finite_monotone():
     assert all(b <= a + 1e-15 for a, b in zip(totals, totals[1:]))
 
 
+def test_bound_terms_refuse_a_total_that_overflows():
+    # each term is finite, but their sum is not
+    with pytest.raises(ValueError, match=r"bound term x\.total is inf"):
+        BoundTerms(name="x", terms={"p": 1e308, "q": 1e308})
+
+
 def test_half_bound_inequality_dense_scan():
     eps = np.linspace(1e-6, 100.0, 200_000)
     vals = eps * np.exp(-eps) / (-np.expm1(-2.0 * eps))

@@ -250,6 +250,19 @@ def test_noisecheck_refuses_a_level_that_is_not_finite_and_positive(capsys, leve
     assert captured.err == f"error: privacy level must be finite and > 0, got {float(level)}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--level", "1000"], "privacy level 1000.0 is too large: exp(1000.0) overflows a float"),
+     (["--eps", "1000"], "privacy level 1000.0 is too large: exp(1000.0) overflows a float"),
+     (["--eps", "1000", "--level", "1"], "noise eps 1000.0 is too large: exp(1000.0) overflows a float")],
+)
+def test_noisecheck_refuses_a_value_whose_exp_overflows(capsys, argv, message):
+    assert main(["noisecheck", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_noisecheck_reads_its_pmf_from_a_file(tmp_path, monkeypatch, capsys):
     # --pmf names a file, even one whose name is valid JSON text
     monkeypatch.chdir(tmp_path)
@@ -610,6 +623,8 @@ def test_bounds_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, capsys,
         ("max_cell_diam", 0, "bound input max_cell_diam must be > 0, got 0"),
         ("expected_abs_noise", float("nan"), "bound input expected_abs_noise must be finite, got nan"),
         ("expected_abs_noise", -2, "bound input expected_abs_noise must be >= 0, got -2"),
+        # integers past float range, which every formula converts
+        *((key, 10**400, f"bound input {key} is too large for a float") for key in ("n", "m", "d")),
     ],
 )
 def test_bounds_refuses_a_value_of_the_wrong_type_naming_the_field(tmp_path, capsys, key, value, message):
@@ -619,6 +634,22 @@ def test_bounds_refuses_a_value_of_the_wrong_type_naming_the_field(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "extra, term",
+    [({"a": 1e200, "b": 1e200}, "distribution.edge_probability is inf"),
+     ({"C": 1e308, "L_kappa": 1e308}, "expected_fgw.matched_cell is inf"),
+     # eps * n overflows, so the stein rate reads inf / inf
+     ({"n": 10**308, "eps": 700.0}, "rates.stein is nan")],
+)
+def test_bounds_refuses_inputs_whose_terms_overflow_naming_the_term(tmp_path, capsys, extra, term):
+    inp = tmp_path / "inputs.json"
+    inp.write_text(json.dumps({**_BOUND_INPUTS, **extra}))
+    assert main(["bounds", "--json", str(inp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bound term {term}: the bound inputs are too large for a float\n"
 
 
 _NOISE_CONFIG = {"recipe": "uniform", "n": 80, "d": 1, "m": 4, "a": 10, "b": 10, "replicates": 4, "ipm_samples": 2}

@@ -139,6 +139,17 @@ def test_mechanism_representatives_fresh_and_in_cells():
     assert np.all(r1.representatives <= part.highs)
 
 
+def test_mechanism_representatives_are_the_cell_corners_plus_uniform_offsets():
+    part = build_grid_partition(SpaceConfig(d=2), 49)
+    data = AttributeDataset(points=np.random.default_rng(6).random((300, 2)))
+    rng = np.random.default_rng(19)
+    clone = np.random.default_rng()
+    clone.bit_generator.state = rng.bit_generator.state
+    res = run_private_measure(data, part, discrete_laplace(1.0), rng)
+    u = clone.random((part.m, part.d))
+    np.testing.assert_array_equal(res.representatives, part.lows + u * (part.highs - part.lows))
+
+
 def test_mechanism_mean_tv_error_bounded():
     data, part = _setup(n=200, m=8)
     noise = discrete_laplace(1.0)

@@ -73,6 +73,8 @@ def test_cell_index_basics_and_closure():
     assert cell_indices(part, [1.0])[0] == 1
     with pytest.raises(ValueError):
         cell_indices(part, [1.2])
+    with pytest.raises(ValueError, match="point 1 outside"):
+        cell_indices(part, [[0.5], [np.nan]])
 
 
 def test_cell_index_histogram_matches_volumes():
