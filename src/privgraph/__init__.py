@@ -14,10 +14,6 @@ from .space import (
 from .noise import (
     NoiseSpec,
     discrete_laplace,
-    bounded_power,
-    custom,
-    zero_noise,
-    noise_from_json,
     pmf,
     sample,
     expected_abs,

@@ -17,7 +17,7 @@ from .experiments import ExperimentConfig, cmd_evaluate, cmd_generate, cmd_mc
 from .fgw import FgwParams, exact_small_search, fgw_upper_bound
 from .graphs import graph_from_json
 from .measures import tv_project
-from .noise import bounded_power, discrete_laplace, dp_ratio_satisfied, noise_from_json
+from .noise import discrete_laplace, dp_ratio_satisfied
 from .space import _is_real
 
 
@@ -123,10 +123,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_noise = sub.add_parser("noisecheck", help="verify the likelihood ratio of one count shifted by 1; with n "
                              "public, replacing a point moves two counts, so the release is 2*level-DP")
-    p_noise.add_argument("--kind", choices=["discrete-laplace", "bounded-power", "custom"], default="discrete-laplace")
-    p_noise.add_argument("--eps", type=float, default=1.0, help="noise parameter")
-    p_noise.add_argument("--A", type=int, default=2)
-    p_noise.add_argument("--pmf", help="JSON pmf file for custom noise")
+    p_noise.add_argument("--eps", type=float, default=1.0, help="discrete-Laplace noise parameter")
     p_noise.add_argument("--level", type=float, help="privacy level to check (default --eps)")
 
     p_dist = sub.add_parser("dist", help="FGW distance between two graph JSON files")
@@ -192,16 +189,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "noisecheck":
-            if args.kind == "discrete-laplace":
-                spec = discrete_laplace(args.eps)
-            elif args.kind == "bounded-power":
-                spec = bounded_power(args.eps, args.A)
-            else:
-                if not args.pmf:
-                    raise SystemExit("custom noise needs --pmf")
-                spec = noise_from_json(args.pmf)
             level = args.level if args.level is not None else args.eps
-            report = dp_ratio_satisfied(spec, level)
+            report = dp_ratio_satisfied(discrete_laplace(args.eps), level)
             print(json.dumps({**asdict(report), "bound": float(np.exp(level))}))
             return 0 if report.satisfied else 2
 

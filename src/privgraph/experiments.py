@@ -228,17 +228,23 @@ def write_manifest(path: Path, command: str, resolved: ResolvedExperiment, outpu
 def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> list[str]:
     """Generate one coupled pair per privacy level, level i from replicate
     stream i; write JSON (+ optional DOT) and a manifest that records the
-    levels, sufficient for bit-exact replay."""
+    levels, sufficient for bit-exact replay. Every level is checked before
+    anything is written."""
     t0 = time.time()
+    eps_values = eps_list or [cfg.eps]
+    tags = [f"eps{eps:g}" for eps in eps_values]
+    for idx, tag in enumerate(tags):
+        first = tags.index(tag)
+        if first < idx:
+            raise ValueError(
+                f"levels {eps_values[first]!r} and {eps_values[idx]!r} would both be written to pair_{tag}.json"
+            )
+    levels = [resolve(replace(cfg, eps=eps)) for eps in eps_values]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    eps_values = eps_list or [cfg.eps]
     outputs: list[str] = []
-    levels: list[dict] = []
     streams = spawn_streams(cfg.seed, len(eps_values))
-    for idx, eps in enumerate(eps_values):
-        resolved = resolve(replace(cfg, eps=eps))
-        levels.append(resolved.level)
+    for idx, (resolved, tag) in enumerate(zip(levels, tags)):
         pair = generate_coupled_graphs(
             resolved.dataset,
             resolved.partition,
@@ -248,7 +254,6 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
             resolved.kernel,
             streams[idx],
         )
-        tag = f"eps{eps:g}"
         pair_path = out_dir / f"pair_{tag}.json"
         pair_path.write_text(json.dumps(pair.to_dict(private_only=cfg.private_only), sort_keys=True) + "\n")
         outputs.append(str(pair_path))
@@ -260,7 +265,7 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
             p = out_dir / f"synthetic_{tag}.dot"
             p.write_text(graph_to_dot(pair.synthetic_graph, name="synthetic_graph"))
             outputs.append(str(p))
-    write_manifest(out_dir / "manifest.json", "generate", resolved, outputs, t0, levels=levels)
+    write_manifest(out_dir / "manifest.json", "generate", resolved, outputs, t0, levels=[lv.level for lv in levels])
     return outputs
 
 

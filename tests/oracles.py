@@ -231,13 +231,10 @@ def tv_optimum_analytic(weights):
 
 
 def abs_variance(spec):
-    """Var(|noise|) of a ``NoiseSpec``, exactly: a closed form for discrete
-    Laplace, a finite sum over a table. Sizes Monte-Carlo tolerances."""
-    if spec.table is None:
-        p = math.exp(-spec.eps)
-        second = 2.0 * p / (1.0 - p) ** 2
-    else:
-        second = float(sum(k**2 * spec.table[k] for k in spec.finite_support.tolist()))
+    """Var(|noise|) of a ``NoiseSpec``, exactly, by its closed form. Sizes
+    Monte-Carlo tolerances."""
+    p = math.exp(-spec.eps)
+    second = 2.0 * p / (1.0 - p) ** 2
     return second - expected_abs(spec) ** 2
 
 

@@ -37,7 +37,7 @@ from privgraph.fgw import (
 from privgraph.generator import generate_coupled_graphs
 from privgraph.graphs import AttributedGraph, chung_lu, kernel_matrix
 from privgraph.measures import run_private_measure, tv_project, true_counts
-from privgraph.noise import bounded_power, discrete_laplace, dp_ratio_satisfied, sample
+from privgraph.noise import discrete_laplace, dp_ratio_satisfied, sample
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
 
@@ -80,8 +80,6 @@ def test_criterion_2_dp_ratio():
     for eps in (0.5, 1.0, 2.0):
         rep = dp_ratio_satisfied(discrete_laplace(eps), eps)
         ok &= rep.satisfied and abs(rep.worst_ratio - math.exp(eps)) < 1e-12
-        rep_bp = dp_ratio_satisfied(bounded_power(eps, 3), eps)
-        ok &= rep_bp.satisfied and rep_bp.worst_ratio <= math.exp(eps)
     # empirical neighboring-dataset histograms: one point crosses a boundary
     runs = 100_000
     m = 4

@@ -232,14 +232,13 @@ def test_project_command(tmp_path, capsys):
 
 
 def test_noisecheck_command(capsys):
-    assert main(["noisecheck", "--kind", "discrete-laplace", "--eps", "1"]) == 0
+    assert main(["noisecheck", "--eps", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["satisfied"] and report["worst_ratio"] == pytest.approx(np.e)
     assert report["pure_dp"]
-    assert main(["noisecheck", "--kind", "bounded-power", "--eps", "1", "--A", "2"]) == 0
+    assert main(["noisecheck", "--eps", "1", "--level", "0.5"]) == 2
     report = json.loads(capsys.readouterr().out)
-    assert report["satisfied"] and not report["pure_dp"]
-    assert main(["noisecheck", "--kind", "discrete-laplace", "--eps", "1", "--level", "0.5"]) == 2
+    assert not report["satisfied"] and not report["pure_dp"]
 
 
 @pytest.mark.parametrize("level", ["nan", "inf", "-1", "0"])
@@ -263,16 +262,13 @@ def test_noisecheck_refuses_a_value_whose_exp_overflows(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_noisecheck_reads_its_pmf_from_a_file(tmp_path, monkeypatch, capsys):
-    # --pmf names a file, even one whose name is valid JSON text
-    monkeypatch.chdir(tmp_path)
-    Path("1").write_text(json.dumps({"pmf": {"-1": 0.25, "0": 0.5, "1": 0.25}}))
-    assert main(["noisecheck", "--kind", "custom", "--pmf", "1"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["worst_ratio"] == 2.0 and (report["worst_k"], report["worst_shift"]) == (-1, 1)
-    Path("1").write_text(json.dumps({"pmf": [0.5, 0.5]}))
-    assert main(["noisecheck", "--kind", "custom", "--pmf", "1"]) == 1
-    assert 'expected a top-level "pmf" object' in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["--kind", "discrete-laplace"], ["--A", "2"], ["--pmf", "pmf.json"]])
+def test_noisecheck_has_no_noise_kind_options(capsys, argv):
+    # discrete Laplace is the one noise, so the options that chose another are gone
+    with pytest.raises(SystemExit) as exc:
+        main(["noisecheck", "--eps", "1", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_bounds_command(tmp_path, capsys):
@@ -412,6 +408,21 @@ def test_mc_command(tmp_path, capsys):
     assert lines[0].split(",")[:2] == ["mean", "stderr"]
     vals = [float(v) for v in lines[1].split(",")]
     assert len(vals) == 4 and all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [(["--eps", "-1"], "eps > 0"), (["--eps-list", "1,-1"], "eps > 0"), (["--eps-list", "1,nan"], "eps > 0"),
+     (["--eps-list", "1,1.0000001"], "levels 1.0 and 1.0000001 would both be written to pair_eps1.json"),
+     (["--eps-list", "0.5,1,0.5", "--emit", "dot"], "levels 0.5 and 0.5 would both be written to pair_eps0.5.json")],
+)
+def test_generate_checks_every_level_before_writing(tmp_path, capsys, levels, message):
+    # a bad later level, or two levels whose file names collide, write nothing
+    out = tmp_path / "out"
+    argv = ["generate", "--recipe", "uniform", "--n", "40", "--d", "1", "--seed", "1", "--out", str(out)]
+    assert main([*argv, *levels]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_error_paths(tmp_path, capsys):

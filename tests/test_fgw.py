@@ -26,7 +26,7 @@ from privgraph.fgw import (
 )
 from privgraph.generator import generate_coupled_graphs
 from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel, inverse_distance
-from privgraph.noise import discrete_laplace, zero_noise
+from privgraph.noise import discrete_laplace
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
 
@@ -189,7 +189,7 @@ def test_matched_plan_zero_when_data_sit_on_representatives():
     params = FgwParams(alpha=0.5)
     rng = np.random.default_rng(8)
     pair = generate_coupled_graphs(
-        data, part, zero_noise(), 20, 20, chung_lu(1), rng, private=private
+        data, part, discrete_laplace(1.0), 20, 20, chung_lu(1), rng, private=private
     )
     assert matched_plan_cost(pair, params) == pytest.approx(0.0, abs=1e-12)
 
@@ -202,7 +202,7 @@ def test_matched_plan_worst_case_when_no_matches():
     params = FgwParams(alpha=0.5, C=1.0)
     rng = np.random.default_rng(9)
     pair = generate_coupled_graphs(
-        data, part, zero_noise(), 10, 10, chung_lu(1), rng, private=private
+        data, part, discrete_laplace(1.0), 10, 10, chung_lu(1), rng, private=private
     )
     assert pair.match_count == 0
     worst = worst_pair_cost(params, 1.0, pair.kernel.lipschitz_constant)
@@ -305,7 +305,7 @@ def test_mc_degenerate_config_is_zero(monkeypatch):
     res = mc_expected_fgw(
         data,
         part,
-        zero_noise(),
+        discrete_laplace(1.0),
         10,
         10,
         constant_kernel(0.0),

@@ -30,7 +30,7 @@ from privgraph.graphs import (
     inverse_distance,
 )
 from privgraph.measures import run_private_measure
-from privgraph.noise import discrete_laplace, zero_noise
+from privgraph.noise import discrete_laplace
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
 
@@ -139,11 +139,14 @@ def _cell_center_setup(n_per_cell=20, m=4):
 
 
 def test_zero_noise_equal_sizes_full_matching():
+    # the private measure is the empirical one, its representatives the cell centres the data sit on
     data, part = _cell_center_setup()
+    counts = np.full(part.m, 20)
+    private = fixed_private(part, counts, counts / counts.sum())
     rng = np.random.default_rng(9)
     for _ in range(10):
         pair = generate_coupled_graphs(
-            data, part, zero_noise(), 25.0, 25.0, constant_kernel(0.3), rng
+            data, part, discrete_laplace(1.0), 25.0, 25.0, constant_kernel(0.3), rng, private=private
         )
         assert pair.extra_true_count == 0 and pair.extra_synthetic_count == 0
         assert pair.match_count == pair.shared_count
@@ -189,7 +192,7 @@ def test_disjoint_supports_yield_no_matches():
     private = fixed_private(part, [10, 0], [0.0, 1.0])
     rng = np.random.default_rng(11)
     pair = generate_coupled_graphs(
-        data, part, zero_noise(), 15, 15, constant_kernel(0.5), rng, private=private
+        data, part, discrete_laplace(1.0), 15, 15, constant_kernel(0.5), rng, private=private
     )
     assert pair.match_count == 0
     assert np.all(pair.true_graph.attributes == 0.25)
@@ -246,7 +249,7 @@ def test_written_synthetic_vertex_order_does_not_depend_on_the_true_counts():
         rng = np.random.default_rng(12)
         first, n_vertices, n_edges, in_cell_0, degree = [], [], [], 0, []
         for _ in range(400):
-            pair = generate_coupled_graphs(data, part, zero_noise(), 8, 8, constant_kernel(0.5), rng, private=private)
+            pair = generate_coupled_graphs(data, part, discrete_laplace(1.0), 8, 8, constant_kernel(0.5), rng, private=private)
             written = pair.to_dict(private_only=True)["synthetic_graph"]
             vertices = written["vertices"]
             first += [vertices[0]["attr"][0] == reps[0, 0]] if vertices else []
@@ -300,7 +303,7 @@ def test_per_cell_counts_have_poisson_marginals():
     s_counts = np.zeros((reps, 4), dtype=int)
     for r, rng in enumerate(rng_streams):
         pair = generate_coupled_graphs(
-            data, part, zero_noise(), a, b, constant_kernel(0.0), rng, private=private
+            data, part, discrete_laplace(1.0), a, b, constant_kernel(0.0), rng, private=private
         )
         t_cells = np.searchsorted(part.highs[:, 0], pair.true_graph.attributes[:, 0])
         s_idx = np.searchsorted(
@@ -346,7 +349,7 @@ def test_coupling_tightness_matches_overlap_mass():
     total_slots = total_matches = 0
     for rng in [np.random.default_rng(s) for s in np.random.SeedSequence(17).spawn(400)]:
         pair = generate_coupled_graphs(
-            data, part, zero_noise(), 25, 25, constant_kernel(0.0), rng, private=private
+            data, part, discrete_laplace(1.0), 25, 25, constant_kernel(0.0), rng, private=private
         )
         total_slots += pair.shared_count
         total_matches += pair.match_count

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import tv_distance, tv_optimum_analytic, tv_project_bruteforce, tv_project_lp
 
 from privgraph.measures import run_private_measure, true_counts, tv_project
-from privgraph.noise import discrete_laplace, expected_abs, zero_noise
+from privgraph.noise import discrete_laplace, expected_abs
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
 
@@ -113,13 +113,6 @@ def _setup(n=60, m=4, seed=0):
     return data, part
 
 
-def test_mechanism_zero_noise_returns_empirical():
-    data, part = _setup()
-    res = run_private_measure(data, part, zero_noise(), np.random.default_rng(1))
-    assert np.allclose(res.private_weights, res.counts / data.n)
-    assert res.tv_residual == 0.0
-
-
 def test_mechanism_reproducible_bit_exact():
     data, part = _setup()
     r1 = run_private_measure(data, part, discrete_laplace(1.0), np.random.default_rng(77))
@@ -132,8 +125,8 @@ def test_mechanism_reproducible_bit_exact():
 def test_mechanism_representatives_fresh_and_in_cells():
     data, part = _setup()
     rng = np.random.default_rng(3)
-    r1 = run_private_measure(data, part, zero_noise(), rng)
-    r2 = run_private_measure(data, part, zero_noise(), rng)
+    r1 = run_private_measure(data, part, discrete_laplace(1.0), rng)
+    r2 = run_private_measure(data, part, discrete_laplace(1.0), rng)
     assert not np.array_equal(r1.representatives, r2.representatives)
     assert np.all(r1.representatives >= part.lows)
     assert np.all(r1.representatives <= part.highs)
