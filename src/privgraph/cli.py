@@ -142,10 +142,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "generate":
+            if args.eps is not None and args.eps_list is not None:
+                raise ValueError("--eps and --eps-list both set the privacy level; give one of them")
             cfg, levels = _config_from_args(args)
-            eps_list = args.eps_list
-            if eps_list is None and args.eps is None:
-                eps_list = levels
+            eps_list = levels if args.eps is None and args.eps_list is None else args.eps_list
             outputs = cmd_generate(cfg, eps_list=eps_list)
             print("\n".join(outputs))
             return 0

@@ -172,19 +172,21 @@ class ResolvedExperiment:
         )
 
 
-def resolve(cfg: ExperimentConfig) -> ResolvedExperiment:
+def resolve(cfg: ExperimentConfig, dataset: AttributeDataset | None = None) -> ResolvedExperiment:
     """The config's objects. Those that check a setting are built before the
-    dataset is read, so a bad setting fails before any file is opened."""
+    dataset is read, so a bad setting fails before any file is opened. A
+    ``dataset`` given is the config's own, read once for all its levels."""
     space = SpaceConfig(d=cfg.d, metric=cfg.metric)
     kernel = make_kernel(cfg.kernel, cfg.kernel_param, cfg.d, cfg.metric)
     params = FgwParams(alpha=cfg.alpha, C=cfg.C, metric=cfg.metric)
     noise = discrete_laplace(cfg.eps)
-    if cfg.data:
-        dataset = load_points_csv(cfg.data, cfg.d)
-    elif cfg.recipe:
-        dataset = make_recipe_dataset(cfg.recipe, cfg.n, cfg.d, cfg.seed)
-    else:
-        raise ValueError("config needs either a data path or a recipe")
+    if dataset is None:
+        if cfg.data:
+            dataset = load_points_csv(cfg.data, cfg.d)
+        elif cfg.recipe:
+            dataset = make_recipe_dataset(cfg.recipe, cfg.n, cfg.d, cfg.seed)
+        else:
+            raise ValueError("config needs either a data path or a recipe")
     m_request = bnd.optimal_params(cfg.eps, dataset.n, cfg.d).m_request if cfg.m == "auto" else cfg.m
     partition = build_grid_partition(space, m_request)
     auto_a = float(partition.m) ** (2.0 / cfg.d)  # a = m^(2/d), as in bounds.optimal_params
@@ -231,7 +233,9 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
     levels, sufficient for bit-exact replay. Every level is checked before
     anything is written."""
     t0 = time.time()
-    eps_values = eps_list or [cfg.eps]
+    eps_values = [cfg.eps] if eps_list is None else eps_list
+    if not eps_values:
+        raise ValueError("--eps-list gives no privacy level")
     tags = [f"eps{eps:g}" for eps in eps_values]
     for idx, tag in enumerate(tags):
         first = tags.index(tag)
@@ -239,7 +243,8 @@ def cmd_generate(cfg: ExperimentConfig, eps_list: list[float] | None = None) -> 
             raise ValueError(
                 f"levels {eps_values[first]!r} and {eps_values[idx]!r} would both be written to pair_{tag}.json"
             )
-    levels = [resolve(replace(cfg, eps=eps)) for eps in eps_values]
+    levels = [resolve(replace(cfg, eps=eps_values[0]))]
+    levels += [resolve(replace(cfg, eps=eps), levels[0].dataset) for eps in eps_values[1:]]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []

@@ -8,8 +8,7 @@ cell index.
 
 from __future__ import annotations
 
-import itertools
-import re
+import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -220,57 +219,37 @@ def load_points_csv(path: str, d: int) -> AttributeDataset:
     reader. Empty lines are skipped, extra columns ignored and fields may be
     double-quoted. A row with too few columns, a non-numeric field, or a value
     outside [0,1] (NaN and infinities included) is rejected with its 1-based
-    line number in the file."""
+    line number in the file, found by walking the file once with ``csv``."""
     try:
-        pts = _read_columns(path, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning: a case handled below
+            pts = np.loadtxt(path, delimiter=",", usecols=range(d), comments=None, quotechar='"', ndmin=2, dtype=float)
+        return AttributeDataset(points=pts)
     except ValueError as exc:
-        row, reason = _loadtxt_error(exc, d)
-        if row:  # the rows before the failing one parse; an out-of-range value there comes first
-            _check_unit_range(path, _read_columns(path, d, max_rows=row))
-        raise ValueError(f"row {_file_line(path, row)}: {reason}") from None
-    if pts.shape[0] == 0:
+        error = exc
+    rows = 0
+    with open(path, newline="") as fh:
+        for line, row in enumerate(csv.reader(fh), start=1):
+            if row:
+                rows += 1
+                _check_row(row, d, line)
+    if not rows:
         raise ValueError(f"no data rows in {path}")
-    _check_unit_range(path, pts)
-    return AttributeDataset(points=pts)
+    raise error
 
 
-def _read_columns(path: str, d: int, max_rows: int | None = None) -> np.ndarray:
-    # loadtxt's warnings (no data; blank lines not counted in max_rows) are
-    # about cases the caller handles
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(
-            path, delimiter=",", usecols=range(d), comments=None, quotechar='"',
-            max_rows=max_rows, ndmin=2, dtype=float,
-        )
-
-
-def _check_unit_range(path: str, pts: np.ndarray) -> None:
-    bad = ~((pts >= 0.0) & (pts <= 1.0))  # NaN fails both comparisons
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), pts.shape[1])
-        raise ValueError(f"row {_file_line(path, row)}: value {float(pts[row, col])} outside [0,1]")
-
-
-# numpy counts data rows (blank lines not included), from 0
-# in conversion errors and from 1 in column-count errors.
-_CONVERT_ERROR = re.compile(r"could not convert (string .*) at row (\d+), column \d+")
-_COLUMNS_ERROR = re.compile(r"invalid column index \d+ at row (\d+) with (\d+) columns")
-
-
-def _loadtxt_error(exc: ValueError, d: int) -> tuple[int, str]:
-    """(0-based data row, reason) of a loadtxt parse error."""
-    msg = str(exc)
-    if m := _CONVERT_ERROR.search(msg):
-        return int(m.group(2)), f"non-numeric value (could not convert {m.group(1)})"
-    if m := _COLUMNS_ERROR.search(msg):
-        return int(m.group(1)) - 1, f"expected {d} columns, got {m.group(2)}"
-    raise exc
-
-
-def _file_line(path: str, row: int) -> int:
-    """1-based file line of 0-based data row ``row``. Like loadtxt, read with
-    universal newlines and skip empty lines."""
-    with open(path) as fh:
-        data = (lineno for lineno, line in enumerate(fh, start=1) if line != "\n")
-        return next(itertools.islice(data, row, None))
+def _check_row(row: list[str], d: int, line: int) -> None:
+    """Refuse a data row as loadtxt reads it: its columns left to right, then
+    the [0,1] range, which NaN fails."""
+    for col in range(d):
+        if col == len(row):
+            raise ValueError(f"row {line}: expected {d} columns, got {len(row)}")
+        try:
+            if "_" in row[col]:  # float() accepts digit underscores, loadtxt does not
+                raise ValueError(f"could not convert string to float: {row[col]!r}")
+            float(row[col])
+        except ValueError as exc:
+            raise ValueError(f"row {line}: non-numeric value ({exc})") from None
+    for v in map(float, row[:d]):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"row {line}: value {v} outside [0,1]")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from privgraph import experiments
 from privgraph.cli import main
 from privgraph.experiments import ExperimentConfig, cmd_evaluate, cmd_generate, make_recipe_dataset, resolve
 from privgraph.fgw import REFINE_SIZE_CAP, FgwParams, fgw_cost, spawn_streams
@@ -151,6 +152,29 @@ def test_generate_eps_list_manifest_replays_every_level(tmp_path):
     written = _read_outputs(first)
     assert {"pair_eps1.json", "pair_eps0.1.json", "pair_eps0.01.json"} <= set(written)
     assert _read_outputs(replay) == written
+
+
+def test_generate_reads_its_dataset_once(tmp_path, monkeypatch):
+    data = tmp_path / "pts.csv"
+    data.write_text("".join(f"{i / 49:.6f}\n" for i in range(50)))
+    calls = []
+    load = experiments.load_points_csv
+    monkeypatch.setattr(experiments, "load_points_csv", lambda *args: calls.append(args) or load(*args))
+    argv = ["generate", "--data", str(data), "--d", "1", "--seed", "1", "--eps-list", "1,0.1,0.01"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_generate_manifest_replays_under_one_level_flag(tmp_path):
+    argv = ["generate", "--recipe", "uniform", "--n", "300", "--d", "1", "--seed", "1", "--eps-list", "1,0.1"]
+    first = tmp_path / "first"
+    assert main([*argv, "--out", str(first)]) == 0
+    manifest = str(first / "manifest.json")
+    cases = [([], [1.0, 0.1]), (["--eps", "0.5"], [0.5]), (["--eps-list", "0.1,1"], [0.1, 1.0])]
+    for k, (flags, eps_list) in enumerate(cases):
+        out = tmp_path / f"replay{k}"
+        assert main(["generate", "--config", manifest, *flags, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["eps_list"] == eps_list
 
 
 def test_generate_manifest_records_each_levels_sizes(tmp_path):
@@ -414,10 +438,14 @@ def test_mc_command(tmp_path, capsys):
     "levels, message",
     [(["--eps", "-1"], "eps > 0"), (["--eps-list", "1,-1"], "eps > 0"), (["--eps-list", "1,nan"], "eps > 0"),
      (["--eps-list", "1,1.0000001"], "levels 1.0 and 1.0000001 would both be written to pair_eps1.json"),
-     (["--eps-list", "0.5,1,0.5", "--emit", "dot"], "levels 0.5 and 0.5 would both be written to pair_eps0.5.json")],
+     (["--eps-list", "0.5,1,0.5", "--emit", "dot"], "levels 0.5 and 0.5 would both be written to pair_eps0.5.json"),
+     (["--eps-list", ""], "--eps-list gives no privacy level"),
+     (["--eps-list", ","], "--eps-list gives no privacy level"),
+     (["--eps", "0.5", "--eps-list", "1,2"], "--eps and --eps-list both set the privacy level")],
 )
 def test_generate_checks_every_level_before_writing(tmp_path, capsys, levels, message):
-    # a bad later level, or two levels whose file names collide, write nothing
+    # a bad later level, two levels whose file names collide, no level, or
+    # two flags that each set the level, write nothing
     out = tmp_path / "out"
     argv = ["generate", "--recipe", "uniform", "--n", "40", "--d", "1", "--seed", "1", "--out", str(out)]
     assert main([*argv, *levels]) == 1

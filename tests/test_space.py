@@ -262,6 +262,22 @@ def test_csv_loader_rejects_rows_the_reference_skipped(tmp_path):
             load_points_csv(str(path), 2)
 
 
+def test_csv_loader_does_not_read_numpys_message(tmp_path, monkeypatch):
+    """The bad row is found by walking the file, whatever loadtxt's error
+    says; when the walk finds none, loadtxt's own error stands."""
+    def unreadable(*args, **kwargs):
+        raise ValueError("unreadable")
+
+    monkeypatch.setattr(np, "loadtxt", unreadable)
+    path = tmp_path / "pts.csv"
+    path.write_text("0.1,0.2\n0.3,0.4\n0.5,abc\n")
+    with pytest.raises(ValueError, match="^row 3: non-numeric"):
+        load_points_csv(str(path), 2)
+    path.write_text("0.1,0.2\n0.3,0.4\n")
+    with pytest.raises(ValueError, match="^unreadable$"):
+        load_points_csv(str(path), 2)
+
+
 def test_csv_loader_without_data_rows(tmp_path):
     path = tmp_path / "pts.csv"
     for text in ("", "\n\n"):
