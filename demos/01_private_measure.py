@@ -7,15 +7,9 @@ far the projected private measure sits from the empirical one.
 
 import numpy as np
 
-from privgraph import (
-    AttributeDataset,
-    SpaceConfig,
-    build_grid_partition,
-    discrete_laplace,
-    expected_abs,
-    run_private_measure,
-    true_counts,
-)
+from privgraph.measures import run_private_measure, true_counts
+from privgraph.noise import discrete_laplace, expected_abs
+from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
 rng = np.random.default_rng(0)
 space = SpaceConfig(d=1)

@@ -8,7 +8,7 @@ replacement.
 
 import math
 
-from privgraph import discrete_laplace, dp_ratio_satisfied, pmf
+from privgraph.noise import discrete_laplace, dp_ratio_satisfied, pmf
 
 
 def release_prob(noise, true, output):

@@ -11,15 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from privgraph import (
-    AttributeDataset,
-    SpaceConfig,
-    build_grid_partition,
-    chung_lu,
-    discrete_laplace,
-    generate_coupled_graphs,
-    graph_to_dot,
-)
+from privgraph.generator import generate_coupled_graphs
+from privgraph.graphs import chung_lu, graph_to_dot
+from privgraph.noise import discrete_laplace
+from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)

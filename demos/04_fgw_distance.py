@@ -3,20 +3,11 @@ and the matched-plan upper bound on a generated pair."""
 
 import numpy as np
 
-from privgraph import (
-    AttributedGraph,
-    AttributeDataset,
-    FgwParams,
-    SpaceConfig,
-    build_grid_partition,
-    chung_lu,
-    discrete_laplace,
-    exact_small_search,
-    fgw_upper_bound,
-    generate_coupled_graphs,
-    matched_plan_cost,
-    plan_coupling,
-)
+from privgraph.fgw import FgwParams, exact_small_search, fgw_upper_bound, matched_plan_cost, plan_coupling
+from privgraph.generator import generate_coupled_graphs
+from privgraph.graphs import AttributedGraph, chung_lu
+from privgraph.noise import discrete_laplace
+from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition
 
 params = FgwParams(alpha=0.5, C=1.0)
 

@@ -5,7 +5,7 @@ each dataset size; rows are privacy levels. Both shrink as n grows; the
 coupling form wins once the privacy level is large.
 """
 
-from privgraph import bound_table, optimal_params, rate_bounds
+from privgraph.bounds import bound_table, optimal_params, rate_bounds
 
 table = bound_table()  # d=2, alpha=1/2, C=L=1, eps rows x n in {100, 1000, 10000}
 print(table.to_csv())

@@ -40,7 +40,7 @@ import numpy as np
 from .generator import CoupledGraphs, generate_coupled_graphs
 from .graphs import AttributedGraph, Kernel
 from .noise import NoiseSpec
-from .space import AttributeDataset, Partition, SpaceConfig, pairwise_distances
+from .space import _METRICS, AttributeDataset, Partition, SpaceConfig, pairwise_distances
 
 _MARGINAL_TOL = 1e-9
 _DIST_ROWS = 128  # rows of an N x M feature-distance matrix held at once
@@ -63,6 +63,8 @@ class FgwParams:
             raise ValueError("alpha must lie in [0,1]")
         if not 0 < self.C < np.inf:  # NaN fails too; an infinite C makes every cost inf or NaN
             raise ValueError(f"C must be finite and positive, got {self.C}")
+        if self.metric not in _METRICS:
+            raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
 
 
 def graph_to_measure(g: AttributedGraph) -> np.ndarray:

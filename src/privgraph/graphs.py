@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import _is_int, pairwise_distances
+from .space import _METRICS, _is_int, pairwise_distances
 
 CHUNG_LU = "chung_lu"
 CONSTANT = "constant"
@@ -45,6 +45,8 @@ class Kernel:
             raise ValueError(f"inverse_distance kernel needs finite scale > 0, got {self.scale}")
         if self.kind not in (CHUNG_LU, CONSTANT, INVERSE_DISTANCE):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.metric not in _METRICS:
+            raise ValueError(f"metric must be one of {_METRICS}, got {self.metric!r}")
 
     @property
     def lipschitz_constant(self) -> float:

@@ -218,8 +218,8 @@ def load_points_csv(path: str, d: int) -> AttributeDataset:
     """Read the first d comma-separated columns of a CSV file with numpy's C
     reader. Empty lines are skipped, extra columns ignored and fields may be
     double-quoted. A row with too few columns, a non-numeric field, or a value
-    outside [0,1] (NaN and infinities included) is rejected with its 1-based
-    line number in the file, found by walking the file once with ``csv``."""
+    outside [0,1] (NaN and infinities included) is rejected with the 1-based
+    file line where the row ends, found by walking the file once with ``csv``."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning: a case handled below
@@ -229,10 +229,11 @@ def load_points_csv(path: str, d: int) -> AttributeDataset:
         error = exc
     rows = 0
     with open(path, newline="") as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for row in reader:
             if row:
                 rows += 1
-                _check_row(row, d, line)
+                _check_row(row, d, reader.line_num)
     if not rows:
         raise ValueError(f"no data rows in {path}")
     raise error

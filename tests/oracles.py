@@ -301,14 +301,15 @@ def bins_reference(partition, points):
 def load_points_csv_reference(path, d):
     """The points CSV read one ``csv.reader`` row at a time: the reference for
     ``privgraph.space.load_points_csv``. Rows that are empty, or whose fields
-    are all blank, are skipped; errors name the 1-based row (= file line when
-    no quoted field spans lines)."""
+    are all blank, are skipped; errors name the 1-based file line where the
+    row ends."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            lineno = reader.line_num
             if len(row) < d:
                 raise ValueError(f"row {lineno}: expected {d} columns, got {len(row)}")
             try:

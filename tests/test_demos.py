@@ -12,14 +12,16 @@ ROOT = Path(__file__).resolve().parent.parent
 GENERATION_DEMO = "03_coupled_generation.py"  # writes DOT files to the directory given
 
 
-def _run_demo(name, *args):
+def _run(*args):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name), *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def _run_demo(name, *args):
+    return _run(str(ROOT / "demos" / name), *args)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name != GENERATION_DEMO))
@@ -42,3 +44,9 @@ def test_coupled_generation_demo(tmp_path):
         assert matched <= shared <= min(n_true, n_syn)
     written = ["synthetic_eps0.01.dot", "synthetic_eps0.1.dot", "synthetic_eps1.dot", "true.dot"]
     assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"^## Library tour\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    assert _run("-c", tour).stdout

@@ -30,7 +30,7 @@ from privgraph.fgw import (
     worst_pair_cost,
 )
 from privgraph.generator import _coupled_edges, generate_coupled_graphs
-from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel
+from privgraph.graphs import AttributedGraph, chung_lu, constant_kernel, inverse_distance
 from privgraph.noise import discrete_laplace
 from privgraph.space import AttributeDataset, SpaceConfig, build_grid_partition, pairwise_distances
 
@@ -146,6 +146,14 @@ def test_pairwise_distances_match_broadcast_formula(xy, metric):
 def test_pairwise_distances_rejects_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric"):
         pairwise_distances(np.zeros((2, 1)), np.zeros((3, 1)), metric="manhattan")
+
+
+@pytest.mark.parametrize("make", [FgwParams, lambda metric: inverse_distance(0.5, metric=metric)],
+                         ids=["FgwParams", "inverse_distance"])
+def test_settings_refuse_an_unknown_metric_when_made(make):
+    with pytest.raises(ValueError, match="^metric must be one of"):
+        make(metric="l2")
+    make(metric="euclidean")
 
 
 @settings(max_examples=100, deadline=None)

@@ -262,6 +262,14 @@ def test_csv_loader_rejects_rows_the_reference_skipped(tmp_path):
             load_points_csv(str(path), 2)
 
 
+def test_csv_loader_names_the_file_line_of_a_row_with_a_multiline_field(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text('"0.1\n",0.2\n0.3,0.4\n0.5,abc\n')  # abc is on file line 4, in the third row
+    for load in (load_points_csv, load_points_csv_reference):
+        with pytest.raises(ValueError, match="^row 4: non-numeric"):
+            load(str(path), 2)
+
+
 def test_csv_loader_does_not_read_numpys_message(tmp_path, monkeypatch):
     """The bad row is found by walking the file, whatever loadtxt's error
     says; when the walk finds none, loadtxt's own error stands."""

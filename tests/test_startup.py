@@ -31,8 +31,17 @@ def _run_fresh(code: str):
 
 
 def test_import_loads_no_solver_module():
-    loaded = _run_fresh(f"import json, sys\nimport privgraph\nprint(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
-    assert loaded == []
+    code = f"import json, sys\nimport privgraph.cli\nprint(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))"
+    assert _run_fresh(code) == []  # privgraph.cli imports every privgraph module
+
+
+def test_package_import_loads_no_module():
+    code = """
+import json, sys
+import privgraph
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith(("numpy.", "privgraph.")))))
+"""
+    assert _run_fresh(code) == []
 
 
 @pytest.mark.parametrize("a, b", [(10.0, 10.0), (10.0, 12.0), (100.0, 100.0)])
