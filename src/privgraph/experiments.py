@@ -85,6 +85,10 @@ class ExperimentConfig:
         for name, value in (("a", a), ("b", b)):
             if not (value == "auto" or _is_real(value) and 0 < value < math.inf):
                 raise ValueError(f'{name} must be "auto" or finite and > 0, got {getattr(self, name)!r}')
+        for name, kind, rule in (("data", (str, type(None)), "a path string or null"), ("out_dir", str, "a string"),
+                                 ("private_only", bool, "true or false"), ("emit_dot", bool, "true or false")):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.data and self.recipe:
             raise ValueError(f"data ({self.data!r}) and recipe ({self.recipe!r}) are both set; give one of them")
         object.__setattr__(self, "m", m if m == "auto" else int(m))
@@ -133,6 +137,8 @@ def make_recipe_dataset(recipe: str, n: int, d: int, seed: int) -> AttributeData
 
 def make_kernel(name: str, param: float, d: int, metric: str) -> Kernel:
     if name in ("chung-lu", "chung_lu"):
+        if not math.isfinite(param):  # unused here, but the manifest records it as JSON
+            raise ValueError(f"kernel_param must be finite, got {param}")
         return chung_lu(d=d)
     if name == "constant":
         return constant_kernel(param)

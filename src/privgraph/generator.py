@@ -6,8 +6,10 @@ independent Bernoulli edges) while sharing as much randomness as possible:
 
 * vertex counts share a Poisson component of rate min(a, b);
 * each shared slot lands in a common cell k with probability
-  min(counts_k/n, private_k), and otherwise the two sides draw their cells
-  from the residual laws, which restores the exact categorical marginals;
+  min(counts_k/n, private_k), and otherwise each side draws its cell from
+  its residual law, base - min(base, other) normalised once, which restores
+  the exact categorical marginals (Lindvall 1992's maximal coupling); one
+  cumulative sum of the minima both decides the match and picks its cell;
 * edges between two matched vertex pairs are drawn from the maximal coupling
   of their Bernoulli laws, so they disagree with probability |p - q|.
 
@@ -30,7 +32,6 @@ O(EDGE_BLOCK_ROWS * N).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -42,8 +43,6 @@ from .measures import PrivateMeasureResult, run_private_measure
 from .noise import NoiseSpec
 from .space import AttributeDataset, Partition
 
-_RESIDUAL_TOL = 1e-12
-
 # Version of the order in which the generator consumes its random stream, and
 # of the stream the "uniform" recipe draws its points from (draw order 4 gave
 # the recipe the root SeedSequence(seed), which no replicate uses); manifests
@@ -54,28 +53,15 @@ DRAW_ORDER = 4
 EDGE_BLOCK_ROWS = 64
 
 
-def _residual_probs(base: np.ndarray, common: np.ndarray) -> np.ndarray:
-    p_none = 1.0 - float(np.sum(common))
-    if p_none <= 0.0:
-        raise ValueError("residual law undefined: indicator covers all mass")
-    res = (np.asarray(base, dtype=float) - np.asarray(common, dtype=float)) / p_none
-    if res.min() < -_RESIDUAL_TOL:
-        raise ValueError(f"negative residual probability {res.min()}")
-    if res.min() < 0.0:
-        warnings.warn("clamping residual probabilities within 1e-12 of zero")
-    res = np.clip(res, 0.0, None)
-    total = res.sum()
-    if total <= 0.0:
-        raise ValueError("residual law undefined: no residual mass")
-    return res / total
-
-
-def _categorical(probs: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+def _categorical(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` cells drawn with probabilities ``weights`` normalised once;
+    a law with no mass is refused."""
     if size == 0:
         return np.zeros(0, dtype=np.int64)
-    cum = np.cumsum(probs)
-    cum = cum / cum[-1]
-    return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
+    cum = np.cumsum(weights)
+    if not cum[-1] > 0.0:
+        raise ValueError("cell law has no mass")
+    return np.searchsorted(cum / cum[-1], rng.random(size), side="right").astype(np.int64)
 
 
 def _kernel_blocks(kernel: Kernel, attrs: np.ndarray):
@@ -282,10 +268,9 @@ def generate_coupled_graphs(
     base_true = private.counts / dataset.n
     base_syn = private.private_weights
     common = np.minimum(base_true, base_syn)
-    total_common = float(common.sum())
-    p_none = 1.0 - total_common
-    if p_none < -_RESIDUAL_TOL:
-        raise ValueError(f"indicator mass exceeds 1 by {-p_none}")
+    cum_common = np.cumsum(common)  # decides each match and picks its cell, so a match always has one
+    if cum_common[-1] > 1.0 + 1e-12:
+        raise ValueError(f"indicator mass exceeds 1 by {cum_common[-1] - 1.0}")
 
     lo = min(a, b)
     shared = int(rng.poisson(lo))
@@ -295,13 +280,11 @@ def generate_coupled_graphs(
     # shared slots: matched cell or per-side residual cells; vertices are the
     # matched slots, then the residual slots, then the extras
     u = rng.random(shared)
-    is_match = u < total_common
+    is_match = u < cum_common[-1]
     z = int(np.count_nonzero(is_match))
-    matched_cells = np.searchsorted(np.cumsum(common), u[is_match], side="right").astype(np.int64)
-    res_true = res_syn = np.zeros(0, dtype=np.int64)
-    if shared > z:
-        res_true = _categorical(_residual_probs(base_true, common), shared - z, rng)
-        res_syn = _categorical(_residual_probs(base_syn, common), shared - z, rng)
+    matched_cells = np.searchsorted(cum_common, u[is_match], side="right").astype(np.int64)
+    res_true = _categorical(base_true - common, shared - z, rng)
+    res_syn = _categorical(base_syn - common, shared - z, rng)
     true_cells = np.concatenate([matched_cells, res_true, _categorical(base_true, extra_true, rng)])
     syn_cells = np.concatenate([matched_cells, res_syn, _categorical(base_syn, extra_syn, rng)])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import _METRICS, _is_int, pairwise_distances
+from .space import _METRICS, _is_int, _is_real, pairwise_distances
 
 CHUNG_LU = "chung_lu"
 CONSTANT = "constant"
@@ -210,19 +210,27 @@ def _is_vertex_index(x, n: int) -> bool:
 
 
 def graph_from_dict(obj: dict) -> AttributedGraph:
-    """The graph of :func:`graph_to_dict`'s form. Each edge must be a pair of
-    distinct integer vertex indices in [0, n); any other edge, and a vertex
-    without an "attr" or an "id", is refused."""
+    """The graph of :func:`graph_to_dict`'s form. "vertices" and "edges" must
+    be lists; each vertex needs an "attr" that is a list of numbers and an
+    "id" that is a number, and each edge must be a pair of distinct integer
+    vertex indices in [0, n). Anything else is refused."""
     if not isinstance(obj, dict):
         raise ValueError("a graph must be a JSON object")
-    verts = obj.get("vertices", [])
+    verts, edges = obj.get("vertices", []), obj.get("edges", [])
+    for key, value in (("vertices", verts), ("edges", edges)):
+        if not isinstance(value, list):
+            raise ValueError(f"{key!r} must be a list, got {value!r}")
     n = len(verts)
     for i, v in enumerate(verts):
         for key in ("attr", "id"):
             if not (isinstance(v, dict) and key in v):
                 raise ValueError(f"vertex {i} has no {key!r}")
+        if not (isinstance(v["attr"], list) and all(map(_is_real, v["attr"]))):
+            raise ValueError(f"vertex {i} has an 'attr' that is not a list of numbers: {v['attr']!r}")
+        if not _is_real(v["id"]):
+            raise ValueError(f"vertex {i} has an 'id' that is not a number: {v['id']!r}")
     adj = np.zeros((n, n), dtype=bool)
-    for edge in obj.get("edges", []):
+    for edge in edges:
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(_is_vertex_index(x, n) for x in edge)):
             raise ValueError(f"edge {edge!r} is not a pair of integer vertex indices in [0, {n})")
         i, j = edge

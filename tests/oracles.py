@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from privgraph.bounds import BoundInputs, distribution_bound_grid, expected_fgw_bound_grid
-from privgraph.generator import EdgeCounts, _coupled_edges, _residual_probs
+from privgraph.generator import EdgeCounts, _coupled_edges
 from privgraph.graphs import AttributedGraph, _distinct_uniform_ids, _unchecked, kernel_matrix
 from privgraph.measures import PrivateMeasureResult
 from privgraph.noise import expected_abs
@@ -269,14 +269,17 @@ def sample_common_indicator(probs, rng):
 
 
 def residual_cell_sampler(base, common, rng):
-    """Cell draw conditional on the common indicator having returned None,
-    from the generator's residual law.
+    """Cell draw conditional on the common indicator having returned None:
+    cell k with probability (base_k - common_k) / (1 - sum(common)), the
+    residual law computed here on its own, not by the generator.
 
     Composing the indicator with this residual reproduces the base categorical
     law exactly: P(k) = common_k + P(none) * (base_k - common_k)/P(none).
     """
-    res = _residual_probs(base, common)
-    return int(np.searchsorted(np.cumsum(res), rng.random(), side="right"))
+    res = np.asarray(base, dtype=float) - np.asarray(common, dtype=float)
+    if res.min() < 0.0 or res.sum() <= 0.0:
+        raise ValueError(f"no residual law: base - common = {res}")
+    return int(np.searchsorted(np.cumsum(res) / res.sum(), rng.random(), side="right"))
 
 
 def cell_indices_reference(partition, points):

@@ -620,6 +620,28 @@ def test_dist_refuses_edges_that_are_not_vertex_pairs(tmp_path, capsys, edge, me
         assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "graph, named",
+    [
+        ({"vertices": 5, "edges": []}, "'vertices' must be a list"),
+        ({"vertices": [], "edges": 5}, "'edges' must be a list"),
+        ({"vertices": [], "edges": None}, "'edges' must be a list"),
+        ({"vertices": [{"attr": {"x": 1}, "id": 0.1}], "edges": []}, "vertex 0 has an 'attr'"),
+        ({"vertices": [{"attr": [0.2], "id": {}}], "edges": []}, "vertex 0 has an 'id'"),
+    ],
+)
+def test_dist_refuses_malformed_graph_json(tmp_path, capsys, graph, named):
+    good = _write_graph(tmp_path / "good.json", [[0.2], [0.6]], [[0, 1]])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(graph))
+    for args in ((good, str(bad)), (str(bad), good)):
+        assert main(["dist", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+
+
 @pytest.mark.parametrize("alpha", ["0.5", "0"])
 @pytest.mark.parametrize("cap", ["inf", "nan", "0"])
 def test_mc_refuses_a_cap_that_is_not_finite_and_positive(capsys, alpha, cap):
@@ -724,7 +746,7 @@ def test_former_noise_settings_are_refused(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "key, text",
     [("m", "2.5"), ("refine_iters", "-1"), ("n", "-5"), ("seed", "-1"), ("a", "abc"), ("d", "-1"), ("d", "0"),
-     ("replicates", "0")],
+     ("replicates", "0"), ("kernel_param", "NaN"), ("kernel_param", "Infinity")],
 )
 def test_bad_config_values_are_refused_as_flags_and_in_a_config(tmp_path, capsys, key, text):
     base = {"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8, "seed": 3}
@@ -742,18 +764,22 @@ def test_bad_config_values_are_refused_as_flags_and_in_a_config(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "key, value", [("d", 1.5), ("replicates", "3"), ("eps", "abc"), ("alpha", "0.5"), ("C", None), ("kernel_param", True)]
+    "key, value",
+    [("d", 1.5), ("replicates", "3"), ("eps", "abc"), ("alpha", "0.5"), ("C", None), ("kernel_param", True),
+     ("data", 7), ("out_dir", 5), ("private_only", "false"), ("emit_dot", 1)],
 )
-def test_config_values_of_the_wrong_type_are_refused(tmp_path, capsys, key, value):
+def test_config_values_of_the_wrong_type_are_refused(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)  # without --out, a run would write here
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"recipe": "uniform", "n": 60, "m": 4, "a": 8, "b": 8, "seed": 3, key: value}))
     for command in ("generate", "evaluate", "mc"):
         out = tmp_path / command
-        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        # --out would replace the out_dir under test
+        assert main([command, "--config", str(path), *([] if key == "out_dir" else ["--out", str(out)])]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key} must be ")
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_m_as_a_numeral_or_auto_still_runs(tmp_path, capsys):

@@ -158,6 +158,52 @@ def test_zero_noise_equal_sizes_full_matching():
         assert np.array_equal(np.bincount(t_cells, minlength=4), np.bincount(s_cells, minlength=4))
 
 
+class _SharedSlotsAt:
+    """Draws as ``rng`` does, except that its first ``random`` call, the
+    shared slots' uniforms, returns ``value`` for every slot."""
+
+    def __init__(self, rng, value):
+        self._rng, self._value = rng, value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size=None, out=None):
+        if self._value is None:
+            return self._rng.random(size=size, out=out)
+        u, self._value = np.full(size, self._value), None
+        return u
+
+
+def test_match_test_and_matched_cell_search_read_one_cumulative_sum():
+    # weights whose pairwise sum of minima exceeds their cumulative sum by an
+    # ulp; a uniform at the cumulative sum has no matched cell after it, so it
+    # must not count as a match
+    part = build_grid_partition(SpaceConfig(d=1), 16)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        counts, weights = rng.integers(1, 50, part.m), rng.random(part.m)
+        weights /= weights.sum()
+        common = np.minimum(counts / counts.sum(), weights)
+        if np.sum(common) > np.cumsum(common)[-1]:
+            break
+    assert np.sum(common) > np.cumsum(common)[-1]
+    data = AttributeDataset(points=np.repeat((part.lows + part.highs) / 2.0, counts, axis=0))
+    private = fixed_private(part, counts, weights)
+    stand_in = _SharedSlotsAt(np.random.default_rng(1), np.cumsum(common)[-1])
+    pair = generate_coupled_graphs(
+        data, part, discrete_laplace(1.0), 40, 40, constant_kernel(0.3), stand_in, private=private
+    )
+    assert pair.shared_count > 0
+    assert np.all(pair.matched_cells < part.m)
+    assert pair.match_count == 0
+
+
+def test_categorical_refuses_a_law_with_no_mass():
+    with pytest.raises(ValueError, match="no mass"):
+        generator_mod._categorical(np.zeros(3), 1, np.random.default_rng(0))
+
+
 def test_generator_deterministic_given_seed():
     data, part = _cell_center_setup()
     p1 = generate_coupled_graphs(
